@@ -13,6 +13,7 @@ holds inside a two-parameter family.
 
 from .calculus import (
     SymbolicMatrix,
+    derivative_table,
     eval_many,
     gradient,
     hessian,

@@ -1,4 +1,4 @@
-"""Differential structure of subset polynomials.
+"""Differential structure of subset polynomials, computed in coefficient space.
 
 For a multi-affine g the Hessian of log g on the positive orthant is
 
@@ -11,15 +11,29 @@ equivalently that the polynomial matrix
     M = grad g grad g^T - g * D2g        (entries are polynomials)
 
 is positive semidefinite at x, since M evaluated at x equals -g(x)^2 H(x).
-`m_matrix` builds M once, exactly; certificates reason about its
-coefficients, numeric checks evaluate it or H directly.
+
+Both the float and the exact side work on the coefficient vector directly.
+
+  * Float: `derivative_table` holds every iterated derivative
+    d^B g(x) = sum_{S >= B} p(S) x^(S \\ B) at a block of points, built by
+    n superset-sum (Yates) stages.  g, its gradient and its Hessian are
+    rows 0, {i} and {i, j} of that one table; `eval_many`, `gradient`,
+    `hessian`, `log_hessian` and `log_hessian_many` only read it.
+  * Exact: `m_row_gaps` forms the entries of M from products of integer
+    coefficients, keying the monomial x^S x^T by the mask pair
+    (S | T, S & T), and yields the diagonal dominance gap of each row.  The
+    dominance certificate decides on these integers.
+
+`m_matrix` builds M as `SparsePoly` entries.  No check runs it: it is kept
+for display, for the counterexample replay and as the tests' reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,38 +46,110 @@ from .poly import (
     sparse_from_subset,
 )
 
+# A derivative table has 2**n rows, one per derivative subset, and a column
+# per point; points are taken in blocks that keep it near this many float64
+# cells (256 KiB), so memory stays flat in n and in the number of points.
+TABLE_CELLS = 1 << 15
+
+
+# ----- the derivative table --------------------------------------------------
+
+
+def _point_array(p: SubsetPoly, points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != p.n:
+        raise ValueError(f"expected an (N, {p.n}) point array, got shape {pts.shape}")
+    return pts
+
+
+def _superset_sums(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The derivative table of the float coefficient vector at the rows of pts.
+
+    Stage k adds x_k times each row holding variable k to the row without
+    it.  Afterwards row B has summed p(S) x^(S \\ B) over every S >= B:
+    variables outside B were multiplied in at their stage, and the rows of
+    B never changed at the stages of its own variables.
+    """
+    m, n = pts.shape
+    table = np.repeat(coeffs[:, None], m, axis=1)
+    for k in range(n):
+        halves = table.reshape(-1, 2, 1 << k, m)
+        halves[:, 0] += pts[:, k] * halves[:, 1]
+    return table
+
+
+def _float_coeffs(p: SubsetPoly) -> np.ndarray:
+    return np.array([float(c) for c in p.coeffs], dtype=float)
+
+
+def _blocks(n: int, count: int) -> list[slice]:
+    """Consecutive row ranges of a point array whose tables stay near TABLE_CELLS.
+
+    Callers pass each block's table straight to its consumer, so that no
+    more than one table is alive at a time.
+    """
+    step = max(1, TABLE_CELLS >> n)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def derivative_table(p: SubsetPoly, points) -> np.ndarray:
+    """Every iterated derivative of g_p at every row of an (m, n) point array.
+
+    Row B of the (2**n, m) result is d^B g(x) = sum_{S >= B} p(S) x^(S \\ B)
+    at each point: row 0 is g, row {i} the partial derivative in x_(i+1),
+    row {i, j} the mixed second derivative.
+    """
+    return _superset_sums(_float_coeffs(p), _point_array(p, points))
+
+
+def _pair_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the gradient, {i}, and of the Hessian, {i, j}."""
+    bits = 1 << np.arange(n)
+    return bits, bits[:, None] | bits[None, :]
+
+
+def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write (g D2g - grad g grad g^T) / g^2 at the m points of a table into out.
+
+    out has shape (m, n, n).  Raises ValueError unless g > 0 at every point.
+    """
+    if np.any(table[0] <= 0.0):
+        raise ValueError("polynomial is not positive at every sample point")
+    n = out.shape[1]
+    bits, pairs = _pair_masks(n)
+    g = table[0][:, None, None]
+    grad = table[bits].T
+    out[:] = table[pairs].transpose(2, 0, 1)
+    # The pair mask of (i, i) is the row of d_i g; D2g has zero diagonal.
+    out[:, np.arange(n), np.arange(n)] = 0.0
+    out *= g
+    out -= grad[:, :, None] * grad[:, None, :]
+    out /= g * g
+    return out
+
 
 def gradient(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
     """Float gradient of g_p at a point."""
-    coords = check_point(point, p.n)
-    return np.array([p.derivative(i + 1).eval(coords) for i in range(p.n)], dtype=float)
+    table = derivative_table(p, [check_point(point, p.n)])
+    return table[_pair_masks(p.n)[0], 0]
 
 
 def hessian(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
     """Float Hessian of g_p itself.  The diagonal is identically zero."""
-    coords = check_point(point, p.n)
-    h = np.zeros((p.n, p.n), dtype=float)
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            v = p.derivative_subset((1 << i) | (1 << j)).eval(coords)
-            h[i, j] = h[j, i] = v
+    table = derivative_table(p, [check_point(point, p.n)])
+    h = table[_pair_masks(p.n)[1], 0]
+    np.fill_diagonal(h, 0.0)
     return h
 
 
 def log_hessian(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
     """Hessian of log g_p at a strictly positive point where g_p > 0."""
     coords = check_point(point, p.n, positive=True)
-    g = p.eval(coords)
+    table = derivative_table(p, [coords])
+    g = table[0, 0]
     if not g > 0.0:
         raise ValueError(f"polynomial evaluates to {g} at {coords}; log requires a positive value")
-    grad = gradient(p, coords)
-    h = hessian(p, coords)
-    out = np.empty((p.n, p.n), dtype=float)
-    for i in range(p.n):
-        for j in range(i, p.n):
-            v = (g * h[i, j] - grad[i] * grad[j]) / (g * g)
-            out[i, j] = out[j, i] = v
-    return out
+    return _log_hessians(table, np.empty((1, p.n, p.n)))[0]
 
 
 @dataclass(frozen=True)
@@ -115,6 +201,54 @@ def m_matrix(p: SubsetPoly) -> SymbolicMatrix:
     return SymbolicMatrix(p.n, tuple(tuple(row) for row in rows))
 
 
+# ----- exact M matrix on integer coefficients ----------------------------------
+
+
+def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
+    """Row by row, the diagonal dominance gap of M in integer coefficients.
+
+    Yields for each i the coefficients of L^2 (M_ii - sum_{j != i} |M_ij|),
+    where L clears the denominators of p (M scales by L^2) and |.| is taken
+    coefficient-wise after like terms are combined.  The monomial x^S x^T
+    is keyed by its mask pair as (S | T) << n | (S & T).  Each M_ij is
+    formed when row min(i, j) needs it and dropped after row max(i, j), so
+    a caller that stops at the first failing row pays for that row only.
+    """
+    n = p.n
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    terms = [(s, c.numerator * (den // c.denominator)) for s, c in enumerate(p.coeffs) if c]
+
+    def derivative(mask: int) -> list[tuple[int, int]]:
+        return [(s ^ mask, c) for s, c in terms if s & mask == mask]
+
+    def add_product(out: dict[int, int], f, h, sign: int) -> None:
+        get = out.get
+        for s, c in f:
+            c *= sign
+            for t, d in h:
+                key = (s | t) << n | (s & t)
+                out[key] = get(key, 0) + c * d
+
+    grads = [derivative(1 << i) for i in range(n)]
+    pending: dict[tuple[int, int], dict[int, int]] = {}
+    for i in range(n):
+        gap: dict[int, int] = {}
+        add_product(gap, grads[i], grads[i], 1)
+        for j in range(n):
+            if j < i:
+                entry = pending.pop((j, i))
+            elif j > i:
+                entry = {}
+                add_product(entry, grads[i], grads[j], 1)
+                add_product(entry, terms, derivative(1 << i | 1 << j), -1)
+                pending[(i, j)] = entry
+            else:
+                continue
+            for key, v in entry.items():
+                gap[key] = gap.get(key, 0) - abs(v)
+        yield gap
+
+
 # ----- batch float evaluation ----------------------------------------------
 #
 # The sampling checkers test thousands of points per polynomial; evaluating
@@ -124,45 +258,21 @@ def m_matrix(p: SubsetPoly) -> SymbolicMatrix:
 
 def eval_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
     """Evaluate g_p at every row of an (N, n) float array."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != p.n:
-        raise ValueError(f"expected an (N, {p.n}) point array, got shape {pts.shape}")
-    total = np.zeros(pts.shape[0], dtype=float)
-    for mask, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        term = np.full(pts.shape[0], float(c))
-        m = mask
-        k = 0
-        while m:
-            if m & 1:
-                term = term * pts[:, k]
-            m >>= 1
-            k += 1
-        total += term
-    return total
+    pts = _point_array(p, points)
+    coeffs = _float_coeffs(p)
+    out = np.empty(pts.shape[0], dtype=float)
+    for rows in _blocks(p.n, pts.shape[0]):
+        out[rows] = _superset_sums(coeffs, pts[rows])[0]
+    return out
 
 
 def log_hessian_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
     """Hessians of log g_p at every row of an (N, n) array of positive points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != p.n:
-        raise ValueError(f"expected an (N, {p.n}) point array, got shape {pts.shape}")
+    pts = _point_array(p, points)
     if np.any(pts <= 0.0) or not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite and strictly positive")
-    g = eval_many(p, pts)
-    if np.any(g <= 0.0):
-        raise ValueError("polynomial is not positive at every sample point")
-    n = p.n
-    count = pts.shape[0]
-    grads = np.stack([eval_many(p.derivative(i + 1), pts) for i in range(n)], axis=1)
-    out = np.empty((count, n, n), dtype=float)
-    gg = g * g
-    for i in range(n):
-        out[:, i, i] = -(grads[:, i] * grads[:, i]) / gg
-        for j in range(i + 1, n):
-            hij = eval_many(p.derivative_subset((1 << i) | (1 << j)), pts)
-            v = (g * hij - grads[:, i] * grads[:, j]) / gg
-            out[:, i, j] = v
-            out[:, j, i] = v
+    coeffs = _float_coeffs(p)
+    out = np.empty((pts.shape[0], p.n, p.n), dtype=float)
+    for rows in _blocks(p.n, pts.shape[0]):
+        _log_hessians(_superset_sums(coeffs, pts[rows]), out[rows])
     return out

@@ -12,6 +12,12 @@ coefficient-wise diagonal dominance certificate, or membership in a class
 that is log-concave for structural reasons (zero, constant, a single
 monomial, or an affine polynomial).  Every Violated verdict re-verifies its
 own witness from scratch before it is returned.
+
+The dominance certificate is decided on integer coefficients
+(`calculus.m_row_gaps`); its symbolic matrix and gap polynomials are built
+through `m_matrix` only when a caller reads them.  Sampling reads every
+log-Hessian from the derivative table of `calculus`, and `check_slc` draws
+its sample points once for all derivative subsets.
 """
 
 from __future__ import annotations
@@ -20,11 +26,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
 
-from .calculus import SymbolicMatrix, log_hessian, log_hessian_many, m_matrix
+from .calculus import SymbolicMatrix, log_hessian, log_hessian_many, m_matrix, m_row_gaps
 from .linalg import eigen_sym, nsd_threshold
 from .poly import SparsePoly, SubsetPoly, format_subset
 
@@ -53,17 +60,34 @@ class TrivialLogConcavity:
 
 @dataclass(frozen=True)
 class DominanceCertificate:
-    """Coefficient-wise strict diagonal dominance of the M matrix.
+    """Coefficient-wise strict diagonal dominance of the M matrix of poly.
 
     row_gaps[i] is M_ii minus the coefficient-wise absolute values of the
     off-diagonal row entries.  Every gap has nonnegative coefficients and at
     least one positive coefficient, so on the open positive orthant M is
     strictly diagonally dominant with positive diagonal, hence positive
-    definite, hence log g is concave there.
+    definite, hence log g is concave there.  matrix and row_gaps are built
+    exactly on first read; the decision that issued the certificate was
+    taken on the same gaps in integer coefficients.
     """
 
-    matrix: SymbolicMatrix
-    row_gaps: tuple[SparsePoly, ...]
+    poly: SubsetPoly
+
+    @cached_property
+    def matrix(self) -> SymbolicMatrix:
+        return m_matrix(self.poly)
+
+    @cached_property
+    def row_gaps(self) -> tuple[SparsePoly, ...]:
+        m = self.matrix
+        gaps = []
+        for i in range(m.n):
+            gap = m.entry(i, i)
+            for j in range(m.n):
+                if j != i:
+                    gap = gap - m.entry(i, j).abs_coeffs()
+            gaps.append(gap)
+        return tuple(gaps)
 
 
 @dataclass(frozen=True)
@@ -281,7 +305,11 @@ def trivial_log_concavity(p: SubsetPoly) -> TrivialLogConcavity | None:
 
 
 def check_log_concavity_sampled(
-    p: SubsetPoly, cfg: SampleConfig = SampleConfig(), *, subset_mask: int = 0
+    p: SubsetPoly,
+    cfg: SampleConfig = SampleConfig(),
+    *,
+    subset_mask: int = 0,
+    points: np.ndarray | None = None,
 ) -> Verdict:
     """Search positive points for a non-NSD log-Hessian.
 
@@ -289,7 +317,9 @@ def check_log_concavity_sampled(
     constant, and single-monomial short circuits produce Holds here.  The
     scan order (grid, then seeded draws) is deterministic, and the first
     confirmed failure wins.  subset_mask only labels the witness; the
-    polynomial passed in is checked as is.
+    polynomial passed in is checked as is.  points, when given, must be
+    sample_points(p.n, cfg), drawn once by a caller that checks several
+    polynomials.
     """
     _require_nonnegative(p)
     cfg.validate()
@@ -300,7 +330,7 @@ def check_log_concavity_sampled(
     if p.is_monomial():
         return Holds(TrivialLogConcavity("monomial"))
 
-    pts = sample_points(p.n, cfg)
+    pts = sample_points(p.n, cfg) if points is None else points
     max_seen = -np.inf
     tested = 0
     for start in range(0, pts.shape[0], cfg.chunk):
@@ -355,32 +385,26 @@ def verify_point_witness(p: SubsetPoly, witness: PointWitness) -> bool:
 def certify_log_concavity_dominance(p: SubsetPoly) -> DominanceCertificate | None:
     """Try to prove log-concavity on the whole positive orthant, exactly.
 
-    Builds M = grad g grad g^T - g D2g and, per row, the gap polynomial
+    Forms M = grad g grad g^T - g D2g and, per row, the gap polynomial
 
         D_i = M_ii - sum_{j != i} abs_coeffs(M_ij).
 
     If every gap has nonnegative coefficients and at least one positive
     coefficient then, at every point with all coordinates positive, M is
     strictly diagonally dominant with positive diagonal, hence positive
-    definite; so the log-Hessian is negative definite there.  Returns None
-    when this sufficient condition does not apply (which proves nothing).
+    definite; so the log-Hessian is negative definite there.  (M_ii is a
+    square of nonnegative coefficients, so its own coefficients are never
+    negative.)  The gaps are taken in integer coefficients, row by row, and
+    the first failing row ends the attempt.  Returns None when this
+    sufficient condition does not apply (which proves nothing).
     """
     _require_nonnegative(p)
     if p.is_zero():
         return None
-    m = m_matrix(p)
-    gaps = []
-    for i in range(p.n):
-        if not m.entry(i, i).all_coeffs_nonneg():
+    for gap in m_row_gaps(p):
+        if not (all(c >= 0 for c in gap.values()) and any(c > 0 for c in gap.values())):
             return None
-        gap = m.entry(i, i)
-        for j in range(p.n):
-            if j != i:
-                gap = gap - m.entry(i, j).abs_coeffs()
-        if not (gap.all_coeffs_nonneg() and gap.has_positive_coeff()):
-            return None
-        gaps.append(gap)
-    return DominanceCertificate(matrix=m, row_gaps=tuple(gaps))
+    return DominanceCertificate(p)
 
 
 # ----- full strong log-concavity check -------------------------------------------
@@ -411,6 +435,7 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     _require_nonnegative(p)
     cfg.validate()
     results: dict[int, Verdict] = {}
+    points = None
     for a in range(1 << p.n):
         q = p.derivative_subset(a)
         trivial = trivial_log_concavity(q)
@@ -421,7 +446,9 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
         if cert is not None:
             results[a] = Holds(cert)
             continue
-        results[a] = check_log_concavity_sampled(q, cfg, subset_mask=a)
+        if points is None:
+            points = sample_points(p.n, cfg)
+        results[a] = check_log_concavity_sampled(q, cfg, subset_mask=a, points=points)
     return SlcReport(subsets=results, aggregate=_aggregate(results, cfg))
 
 

@@ -113,7 +113,7 @@ class SweepConfig:
             raise ValueError("parameter ranges must be nonnegative")
         if self.samples_per_cell < 0:
             raise ValueError("samples_per_cell must be nonnegative")
-        if len(self.grid_b()) * len(self.grid_c()) > CELL_CAP:
+        if (self.b_max // self.step + 1) * (self.c_max // self.step + 1) > CELL_CAP:
             raise ValueError(f"sweep would exceed the {CELL_CAP} cell cap")
 
     def grid_b(self) -> tuple[Fraction, ...]:

@@ -2,10 +2,9 @@
 
 Two independent routes to definiteness live here.  `eigen_sym` is a float
 path: a cyclic Jacobi iteration, adequate and simple for the tiny matrices
-this library meets (dimension at most 16).  `is_pd_exact` is an exact
-path: Sylvester's criterion on rational matrices, no rounding anywhere.
-The checker layer deliberately uses both so that neither has to be trusted
-alone.
+this library meets (dimension at most 16); the sampler confirms each
+failure with it.  `is_pd_exact` is an exact path: Sylvester's criterion on
+rational matrices, no rounding anywhere; only the tests use it.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ algebra is exact; floating point enters only when a polynomial is evaluated
 at a float point.
 
 `SparsePoly` is a companion type for general sparse polynomials with small
-integer exponents.  It exists to carry products of first derivatives, which
-are quadratic per variable and therefore leave the multi-affine class.
+integer exponents.  It carries products of first derivatives, which are
+quadratic per variable and therefore leave the multi-affine class, when the
+M matrix is built for display, for the counterexample replay, or as the
+tests' reference; the checks themselves work on coefficients directly.
 """
 
 from __future__ import annotations

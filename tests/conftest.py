@@ -92,6 +92,20 @@ def fd_log_hessian(p: SubsetPoly, point: tuple[float, ...], h: float = 1e-4) -> 
     return fd_hessian(lambda x: math.log(p.eval(x)), point, h)
 
 
+def exact_log_hessian(p: SubsetPoly, point: tuple[float, ...]) -> np.ndarray:
+    """(g D2g - grad g grad g^T) / g^2 in rationals at the exact value of a float point."""
+    x = [Fraction(v) for v in point]
+    n = p.n
+    g = p.eval_exact(x)
+    grad = [p.derivative_subset(1 << i).eval_exact(x) for i in range(n)]
+    out = np.empty((n, n), dtype=float)
+    for i in range(n):
+        for j in range(n):
+            d2 = p.derivative_subset(1 << i | 1 << j).eval_exact(x) if i != j else 0
+            out[i, j] = float((g * d2 - grad[i] * grad[j]) / (g * g))
+    return out
+
+
 def matrix_close(a: np.ndarray, b: np.ndarray, rel: float) -> bool:
     """Max-norm comparison with a scale-free denominator."""
     return float(np.max(np.abs(a - b))) <= rel * (1.0 + float(np.max(np.abs(b))))

@@ -10,14 +10,18 @@ Sampling can only ever falsify.  A Holds verdict always traces back to an
 exact argument: exhaustive enumeration for the lattice condition, a
 coefficient-wise diagonal dominance certificate, or membership in a class
 that is log-concave for structural reasons (zero, constant, a single
-monomial, or an affine polynomial).  Every Violated verdict re-verifies its
-own witness from scratch before it is returned.
+monomial, or an affine polynomial).
 
 The dominance certificate is decided on integer coefficients
 (`calculus.m_row_gaps`); its symbolic matrix and gap polynomials are built
 through `m_matrix` only when a caller reads them.  Sampling reads every
-log-Hessian from the derivative table of `calculus`, and `check_slc` draws
-its sample points once for all derivative subsets.
+log-Hessian from the derivative table of `calculus`.  A lattice witness is
+re-read from the coefficients before it is returned; a point witness is
+confirmed by recomputing its log-Hessian with the same table arithmetic and
+solving it with Jacobi instead of LAPACK's eigvalsh.  The float values
+themselves are checked against exact rational arithmetic by the tests.
+`sample_points` keeps its last result, so `check_slc` draws the points once
+for all derivative subsets.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Union
 
 import numpy as np
@@ -256,7 +260,8 @@ class SampleConfig:
     points log-uniform samples are drawn from box[0]..box[1] per coordinate,
     on top of a fixed deterministic grid.  tolerance is relative: at each
     point the largest log-Hessian eigenvalue may not exceed
-    tolerance * (1 + max |H entry|).
+    tolerance * (1 + max |H entry|).  seed must be hashable, since
+    sample_points is memoized on the configuration.
     """
 
     points: int = 2000
@@ -283,12 +288,19 @@ def grid_points(n: int) -> np.ndarray:
     return np.array(list(itertools.product(GRID_VALUES, repeat=n)), dtype=float)
 
 
+@lru_cache(maxsize=1)
 def sample_points(n: int, cfg: SampleConfig) -> np.ndarray:
-    """Deterministic point sequence: fixed grid first, then seeded log-uniform draws."""
+    """Deterministic point sequence: fixed grid first, then seeded log-uniform draws.
+
+    The last result is kept, read-only, so checking several derivatives of
+    one polynomial builds the 5**n grid and draws the points once.
+    """
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.box
     draws = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(cfg.points, n)))
-    return np.vstack([grid_points(n), draws])
+    pts = np.vstack([grid_points(n), draws])
+    pts.flags.writeable = False
+    return pts
 
 
 def trivial_log_concavity(p: SubsetPoly) -> TrivialLogConcavity | None:
@@ -309,7 +321,6 @@ def check_log_concavity_sampled(
     cfg: SampleConfig = SampleConfig(),
     *,
     subset_mask: int = 0,
-    points: np.ndarray | None = None,
 ) -> Verdict:
     """Search positive points for a non-NSD log-Hessian.
 
@@ -317,9 +328,7 @@ def check_log_concavity_sampled(
     constant, and single-monomial short circuits produce Holds here.  The
     scan order (grid, then seeded draws) is deterministic, and the first
     confirmed failure wins.  subset_mask only labels the witness; the
-    polynomial passed in is checked as is.  points, when given, must be
-    sample_points(p.n, cfg), drawn once by a caller that checks several
-    polynomials.
+    polynomial passed in is checked as is.
     """
     _require_nonnegative(p)
     cfg.validate()
@@ -330,7 +339,7 @@ def check_log_concavity_sampled(
     if p.is_monomial():
         return Holds(TrivialLogConcavity("monomial"))
 
-    pts = sample_points(p.n, cfg) if points is None else points
+    pts = sample_points(p.n, cfg)
     max_seen = -np.inf
     tested = 0
     for start in range(0, pts.shape[0], cfg.chunk):
@@ -359,7 +368,11 @@ def check_log_concavity_sampled(
 def _confirm_point_witness(
     p: SubsetPoly, point: tuple[float, ...], tolerance: float, subset_mask: int
 ) -> PointWitness | None:
-    """Re-derive the failure from scratch through the scalar path and Jacobi."""
+    """Recompute the log-Hessian at point and check it with a Jacobi solve.
+
+    The log-Hessian comes from the same derivative table arithmetic as the
+    batch scan; the eigen solve is independent of LAPACK's eigvalsh.
+    """
     h = log_hessian(p, point)
     top = eigen_sym(h).max
     threshold = nsd_threshold(h, tolerance)
@@ -435,7 +448,6 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     _require_nonnegative(p)
     cfg.validate()
     results: dict[int, Verdict] = {}
-    points = None
     for a in range(1 << p.n):
         q = p.derivative_subset(a)
         trivial = trivial_log_concavity(q)
@@ -446,9 +458,7 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
         if cert is not None:
             results[a] = Holds(cert)
             continue
-        if points is None:
-            points = sample_points(p.n, cfg)
-        results[a] = check_log_concavity_sampled(q, cfg, subset_mask=a, points=points)
+        results[a] = check_log_concavity_sampled(q, cfg, subset_mask=a)
     return SlcReport(subsets=results, aggregate=_aggregate(results, cfg))
 
 

@@ -133,6 +133,8 @@ class TestSampling:
     def test_sample_points_deterministic(self):
         cfg = SampleConfig(points=64, seed=9)
         a = sample_points(2, cfg)
+        assert sample_points(2, cfg) is a and not a.flags.writeable
+        sample_points.cache_clear()  # memoized: draw again to test determinism
         b = sample_points(2, cfg)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (25 + 64, 2)

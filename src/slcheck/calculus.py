@@ -18,11 +18,13 @@ Both the float and the exact side work on the coefficient vector directly.
     d^B g(x) = sum_{S >= B} p(S) x^(S \\ B) at a block of points, built by
     n superset-sum (Yates) stages.  g, its gradient and its Hessian are
     rows 0, {i} and {i, j} of that one table; `eval_many`, `gradient`,
-    `hessian`, `log_hessian` and `log_hessian_many` only read it.
-  * Exact: `m_row_gaps` forms the entries of M from products of integer
-    coefficients, keying the monomial x^S x^T by the mask pair
-    (S | T, S & T), and yields the diagonal dominance gap of each row.  The
-    dominance certificate decides on these integers.
+    `hessian`, `log_hessian` and `log_hessian_many` only read it; the last
+    two may first rescale the coefficients (see `_log_coeffs`).
+  * Exact: `m_row_gaps` forms the entries of M from products of the
+    integer coefficients of `SubsetPoly.cleared_coeffs`, keying the
+    monomial x^S x^T by the mask pair (S | T, S & T), and yields the
+    diagonal dominance gap of each row.  The dominance certificate decides
+    on these integers.
 
 `m_matrix` builds M as `SparsePoly` entries.  No check runs it: it is kept
 for display, for the counterexample replay and as the tests' reference.
@@ -30,7 +32,6 @@ for display, for the counterexample replay and as the tests' reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -50,6 +51,11 @@ from .poly import (
 # per point; points are taken in blocks that keep it near this many float64
 # cells (256 KiB), so memory stays flat in n and in the number of points.
 TABLE_CELLS = 1 << 15
+
+# While the largest coefficient lies in this range, g squared and products
+# of first derivatives stay normal floats for n <= 16 at coordinates in
+# [0.01, 100]; outside it the log-Hessian readers rescale the coefficients.
+LOG_COEFF_RANGE = (2.0**-300, 2.0**300)
 
 
 # ----- the derivative table --------------------------------------------------
@@ -80,6 +86,26 @@ def _superset_sums(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _float_coeffs(p: SubsetPoly) -> np.ndarray:
     return np.array([float(c) for c in p.coeffs], dtype=float)
+
+
+def _log_coeffs(p: SubsetPoly) -> np.ndarray:
+    """Float coefficients for the log-Hessian readers, whose result ignores scale.
+
+    Unless the largest lies in LOG_COEFF_RANGE (weights near 1e-400 round to
+    zero), every coefficient is first multiplied by one exact power of two,
+    which brings the largest into (1/2, 2), by an integer shift before the
+    one rounding division.
+    """
+    try:
+        coeffs = _float_coeffs(p)
+        if LOG_COEFF_RANGE[0] <= coeffs.max() <= LOG_COEFF_RANGE[1] or p.is_zero():
+            return coeffs
+    except OverflowError:
+        pass  # a coefficient beyond the floats: rescale as well
+    big = max(p.coeffs)
+    k = big.denominator.bit_length() - big.numerator.bit_length()
+    return np.array([c.numerator / (c.denominator << -k) if k < 0
+                     else (c.numerator << k) / c.denominator for c in p.coeffs])
 
 
 def _blocks(n: int, count: int) -> list[slice]:
@@ -145,7 +171,7 @@ def hessian(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
 def log_hessian(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
     """Hessian of log g_p at a strictly positive point where g_p > 0."""
     coords = check_point(point, p.n, positive=True)
-    table = derivative_table(p, [coords])
+    table = _superset_sums(_log_coeffs(p), np.array([coords]))
     g = table[0, 0]
     if not g > 0.0:
         raise ValueError(f"polynomial evaluates to {g} at {coords}; log requires a positive value")
@@ -215,8 +241,7 @@ def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
     a caller that stops at the first failing row pays for that row only.
     """
     n = p.n
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    terms = [(s, c.numerator * (den // c.denominator)) for s, c in enumerate(p.coeffs) if c]
+    terms = [(s, c) for s, c in enumerate(p.cleared_coeffs()) if c]
 
     def derivative(mask: int) -> list[tuple[int, int]]:
         return [(s ^ mask, c) for s, c in terms if s & mask == mask]
@@ -271,7 +296,7 @@ def log_hessian_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
     pts = _point_array(p, points)
     if np.any(pts <= 0.0) or not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite and strictly positive")
-    coeffs = _float_coeffs(p)
+    coeffs = _log_coeffs(p)
     out = np.empty((pts.shape[0], p.n, p.n), dtype=float)
     for rows in _blocks(p.n, pts.shape[0]):
         _log_hessians(_superset_sums(coeffs, pts[rows]), out[rows])

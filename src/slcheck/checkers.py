@@ -12,9 +12,10 @@ coefficient-wise diagonal dominance certificate, or membership in a class
 that is log-concave for structural reasons (zero, constant, a single
 monomial, or an affine polynomial).
 
-The dominance certificate is decided on integer coefficients
-(`calculus.m_row_gaps`); its symbolic matrix and gap polynomials are built
-through `m_matrix` only when a caller reads them.  Sampling reads every
+The lattice scan and the dominance certificate (`calculus.m_row_gaps`)
+decide on the integer coefficients of `SubsetPoly.cleared_coeffs`; the
+certificate's symbolic matrix and gap polynomials are built through
+`m_matrix` only when a caller reads them.  Sampling reads every
 log-Hessian from the derivative table of `calculus`.  A lattice witness is
 re-read from the coefficients before it is returned; a point witness is
 confirmed by recomputing its log-Hessian with the same table arithmetic and
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -199,25 +200,51 @@ def check_nlc(p: SubsetPoly) -> Verdict:
     """Exact log-submodularity check by full enumeration.
 
     Tests p(S) p(T) >= p(S | T) p(S & T) for every ordered pair of subsets
-    (cost 4**n) and returns the lexicographically first violating pair by
-    (S, T) bitmask, or Holds with an enumeration certificate.
+    (cost 4**n, see _nlc_violating_pairs) and returns the lexicographically
+    first violating pair by (S, T) bitmask, its products re-checked in
+    rationals, or Holds with an enumeration certificate.
     """
     _require_nonnegative(p)
+    first = next(_nlc_violating_pairs(p), None)
+    if first is None:
+        return Holds(ExhaustiveEnumeration(pairs_checked=4**p.n))
+    witness = _nlc_witness(p, *first)
+    _reverify_nlc_witness(p, witness)
+    return Violated(witness)
+
+
+def nlc_violations(p: SubsetPoly) -> list[NlcWitness]:
+    """Every violating ordered pair, in lexicographic (S, T) order."""
+    _require_nonnegative(p)
+    return [_nlc_witness(p, s, t) for s, t in _nlc_violating_pairs(p)]
+
+
+# Pairs per comparison in the lattice scan, whose products are Python ints:
+# this bounds its memory.  A block is never less than one S row.
+NLC_BLOCK_PAIRS = 1 << 12
+
+
+def _nlc_violating_pairs(p: SubsetPoly) -> Iterator[tuple[int, int]]:
+    """Every (S, T) with p(S) p(T) < p(S | T) p(S & T), in lexicographic order.
+
+    Compares the same products of the integers w = p.cleared_coeffs(), for
+    a block of consecutive S rows against every T at once, so row-major
+    order is lexicographic.  Comparable pairs compare equal.
+    """
     size = 1 << p.n
+    w = np.array(p.cleared_coeffs(), dtype=object)
+    t = np.arange(size)
+    rows = max(1, NLC_BLOCK_PAIRS >> p.n)
+    for s0 in range(0, size, rows):
+        s = np.arange(s0, min(s0 + rows, size))[:, None]
+        bad = np.multiply.outer(w[s0 : s0 + rows], w) < w[s | t] * w[s & t]
+        for k in np.flatnonzero(bad):
+            yield s0 + int(k) // size, int(k) % size
+
+
+def _nlc_witness(p: SubsetPoly, s: int, t: int) -> NlcWitness:
     c = p.coeffs
-    for s in range(size):
-        ps = c[s]
-        for t in range(size):
-            # Comparable pairs hold with equality; skip the products.
-            if s & t == s or s & t == t:
-                continue
-            lhs = ps * c[t]
-            rhs = c[s | t] * c[s & t]
-            if lhs < rhs:
-                witness = NlcWitness(s, t, lhs, rhs)
-                _reverify_nlc_witness(p, witness)
-                return Violated(witness)
-    return Holds(ExhaustiveEnumeration(pairs_checked=size * size))
+    return NlcWitness(s, t, c[s] * c[t], c[s | t] * c[s & t])
 
 
 def _reverify_nlc_witness(p: SubsetPoly, w: NlcWitness) -> None:
@@ -225,23 +252,6 @@ def _reverify_nlc_witness(p: SubsetPoly, w: NlcWitness) -> None:
     rhs = p.coeff(w.s_mask | w.t_mask) * p.coeff(w.s_mask & w.t_mask)
     if not (lhs == w.lhs and rhs == w.rhs and lhs < rhs):
         raise AssertionError(f"witness failed re-verification: {w}")
-
-
-def nlc_violations(p: SubsetPoly) -> list[NlcWitness]:
-    """Every violating ordered pair, in lexicographic (S, T) order."""
-    _require_nonnegative(p)
-    size = 1 << p.n
-    c = p.coeffs
-    out = []
-    for s in range(size):
-        for t in range(size):
-            if s & t == s or s & t == t:
-                continue
-            lhs = c[s] * c[t]
-            rhs = c[s | t] * c[s & t]
-            if lhs < rhs:
-                out.append(NlcWitness(s, t, lhs, rhs))
-    return out
 
 
 # ----- sampled log-concavity ---------------------------------------------------

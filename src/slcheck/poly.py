@@ -268,6 +268,15 @@ class SubsetPoly:
             raise ValueError(f"scale factor must be positive, got {f}")
         return SubsetPoly(self.n, tuple(c * f for c in self.coeffs))
 
+    def cleared_coeffs(self) -> tuple[int, ...]:
+        """The coefficients times the lcm L of their denominators, as integers.
+
+        L > 0, so a product of k coefficients scales by L**k: comparisons
+        between products of equal length, and their signs, are unchanged.
+        """
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+
     def normalize(self) -> SubsetPoly:
         """Rescale so the coefficients sum to one."""
         s = self.coeff_sum()

@@ -181,3 +181,24 @@ class TestBatchEvaluation:
     def test_rejects_nonpositive_points(self, counterexample):
         with pytest.raises(ValueError):
             log_hessian_many(counterexample, np.array([[1.0, 0.0, 1.0]]))
+
+    def test_out_of_range_coefficients_rescale_exactly(self):
+        # Weights near 1e-400 fall below the floats, near 1e-200 their squares
+        # do, and near 1e400 they overflow: the log-Hessian readers read the
+        # polynomial times an exact power of two, so they agree bit for bit
+        # with that rescale done in rationals.  g itself stays unscaled.
+        rng = np.random.default_rng(27)
+        p = random_subset_poly(rng, 4)
+        pts = np.array([random_positive_point(rng, 4) for _ in range(50)])
+        x = tuple(pts[0])
+        for scale, back in (
+            (Fraction(1, 10**400), 2**1330),
+            (Fraction(1, 10**200), 2**665),
+            (Fraction(10**400), Fraction(1, 2**1329)),
+        ):
+            far = p.scale(scale)
+            rescaled = far.scale(back)
+            assert np.array_equal(log_hessian_many(far, pts), log_hessian_many(rescaled, pts))
+            assert np.array_equal(log_hessian(far, x), log_hessian(rescaled, x))
+            assert matrix_close(log_hessian(far, x), exact_log_hessian(p, x), rel=1e-10)
+        assert not np.any(eval_many(p.scale(Fraction(1, 10**400)), pts))

@@ -85,19 +85,49 @@ class TestLatticeCondition:
             check_nlc(p)
 
     def test_matches_brute_force_oracle(self):
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            n = int(rng.integers(1, 5))
-            p = random_subset_poly(rng, n)
+        def agrees(p: SubsetPoly) -> list:
             expected = brute_nlc_violations(p)
             got = [(w.s_mask, w.t_mask, w.lhs, w.rhs) for w in nlc_violations(p)]
             assert got == expected
             verdict = check_nlc(p)
             if expected:
                 assert isinstance(verdict, Violated)
-                assert (verdict.witness.s_mask, verdict.witness.t_mask) == expected[0][:2]
+                w = verdict.witness
+                assert (w.s_mask, w.t_mask, w.lhs, w.rhs) == expected[0]
             else:
-                assert isinstance(verdict, Holds)
+                assert verdict == Holds(ExhaustiveEnumeration(pairs_checked=4**p.n))
+            return expected
+
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            agrees(random_subset_poly(rng, int(rng.integers(1, 5))))
+        # n = 5..7: at n = 7 the S rows span several scan blocks.
+        for n in (5, 6, 7):
+            agrees(random_subset_poly(rng, n, zero_prob=0.6))
+            qs = [Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)]
+            product = SubsetPoly.product_measure(qs)
+            assert not agrees(product)
+            truncated = {m: c for m, c in enumerate(product.coeffs) if m.bit_count() <= n // 2}
+            assert not agrees(SubsetPoly.from_weights(n, truncated))
+        # Zeros that pass every diamond: support {}, {1,2,3} fails at S = {1}, T = {2,3}.
+        assert agrees(SubsetPoly.from_weights(3, {0: 1, 0b111: 1}))[0][:2] == (0b001, 0b110)
+        assert agrees(SubsetPoly.from_weights(7, {0: 1, 0b111: 2, 0b1111111: 3}))
+        # Denominators above 2**64, holding and violated.
+        big = 2**64
+        qs = [Fraction(int(rng.integers(1, 2**62)), big + k) for k in range(6)]
+        assert not agrees(SubsetPoly.product_measure(qs))
+        for n in (4, 6):
+            weights = {m: Fraction(int(rng.integers(0, 5)), big + m) for m in range(1 << n)}
+            assert agrees(SubsetPoly.from_weights(n, weights))
+        # A late witness: a product measure on the sets holding {6, 7}, with one
+        # weight halved, fails only in the last S rows.
+        n, top = 7, 0b1100000
+        qs = [Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)]
+        product = SubsetPoly.product_measure(qs)
+        weights = {m: c for m, c in enumerate(product.coeffs) if m & top == top}
+        weights[top | 0b10110] /= 2
+        late = agrees(SubsetPoly.from_weights(n, weights))
+        assert late and late[0][0] > top
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)
@@ -337,6 +367,15 @@ class TestFullCheck:
         p = SubsetPoly(1, (Fraction(-1), Fraction(2)))
         with pytest.raises(ValueError):
             check_slc(p)
+
+    def test_tiny_weights_are_checked(self):
+        # Every weight on a set holding variable 4 is below the smallest float.
+        p = SubsetPoly.product_measure(
+            [Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1, 10**400)]
+        )
+        report = check_slc(p, SampleConfig(points=200))
+        assert not any(isinstance(v, Violated) for v in report.subsets.values())
+        assert not isinstance(report.aggregate, Violated)
 
 
 class TestFormatting:

@@ -15,8 +15,6 @@ from .calculus import (
     SymbolicMatrix,
     derivative_table,
     eval_many,
-    gradient,
-    hessian,
     log_hessian,
     log_hessian_many,
     m_matrix,
@@ -81,10 +79,6 @@ from .family import (
 from .linalg import (
     EigenResult,
     eigen_sym,
-    is_pd_exact,
-    is_strictly_diag_dominant,
-    leading_principal_minors,
-    max_abs_entry,
     nsd_threshold,
 )
 from .poly import (

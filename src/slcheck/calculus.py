@@ -17,9 +17,10 @@ Both the float and the exact side work on the coefficient vector directly.
   * Float: `derivative_table` holds every iterated derivative
     d^B g(x) = sum_{S >= B} p(S) x^(S \\ B) at a block of points, built by
     n superset-sum (Yates) stages.  g, its gradient and its Hessian are
-    rows 0, {i} and {i, j} of that one table; `eval_many`, `gradient`,
-    `hessian`, `log_hessian` and `log_hessian_many` only read it; the last
-    two may first rescale the coefficients (see `_log_coeffs`).
+    rows 0, {i} and {i, j} of that one table.  It is the only float
+    evaluator: `eval_many`, `log_hessian` and `log_hessian_many` only read
+    it, and the last two may first rescale the coefficients (see
+    `_log_coeffs`).
   * Exact: `m_row_gaps` forms the entries of M from products of the
     integer coefficients of `SubsetPoly.cleared_coeffs`, keying the
     monomial x^S x^T by the mask pair (S | T, S & T), and yields the
@@ -27,7 +28,8 @@ Both the float and the exact side work on the coefficient vector directly.
     on these integers.
 
 `m_matrix` builds M as `SparsePoly` entries.  No check runs it: it is kept
-for display, for the counterexample replay and as the tests' reference.
+for display, for the counterexample replay and as the tests' reference,
+and its entries are evaluated only exactly (`SymbolicMatrix.eval_exact`).
 """
 
 from __future__ import annotations
@@ -154,23 +156,9 @@ def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def gradient(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
-    """Float gradient of g_p at a point."""
-    table = derivative_table(p, [check_point(point, p.n)])
-    return table[_pair_masks(p.n)[0], 0]
-
-
-def hessian(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
-    """Float Hessian of g_p itself.  The diagonal is identically zero."""
-    table = derivative_table(p, [check_point(point, p.n)])
-    h = table[_pair_masks(p.n)[1], 0]
-    np.fill_diagonal(h, 0.0)
-    return h
-
-
 def log_hessian(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
     """Hessian of log g_p at a strictly positive point where g_p > 0."""
-    coords = check_point(point, p.n, positive=True)
+    coords = check_point(point, p.n)
     table = _superset_sums(_log_coeffs(p), np.array([coords]))
     g = table[0, 0]
     if not g > 0.0:
@@ -202,9 +190,6 @@ class SymbolicMatrix:
 
     def eval_exact(self, point: Sequence[RationalLike]) -> list[list[Fraction]]:
         return [[e.eval_exact(point) for e in row] for row in self.rows]
-
-    def eval_float(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([[e.eval(point) for e in row] for row in self.rows], dtype=float)
 
 
 def m_matrix(p: SubsetPoly) -> SymbolicMatrix:

@@ -16,13 +16,13 @@ The lattice scan and the dominance certificate (`calculus.m_row_gaps`)
 decide on the integer coefficients of `SubsetPoly.cleared_coeffs`; the
 certificate's symbolic matrix and gap polynomials are built through
 `m_matrix` only when a caller reads them.  Sampling reads every
-log-Hessian from the derivative table of `calculus`.  A lattice witness is
-re-read from the coefficients before it is returned; a point witness is
-confirmed by recomputing its log-Hessian with the same table arithmetic and
-solving it with Jacobi instead of LAPACK's eigvalsh.  The float values
-themselves are checked against exact rational arithmetic by the tests.
-`sample_points` keeps its last result, so `check_slc` draws the points once
-for all derivative subsets.
+log-Hessian from the derivative table of `calculus`.  A lattice witness
+holds its products in rationals and is returned only if they violate the
+condition; a point witness is confirmed by recomputing its log-Hessian
+with the same table arithmetic and solving it with Jacobi instead of
+LAPACK's eigvalsh.  The float values themselves are checked against exact
+rational arithmetic by the tests.  `sample_points` keeps its last result,
+so `check_slc` draws the points once for all derivative subsets.
 """
 
 from __future__ import annotations
@@ -201,20 +201,18 @@ def check_nlc(p: SubsetPoly) -> Verdict:
 
     Tests p(S) p(T) >= p(S | T) p(S & T) for every ordered pair of subsets
     (cost 4**n, see _nlc_violating_pairs) and returns the lexicographically
-    first violating pair by (S, T) bitmask, its products re-checked in
+    first violating pair by (S, T) bitmask, its products checked in
     rationals, or Holds with an enumeration certificate.
     """
     _require_nonnegative(p)
     first = next(_nlc_violating_pairs(p), None)
     if first is None:
         return Holds(ExhaustiveEnumeration(pairs_checked=4**p.n))
-    witness = _nlc_witness(p, *first)
-    _reverify_nlc_witness(p, witness)
-    return Violated(witness)
+    return Violated(_nlc_witness(p, *first))
 
 
 def nlc_violations(p: SubsetPoly) -> list[NlcWitness]:
-    """Every violating ordered pair, in lexicographic (S, T) order."""
+    """Every violating ordered pair in lexicographic (S, T) order, each checked in rationals."""
     _require_nonnegative(p)
     return [_nlc_witness(p, s, t) for s, t in _nlc_violating_pairs(p)]
 
@@ -243,15 +241,16 @@ def _nlc_violating_pairs(p: SubsetPoly) -> Iterator[tuple[int, int]]:
 
 
 def _nlc_witness(p: SubsetPoly, s: int, t: int) -> NlcWitness:
+    """The witness for a pair the scan flagged, its products taken in rationals.
+
+    Raises AssertionError unless those products violate the condition, so
+    the integer scan and the returned witness cannot disagree.
+    """
     c = p.coeffs
-    return NlcWitness(s, t, c[s] * c[t], c[s | t] * c[s & t])
-
-
-def _reverify_nlc_witness(p: SubsetPoly, w: NlcWitness) -> None:
-    lhs = p.coeff(w.s_mask) * p.coeff(w.t_mask)
-    rhs = p.coeff(w.s_mask | w.t_mask) * p.coeff(w.s_mask & w.t_mask)
-    if not (lhs == w.lhs and rhs == w.rhs and lhs < rhs):
-        raise AssertionError(f"witness failed re-verification: {w}")
+    witness = NlcWitness(s, t, c[s] * c[t], c[s | t] * c[s & t])
+    if not witness.lhs < witness.rhs:
+        raise AssertionError(f"witness failed re-verification: {witness}")
+    return witness
 
 
 # ----- sampled log-concavity ---------------------------------------------------
@@ -261,6 +260,10 @@ GRID_VALUES = (0.1, 0.5, 1.0, 2.0, 10.0)
 # The fixed grid has 5**n points; past this many variables it would dwarf
 # the random sample, so it is only included for small n.
 GRID_MAX_VARS = 6
+
+# Points per batched log-Hessian and eigvalsh call in the sampler; bounds
+# the (points, n, n) arrays one call holds.
+SAMPLE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,6 @@ class SampleConfig:
     box: tuple[float, float] = (0.01, 100.0)
     seed: object = 0
     tolerance: float = 1e-9
-    chunk: int = 1024
 
     def validate(self) -> None:
         lo, hi = self.box
@@ -288,8 +290,6 @@ class SampleConfig:
             raise ValueError("points must be nonnegative")
         if self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
-        if self.chunk <= 0:
-            raise ValueError("chunk must be positive")
 
 
 def grid_points(n: int) -> np.ndarray:
@@ -352,8 +352,8 @@ def check_log_concavity_sampled(
     pts = sample_points(p.n, cfg)
     max_seen = -np.inf
     tested = 0
-    for start in range(0, pts.shape[0], cfg.chunk):
-        chunk = pts[start : start + cfg.chunk]
+    for start in range(0, pts.shape[0], SAMPLE_CHUNK):
+        chunk = pts[start : start + SAMPLE_CHUNK]
         hessians = log_hessian_many(p, chunk)
         eigs = np.linalg.eigvalsh(hessians)[:, -1]
         thresholds = cfg.tolerance * (1.0 + np.abs(hessians).max(axis=(1, 2)))

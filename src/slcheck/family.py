@@ -75,7 +75,8 @@ class SweepConfig:
 
     b and c run over {0, step, 2*step, ...} up to b_max and c_max.  The grid
     values are exact rationals; pass steps like '0.05' as strings so nothing
-    is rounded before the exact lattice check.
+    is rounded before the exact lattice check.  Each cell is sampled in
+    SampleConfig's default box at its default tolerance.
     """
 
     b_max: Fraction = Fraction(4)
@@ -83,8 +84,6 @@ class SweepConfig:
     step: Fraction = Fraction(1, 20)
     samples_per_cell: int = 2000
     seed: int = 0
-    box: tuple[float, float] = (0.01, 100.0)
-    tolerance: float = 1e-9
 
     @staticmethod
     def of(
@@ -93,8 +92,6 @@ class SweepConfig:
         step: RationalLike = Fraction(1, 20),
         samples_per_cell: int = 2000,
         seed: int = 0,
-        box: tuple[float, float] = (0.01, 100.0),
-        tolerance: float = 1e-9,
     ) -> SweepConfig:
         return SweepConfig(
             b_max=as_fraction(b_max),
@@ -102,8 +99,6 @@ class SweepConfig:
             step=as_fraction(step),
             samples_per_cell=samples_per_cell,
             seed=seed,
-            box=box,
-            tolerance=tolerance,
         )
 
     def validate(self) -> None:
@@ -174,12 +169,7 @@ def sweep(cfg: SweepConfig = SweepConfig()) -> SweepResult:
         for ci, c in enumerate(cfg.grid_c()):
             p = make_family(b, c)
             nlc = isinstance(check_nlc(p), Holds)
-            sample_cfg = SampleConfig(
-                points=cfg.samples_per_cell,
-                box=cfg.box,
-                seed=(cfg.seed, bi, ci),
-                tolerance=cfg.tolerance,
-            )
+            sample_cfg = SampleConfig(points=cfg.samples_per_cell, seed=(cfg.seed, bi, ci))
             report = check_slc(p, sample_cfg)
             violated = isinstance(report.aggregate, Violated)
             certified = isinstance(report.aggregate, Holds)
@@ -213,10 +203,11 @@ def emit_region_tables(result: SweepResult, out_dir: str) -> tuple[str, str, str
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
+    box, tolerance = SampleConfig.box, SampleConfig.tolerance
     header = [
         f"# grid: b, c in 0..{_fmt(cfg.b_max)} x 0..{_fmt(cfg.c_max)} step {_fmt(cfg.step)}",
-        f"# samples per cell: {cfg.samples_per_cell}, box: [{cfg.box[0]!r}, {cfg.box[1]!r}]"
-        f", tolerance: {cfg.tolerance!r}, seed: {cfg.seed}",
+        f"# samples per cell: {cfg.samples_per_cell}, box: [{box[0]!r}, {box[1]!r}]"
+        f", tolerance: {tolerance!r}, seed: {cfg.seed}",
         "# columns: b, largest c with the flag true; b omitted when no cell qualifies",
     ]
     nlc_path = os.path.join(out_dir, "nlc_boundary.txt")

@@ -7,9 +7,9 @@ its generating polynomial
 
 a polynomial that is affine in each variable separately.  Coefficients live
 in a dense tuple of 2**n `fractions.Fraction` values indexed by subset
-bitmask, where bit k of the mask stands for variable k+1.  All coefficient
-algebra is exact; floating point enters only when a polynomial is evaluated
-at a float point.
+bitmask, where bit k of the mask stands for variable k+1.  All algebra and
+evaluation here is exact (`eval_exact` at rational points); float values of
+g and its derivatives come only from `calculus.derivative_table`.
 
 `SparsePoly` is a companion type for general sparse polynomials with small
 integer exponents.  It carries products of first derivatives, which are
@@ -80,11 +80,11 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(i) for i in indices_from_mask(mask)) + "}"
 
 
-def check_point(point: Sequence[float], n: int, *, positive: bool = False) -> tuple[float, ...]:
-    """Validate an evaluation point and return it as a float tuple.
+def check_point(point: Sequence[float], n: int) -> tuple[float, ...]:
+    """Validate a point of the open positive orthant and return it as a float tuple.
 
-    With positive=True every coordinate must be a finite float > 0, the
-    domain on which log g is defined.
+    Every coordinate must be a finite float > 0, the domain on which log g
+    is defined.
     """
     if len(point) != n:
         raise ValueError(f"point has {len(point)} coordinates, polynomial has {n} variables")
@@ -92,7 +92,7 @@ def check_point(point: Sequence[float], n: int, *, positive: bool = False) -> tu
     for v in coords:
         if not math.isfinite(v):
             raise ValueError(f"point coordinate {v!r} is not finite")
-        if positive and v <= 0.0:
+        if v <= 0.0:
             raise ValueError(f"point coordinate {v!r} is not strictly positive")
     return coords
 
@@ -194,24 +194,6 @@ class SubsetPoly:
 
     # ----- evaluation ---------------------------------------------------
 
-    def eval(self, point: Sequence[float]) -> float:
-        """Evaluate at a float point.  Exact coefficients, float products."""
-        coords = check_point(point, self.n)
-        total = 0.0
-        for mask, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = float(c)
-            m = mask
-            k = 0
-            while m:
-                if m & 1:
-                    term *= coords[k]
-                m >>= 1
-                k += 1
-            total += term
-        return total
-
     def eval_exact(self, point: Sequence[RationalLike]) -> Fraction:
         """Evaluate at a rational point entirely in exact arithmetic."""
         if len(point) != self.n:
@@ -243,12 +225,7 @@ class SubsetPoly:
         """
         if not 1 <= var <= self.n:
             raise IndexError(f"variable index {var} out of range 1..{self.n}")
-        bit = 1 << (var - 1)
-        coeffs = [_ZERO] * (1 << self.n)
-        for mask in range(1 << self.n):
-            if not mask & bit:
-                coeffs[mask] = self.coeffs[mask | bit]
-        return SubsetPoly(self.n, tuple(coeffs))
+        return self.derivative_subset(1 << (var - 1))
 
     def derivative_subset(self, mask: int) -> SubsetPoly:
         """Iterated derivative over a set of distinct variables given as a bitmask."""
@@ -350,13 +327,6 @@ class SparsePoly:
     def constant(n: int, value: RationalLike) -> SparsePoly:
         return SparsePoly.make(n, {(0,) * n: value})
 
-    @staticmethod
-    def variable(n: int, var: int) -> SparsePoly:
-        if not 1 <= var <= n:
-            raise IndexError(f"variable index {var} out of range 1..{n}")
-        exps = tuple(1 if k == var - 1 else 0 for k in range(n))
-        return SparsePoly(n, {exps: _ONE})
-
     # ----- ring operations ----------------------------------------------
 
     def _require_same_n(self, other: SparsePoly) -> None:
@@ -416,22 +386,7 @@ class SparsePoly:
     def has_positive_coeff(self) -> bool:
         return any(c > 0 for c in self.terms.values())
 
-    def total_degree(self) -> int:
-        """Degree of the highest term, or -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     # ----- evaluation -------------------------------------------------------
-
-    def eval(self, point: Sequence[float]) -> float:
-        coords = check_point(point, self.n)
-        total = 0.0
-        for exps, c in self.terms.items():
-            term = float(c)
-            for v, e in zip(coords, exps):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
 
     def eval_exact(self, point: Sequence[RationalLike]) -> Fraction:
         if len(point) != self.n:

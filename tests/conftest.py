@@ -47,6 +47,11 @@ def random_permutation(rng: np.random.Generator, n: int) -> tuple[int, ...]:
     return tuple(int(v) + 1 for v in rng.permutation(n))
 
 
+def exact_point(point) -> list[Fraction]:
+    """The exact rational value of each float coordinate."""
+    return [Fraction(v) for v in point]
+
+
 # ----- finite differences ----------------------------------------------------
 
 
@@ -89,12 +94,12 @@ def fd_hessian(f, point: tuple[float, ...], h: float) -> np.ndarray:
 
 
 def fd_log_hessian(p: SubsetPoly, point: tuple[float, ...], h: float = 1e-4) -> np.ndarray:
-    return fd_hessian(lambda x: math.log(p.eval(x)), point, h)
+    return fd_hessian(lambda x: math.log(p.eval_exact(exact_point(x))), point, h)
 
 
 def exact_log_hessian(p: SubsetPoly, point: tuple[float, ...]) -> np.ndarray:
     """(g D2g - grad g grad g^T) / g^2 in rationals at the exact value of a float point."""
-    x = [Fraction(v) for v in point]
+    x = exact_point(point)
     n = p.n
     g = p.eval_exact(x)
     grad = [p.derivative_subset(1 << i).eval_exact(x) for i in range(n)]

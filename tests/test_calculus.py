@@ -1,4 +1,4 @@
-"""Gradient, log-Hessian, symbolic M matrix, and batch evaluation."""
+"""Table gradient, log-Hessian, symbolic M matrix, and batch evaluation."""
 
 from __future__ import annotations
 
@@ -10,19 +10,25 @@ import pytest
 from slcheck import (
     SparsePoly,
     SubsetPoly,
+    derivative_table,
     eval_many,
-    gradient,
     log_hessian,
     log_hessian_many,
     m_matrix,
 )
 from conftest import (
     exact_log_hessian,
+    exact_point,
     fd_log_hessian,
     matrix_close,
     random_positive_point,
     random_subset_poly,
 )
+
+
+def gradient(p: SubsetPoly, point: tuple[float, ...]) -> np.ndarray:
+    """The gradient of g: the singleton rows {i} of the derivative table."""
+    return derivative_table(p, [point])[[1 << i for i in range(p.n)], 0]
 
 
 class TestGradient:
@@ -84,7 +90,7 @@ class TestLogHessian:
             p = random_subset_poly(rng, n)
             lam = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 9)))
             x = random_positive_point(rng, n)
-            if p.eval(x) <= 0:
+            if p.eval_exact(exact_point(x)) <= 0:
                 continue
             a = log_hessian(p, x)
             b = log_hessian(p.scale(lam), x)
@@ -131,6 +137,8 @@ class TestMMatrix:
             assert m_matrix(p.scale(lam)) == m_matrix(p).scaled(lam * lam)
 
     def test_consistency_with_log_hessian(self):
+        # M(x) / g(x)^2 = -H(x), with the left side in rationals at the exact
+        # value of the float point.
         rng = np.random.default_rng(24)
         checked = 0
         while checked < 100:
@@ -138,10 +146,12 @@ class TestMMatrix:
             p = random_subset_poly(rng, n)
             m = m_matrix(p)
             x = random_positive_point(rng, n)
-            g = p.eval(x)
+            g = p.eval_exact(exact_point(x))
             if g <= 0:
                 continue
-            lhs = m.eval_float(x) / (g * g)
+            lhs = np.array(
+                [[float(v / (g * g)) for v in row] for row in m.eval_exact(exact_point(x))]
+            )
             rhs = -log_hessian(p, x)
             assert matrix_close(lhs, rhs, rel=1e-9)
             checked += 1
@@ -160,7 +170,7 @@ class TestBatchEvaluation:
         pts = np.array([random_positive_point(rng, 3) for _ in range(40)])
         batch = eval_many(p, pts)
         for k in range(40):
-            assert batch[k] == pytest.approx(p.eval(tuple(pts[k])), rel=1e-13)
+            assert batch[k] == pytest.approx(float(p.eval_exact(exact_point(pts[k]))), rel=1e-13)
 
     def test_log_hessian_many_matches_scalar(self):
         # log_hessian shares the batch path, so the per-point reference is the

@@ -1,21 +1,15 @@
-"""Eigenvalue iteration against exact rational linear algebra."""
+"""Eigenvalue iteration against numpy and exact rational identities."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from slcheck import (
-    EigenResult,
-    eigen_sym,
-    is_pd_exact,
-    is_strictly_diag_dominant,
-    leading_principal_minors,
-    max_abs_entry,
-    nsd_threshold,
-)
+from slcheck import EigenResult, eigen_sym, nsd_threshold
 
 
 def random_symmetric_rational(rng: np.random.Generator, n: int) -> list[list[Fraction]]:
@@ -25,6 +19,16 @@ def random_symmetric_rational(rng: np.random.Generator, n: int) -> list[list[Fra
             v = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
             rows[i][j] = rows[j][i] = v
     return rows
+
+
+def leibniz_det(rows: list[list[Fraction]]) -> Fraction:
+    """Exact determinant as the signed sum over permutations (small n only)."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
 
 
 class TestEigenSym:
@@ -63,7 +67,7 @@ class TestEigenSym:
             n = int(rng.integers(1, 5))
             rows = random_symmetric_rational(rng, n)
             ev = eigen_sym([[float(v) for v in row] for row in rows]).eigenvalues
-            det_exact = float(leading_principal_minors(rows)[-1])
+            det_exact = float(leibniz_det(rows))
             trace_exact = float(sum(rows[i][i] for i in range(n)))
             scale = 1.0 + max(abs(v) for v in ev)
             assert abs(sum(ev) - trace_exact) <= 1e-10 * scale
@@ -96,63 +100,13 @@ class TestEigenSym:
             assert all(ev[k] <= ev[k + 1] for k in range(3))
 
 
-class TestExactRoutes:
-    def test_reference_minors_frozen(self):
-        r = [[27, 5, 5], [5, 27, 5], [5, 5, 27]]
-        assert leading_principal_minors(r) == [27, 704, 17908]
-        assert is_pd_exact(r)
-        assert is_strictly_diag_dominant(r)
-
-    def test_indefinite_counterexample(self):
-        # Positive diagonal alone proves nothing: eigenvalues are 3 and -1.
-        assert not is_pd_exact([[1, 2], [2, 1]])
-        assert not is_strictly_diag_dominant([[1, 2], [2, 1]])
-
-    def test_singular_is_not_pd(self):
-        assert not is_pd_exact([[1, 1], [1, 1]])
-
-    def test_rational_entries(self):
-        m = [["1/2", "-1/3"], ["-1/3", "1/2"]]
-        assert is_pd_exact(m)
-        assert leading_principal_minors(m) == [Fraction(1, 2), Fraction(5, 36)]
-
-    def test_rejects_asymmetric_rational(self):
-        with pytest.raises(ValueError):
-            is_pd_exact([[1, 2], [3, 1]])
-
-    def test_pd_agrees_with_eigenvalues(self):
-        rng = np.random.default_rng(34)
-        agreed = 0
-        for _ in range(500):
-            n = int(rng.integers(1, 5))
-            rows = random_symmetric_rational(rng, n)
-            ev = eigen_sym([[float(v) for v in row] for row in rows])
-            scale = 1.0 + max(abs(v) for v in ev.eigenvalues)
-            if abs(ev.min) <= 1e-6 * scale:
-                continue  # too close to singular for the float route to vote
-            assert is_pd_exact(rows) == (ev.min > 0)
-            agreed += 1
-        assert agreed >= 400
-
-    def test_dominance_implies_pd(self):
-        rng = np.random.default_rng(35)
-        for _ in range(500):
-            n = int(rng.integers(1, 5))
-            rows = random_symmetric_rational(rng, n)
-            for i in range(n):
-                off = sum(abs(rows[i][j]) for j in range(n) if j != i)
-                rows[i][i] = off + Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
-            assert is_strictly_diag_dominant(rows)
-            assert is_pd_exact(rows)
-
-
 class TestThreshold:
     def test_nsd_threshold_scale(self):
         assert nsd_threshold([[0.0]], 1e-9) == 1e-9
         assert nsd_threshold([[3.0, -4.0], [-4.0, 1.0]], 1e-9) == 1e-9 * 5.0
 
     def test_max_abs_entry(self):
-        assert max_abs_entry([[1.0, -7.5], [-7.5, 2.0]]) == 7.5
+        assert nsd_threshold([[1.0, -7.5], [-7.5, 2.0]], 1.0) == 8.5
 
     def test_eigen_result_accessors(self):
         r = EigenResult((-1.0, 0.0, 4.0))

@@ -7,8 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slcheck import SparsePoly, SubsetPoly, as_fraction, mask_from_indices, sparse_from_subset
-from conftest import fd_partial, random_positive_point, random_subset_poly
+from slcheck import (
+    SparsePoly,
+    SubsetPoly,
+    as_fraction,
+    eval_many,
+    mask_from_indices,
+    sparse_from_subset,
+)
+from slcheck.poly import check_point
+from conftest import exact_point, fd_partial, random_positive_point, random_subset_poly
 
 
 class TestConstruction:
@@ -56,10 +64,10 @@ class TestCounterexampleValues:
         assert p.is_distribution()
 
     def test_eval_at_ones(self, counterexample):
-        assert counterexample.eval((1.0, 1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert eval_many(counterexample, [[1.0, 1.0, 1.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_eval_at_origin_gives_constant_term(self, counterexample):
-        assert counterexample.eval((0.0, 0.0, 0.0)) == pytest.approx(4 / 22, abs=1e-15)
+        assert eval_many(counterexample, [[0.0, 0.0, 0.0]])[0] == pytest.approx(4 / 22, abs=1e-15)
 
     def test_eval_exact(self, counterexample):
         assert counterexample.eval_exact((1, 1, 1)) == 1
@@ -104,8 +112,8 @@ class TestDerivatives:
             var = int(rng.integers(1, n + 1))
             d = p.derivative(var)
             x = random_positive_point(rng, n)
-            want = fd_partial(p.eval, x, var - 1, 1e-5)
-            got = d.eval(x)
+            want = fd_partial(lambda y: float(p.eval_exact(exact_point(y))), x, var - 1, 1e-5)
+            got = float(d.eval_exact(exact_point(x)))
             assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
             checks += 1
 
@@ -194,12 +202,10 @@ class TestStructurePredicates:
             p = random_subset_poly(rng, n)
             images = tuple(int(v) + 1 for v in rng.permutation(n))
             q = p.permute(images)
-            x = random_positive_point(rng, n)
+            x = exact_point(random_positive_point(rng, n))
             # q(x) = p evaluated with coordinate i read from slot images[i]
-            relabeled = [0.0] * n
-            for i in range(n):
-                relabeled[i] = x[images[i] - 1]
-            assert q.eval(x) == pytest.approx(p.eval(tuple(relabeled)), rel=1e-12)
+            relabeled = [x[images[i] - 1] for i in range(n)]
+            assert q.eval_exact(x) == p.eval_exact(relabeled)
 
     def test_permute_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -237,8 +243,8 @@ class TestSparsePoly:
             p = random_subset_poly(rng, n)
             s = sparse_from_subset(p)
             for _ in range(10):
-                x = random_positive_point(rng, n)
-                assert abs(p.eval(x) - s.eval(x)) <= 1e-12 * (1.0 + abs(p.eval(x)))
+                x = exact_point(random_positive_point(rng, n))
+                assert p.eval_exact(x) == s.eval_exact(x)
 
     def test_abs_coeffs_bounds_on_positive_orthant(self):
         rng = np.random.default_rng(16)
@@ -246,8 +252,8 @@ class TestSparsePoly:
         q = SparsePoly.make(3, terms)
         bound = q.abs_coeffs()
         for _ in range(50):
-            x = random_positive_point(rng, 3)
-            assert abs(q.eval(x)) <= bound.eval(x) + 1e-12
+            x = exact_point(random_positive_point(rng, 3))
+            assert abs(q.eval_exact(x)) <= bound.eval_exact(x)
 
     def test_format_is_deterministic(self):
         q = SparsePoly.make(3, {(0, 1, 1): 6, (0, 1, 0): 3, (0, 0, 1): 3, (0, 0, 0): 1})
@@ -270,8 +276,14 @@ class TestHelpers:
 
     def test_eval_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            SubsetPoly.zero(2).eval((1.0,))
+            SubsetPoly.zero(2).eval_exact((1,))
+        with pytest.raises(ValueError):
+            eval_many(SubsetPoly.zero(2), [[1.0]])
+        with pytest.raises(ValueError):
+            check_point((1.0,), 2)
 
     def test_eval_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            SubsetPoly.zero(2).eval((float("nan"), 1.0))
+            check_point((float("nan"), 1.0), 2)
+        with pytest.raises(ValueError):
+            check_point((float("inf"), 1.0), 2)

@@ -18,14 +18,16 @@ Both the float and the exact side work on the coefficient vector directly.
     d^B g(x) = sum_{S >= B} p(S) x^(S \\ B) at a block of points, built by
     n superset-sum (Yates) stages.  g, its gradient and its Hessian are
     rows 0, {i} and {i, j} of that one table.  It is the only float
-    evaluator: `eval_many`, `log_hessian` and `log_hessian_many` only read
-    it, and the last two may first rescale the coefficients (see
-    `_log_coeffs`).
+    evaluator: `eval_many` and `log_hessian_many` only read it, the latter
+    after it may rescale the coefficients (see `_log_coeffs`), and
+    `log_hessian` is `log_hessian_many` at one point.
   * Exact: `m_row_gaps` forms the entries of M from products of the
     integer coefficients of `SubsetPoly.cleared_coeffs`, keying the
     monomial x^S x^T by the mask pair (S | T, S & T), and yields the
     diagonal dominance gap of each row.  The dominance certificate decides
-    on these integers.
+    on these integers.  `m_form` runs the same superset sums on those
+    integers at a float point, read as exact dyadic rationals, and returns
+    the exact sign of v^T M(x) v, which proves a sampled violation.
 
 `m_matrix` builds M as `SparsePoly` entries.  No check runs it: it is kept
 for display, for the counterexample replay and as the tests' reference,
@@ -34,6 +36,7 @@ and its entries are evaluated only exactly (`SymbolicMatrix.eval_exact`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -45,7 +48,6 @@ from .poly import (
     SparsePoly,
     SubsetPoly,
     as_fraction,
-    check_point,
     sparse_from_subset,
 )
 
@@ -130,12 +132,6 @@ def derivative_table(p: SubsetPoly, points) -> np.ndarray:
     return _superset_sums(_float_coeffs(p), _point_array(p, points))
 
 
-def _pair_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of the gradient, {i}, and of the Hessian, {i, j}."""
-    bits = 1 << np.arange(n)
-    return bits, bits[:, None] | bits[None, :]
-
-
 def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write (g D2g - grad g grad g^T) / g^2 at the m points of a table into out.
 
@@ -144,7 +140,8 @@ def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     if np.any(table[0] <= 0.0):
         raise ValueError("polynomial is not positive at every sample point")
     n = out.shape[1]
-    bits, pairs = _pair_masks(n)
+    bits = 1 << np.arange(n)  # rows {i} of the gradient; {i, j} of the Hessian
+    pairs = bits[:, None] | bits[None, :]
     g = table[0][:, None, None]
     grad = table[bits].T
     out[:] = table[pairs].transpose(2, 0, 1)
@@ -154,16 +151,6 @@ def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     out -= grad[:, :, None] * grad[:, None, :]
     out /= g * g
     return out
-
-
-def log_hessian(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
-    """Hessian of log g_p at a strictly positive point where g_p > 0."""
-    coords = check_point(point, p.n)
-    table = _superset_sums(_log_coeffs(p), np.array([coords]))
-    g = table[0, 0]
-    if not g > 0.0:
-        raise ValueError(f"polynomial evaluates to {g} at {coords}; log requires a positive value")
-    return _log_hessians(table, np.empty((1, p.n, p.n)))[0]
 
 
 @dataclass(frozen=True)
@@ -259,6 +246,36 @@ def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
         yield gap
 
 
+def m_form(p: SubsetPoly, point: Sequence[float], v: Sequence[float]) -> int:
+    """The exact sign of v^T M(x) v at a positive float point x where g_p > 0.
+
+    A float is a dyadic rational, x_k = a_k / b_k exactly.  Starting from
+    w = p.cleared_coeffs(), stage k sets t[s] = b_k t[s] + a_k t[s | bit k]
+    for every s without bit k, so that T_B = L d^B g(x) prod_{k not in B} b_k.
+    With u_i = v_i b_i (scaled to integers, which keeps the sign),
+
+        (L prod_k b_k)^2 v^T M v = (sum_i u_i T_i)^2 - 2 T_0 sum_{i<j} u_i u_j T_ij.
+
+    Raises ValueError unless x is finite and positive and T_0 > 0.
+    """
+    if len(point) != p.n or len(v) != p.n or not all(0.0 < c < math.inf for c in point):
+        raise ValueError(f"expected a positive finite point and a vector of length {p.n}")
+    xs = [float(c).as_integer_ratio() for c in point]
+    t = list(p.cleared_coeffs())
+    for k, (a, b) in enumerate(xs):
+        bit = 1 << k
+        t = [t[s] if s & bit else b * t[s] + a * t[s | bit] for s in range(len(t))]
+    if not t[0] > 0:
+        raise ValueError("polynomial is not positive at the point")
+    vs = [float(c).as_integer_ratio() for c in v]
+    den = max(d for _, d in vs)  # every denominator is a power of two
+    u = [c * (den // d) * b for (c, d), (_, b) in zip(vs, xs)]
+    lin = sum(u[i] * t[1 << i] for i in range(p.n))
+    cross = sum(u[i] * u[j] * t[1 << i | 1 << j] for j in range(p.n) for i in range(j))
+    value = lin * lin - 2 * t[0] * cross
+    return (value > 0) - (value < 0)
+
+
 # ----- batch float evaluation ----------------------------------------------
 #
 # The sampling checkers test thousands of points per polynomial; evaluating
@@ -286,3 +303,8 @@ def log_hessian_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
     for rows in _blocks(p.n, pts.shape[0]):
         _log_hessians(_superset_sums(coeffs, pts[rows]), out[rows])
     return out
+
+
+def log_hessian(p: SubsetPoly, point: Sequence[float]) -> np.ndarray:
+    """Hessian of log g_p at one strictly positive point where g_p > 0."""
+    return log_hessian_many(p, [point])[0]

@@ -16,13 +16,12 @@ The lattice scan and the dominance certificate (`calculus.m_row_gaps`)
 decide on the integer coefficients of `SubsetPoly.cleared_coeffs`; the
 certificate's symbolic matrix and gap polynomials are built through
 `m_matrix` only when a caller reads them.  Sampling reads every
-log-Hessian from the derivative table of `calculus`.  A lattice witness
-holds its products in rationals and is returned only if they violate the
-condition; a point witness is confirmed by recomputing its log-Hessian
-with the same table arithmetic and solving it with Jacobi instead of
-LAPACK's eigvalsh.  The float values themselves are checked against exact
-rational arithmetic by the tests.  `sample_points` keeps its last result,
-so `check_slc` draws the points once for all derivative subsets.
+log-Hessian from the derivative table of `calculus` and only flags points.
+Both witnesses are proofs: a lattice witness holds its products in
+rationals, a point witness a point and vector with v^T M(x) v < 0 in
+integers (`calculus.m_form`), and neither is returned unless that holds.
+`sample_points` keeps its last result, so `check_slc` draws the points
+once for all derivative subsets.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .calculus import SymbolicMatrix, log_hessian, log_hessian_many, m_matrix, m_row_gaps
-from .linalg import eigen_sym, nsd_threshold
+from .calculus import SymbolicMatrix, log_hessian, log_hessian_many, m_form, m_matrix, m_row_gaps
+from .linalg import nsd_threshold
 from .poly import SparsePoly, SubsetPoly, format_subset
 
 # ----- certificates ---------------------------------------------------------
@@ -127,12 +126,17 @@ class NlcWitness:
 
 @dataclass(frozen=True)
 class PointWitness:
-    """A positive point where a derivative's log-Hessian fails to be NSD."""
+    """A positive point where a derivative's log-Hessian fails to be NSD.
+
+    vector is the top eigenvector of the float log-Hessian there; with the
+    point it proves the failure exactly, v^T M(x) v < 0 (`calculus.m_form`).
+    """
 
     subset_mask: int
     point: tuple[float, ...]
     max_eigenvalue: float
     threshold: float
+    vector: tuple[float, ...]
 
     def describe(self) -> str:
         pt = "(" + ", ".join(repr(v) for v in self.point) + ")"
@@ -356,7 +360,7 @@ def check_log_concavity_sampled(
         chunk = pts[start : start + SAMPLE_CHUNK]
         hessians = log_hessian_many(p, chunk)
         eigs = np.linalg.eigvalsh(hessians)[:, -1]
-        thresholds = cfg.tolerance * (1.0 + np.abs(hessians).max(axis=(1, 2)))
+        thresholds = nsd_threshold(hessians, cfg.tolerance)
         max_seen = max(max_seen, float(eigs.max()))
         bad = np.flatnonzero(eigs > thresholds)
         for k in bad:
@@ -378,28 +382,29 @@ def check_log_concavity_sampled(
 def _confirm_point_witness(
     p: SubsetPoly, point: tuple[float, ...], tolerance: float, subset_mask: int
 ) -> PointWitness | None:
-    """Recompute the log-Hessian at point and check it with a Jacobi solve.
+    """A witness at a flagged point, or None unless it is proved exactly.
 
-    The log-Hessian comes from the same derivative table arithmetic as the
-    batch scan; the eigen solve is independent of LAPACK's eigvalsh.
+    The top eigenpair of the log-Hessian there must clear the threshold in
+    floats, and its eigenvector v must give v^T M(x) v < 0 in integers.
     """
     h = log_hessian(p, point)
-    top = eigen_sym(h).max
-    threshold = nsd_threshold(h, tolerance)
-    if top > threshold:
-        return PointWitness(subset_mask, point, top, threshold)
+    eigenvalues, vectors = np.linalg.eigh(h)
+    top, threshold = float(eigenvalues[-1]), float(nsd_threshold(h, tolerance))
+    vector = tuple(float(c) for c in vectors[:, -1])
+    if top > threshold and m_form(p, point, vector) < 0:
+        return PointWitness(subset_mask, point, top, threshold, vector)
     return None
 
 
 def verify_point_witness(p: SubsetPoly, witness: PointWitness) -> bool:
-    """Re-check a PointWitness against the polynomial it was issued for.
+    """Re-check a PointWitness exactly against the polynomial it was issued for.
 
-    The witness stores the absolute threshold that was in force, so the
-    re-check is a fresh log-Hessian evaluation plus one Jacobi eigen solve.
+    True iff v^T M(x) v < 0 at the witness's point and vector, in integers
+    (`calculus.m_form`): since M(x) = -g(x)^2 H(x), the log-Hessian of the
+    derivative is then not NSD at x.  No tolerance enters.
     """
     q = p.derivative_subset(witness.subset_mask)
-    h = log_hessian(q, witness.point)
-    return eigen_sym(h).max > witness.threshold
+    return m_form(q, witness.point, witness.vector) < 0
 
 
 # ----- dominance certificate ----------------------------------------------------

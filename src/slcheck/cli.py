@@ -21,7 +21,6 @@ from typing import Sequence
 from .checkers import (
     DominanceCertificate,
     Holds,
-    NoViolationFound,
     SampleConfig,
     SlcReport,
     TrivialLogConcavity,
@@ -31,7 +30,6 @@ from .checkers import (
     check_nlc,
     check_slc,
     exit_code,
-    format_fraction_pair,
 )
 from .counterexample import run_reproduction
 from .distfile import DistributionFormatError, load_distribution
@@ -211,6 +209,7 @@ def _jsonable_verdict(v: Verdict) -> dict:
                 "point": list(w.point),
                 "max_eigenvalue": w.max_eigenvalue,
                 "threshold": w.threshold,
+                "vector": list(w.vector),
             }
         return {"verdict": "violated", "witness": witness}
     s = v.stats

@@ -80,23 +80,6 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(i) for i in indices_from_mask(mask)) + "}"
 
 
-def check_point(point: Sequence[float], n: int) -> tuple[float, ...]:
-    """Validate a point of the open positive orthant and return it as a float tuple.
-
-    Every coordinate must be a finite float > 0, the domain on which log g
-    is defined.
-    """
-    if len(point) != n:
-        raise ValueError(f"point has {len(point)} coordinates, polynomial has {n} variables")
-    coords = tuple(float(v) for v in point)
-    for v in coords:
-        if not math.isfinite(v):
-            raise ValueError(f"point coordinate {v!r} is not finite")
-        if v <= 0.0:
-            raise ValueError(f"point coordinate {v!r} is not strictly positive")
-    return coords
-
-
 @dataclass(frozen=True)
 class SubsetPoly:
     """Multi-affine polynomial with exact rational coefficients.

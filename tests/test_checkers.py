@@ -203,10 +203,11 @@ class TestSampling:
         assert "max log-Hessian eigenvalue" in w.describe()
         assert exit_code(verdict) == 1
 
-    def test_witness_threshold_is_binding(self):
+    def test_witness_vector_is_binding(self):
         verdict = check_log_concavity_sampled(one_plus_xy(), SampleConfig(points=10))
         w = verdict.witness
-        doctored = PointWitness(w.subset_mask, w.point, w.max_eigenvalue, threshold=1e6)
+        # Along e_1, v^T M v = (d_1 g)^2 >= 0, so the doctored witness proves nothing.
+        doctored = PointWitness(w.subset_mask, w.point, w.max_eigenvalue, w.threshold, (1.0, 0.0))
         assert not verify_point_witness(one_plus_xy(), doctored)
 
     def test_never_holds_from_samples(self, counterexample):

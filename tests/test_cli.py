@@ -11,12 +11,14 @@ import pytest
 
 from slcheck import (
     DistributionFormatError,
+    PointWitness,
     SubsetPoly,
     dumps_distribution,
     load_distribution,
     loads_distribution,
     parse_subset_key,
     save_distribution,
+    verify_point_witness,
 )
 from slcheck.cli import main
 from conftest import random_subset_poly
@@ -198,6 +200,16 @@ class TestCheckCommand:
         doc = json.loads(report_path.read_text())
         assert doc["aggregate"]["verdict"] == "holds"
         assert doc["subsets"]["{}"]["certificate"] == "diagonal dominance certificate"
+
+    def test_point_witness_report_reverifies(self, xy_file, tmp_path, capsys):
+        report_path = tmp_path / "lc.json"
+        assert main(["check", xy_file, "lc", "--samples", "10", "--report", str(report_path)]) == 1
+        capsys.readouterr()
+        w = json.loads(report_path.read_text())["witness"]
+        assert set(w) == {"subset", "point", "max_eigenvalue", "threshold", "vector"}
+        witness = PointWitness(0, tuple(w["point"]), w["max_eigenvalue"], w["threshold"],
+                               tuple(w["vector"]))
+        assert verify_point_witness(load_distribution(xy_file), witness)
 
     def test_seed_and_box_accepted(self, counterexample_file, capsys):
         code = main(

@@ -1,6 +1,6 @@
 """The coefficient-space engine against slower, independent routes.
 
-Three fast paths are checked on seeded random inputs with n = 1..8, zero
+Four fast paths are checked on seeded random inputs with n = 1..8, zero
 weights, weights spanning about 1e-40..1e40, and the counterexample:
 
   * every row of `derivative_table` against exact evaluation of the
@@ -8,7 +8,10 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
   * the integer dominance gaps and decision against the SparsePoly route
     through `m_matrix`;
   * `check_slc`, whose memoized sample points serve every derivative
-    subset, against a loop that draws fresh points for each derivative.
+    subset, against a loop that draws fresh points for each derivative;
+  * the integer sign of v^T M(x) v (`m_form`) against v^T M(x) v from
+    `m_matrix` in rationals, and every point witness `check_slc` issues,
+    also with weights near 1e-400 and on cells of the (b, c) family.
 """
 
 from __future__ import annotations
@@ -34,10 +37,12 @@ from slcheck import (
     log_hessian,
     log_hessian_many,
     m_matrix,
+    make_family,
     sample_points,
     trivial_log_concavity,
+    verify_point_witness,
 )
-from slcheck.calculus import TABLE_CELLS, derivative_table, m_row_gaps
+from slcheck.calculus import TABLE_CELLS, derivative_table, m_form, m_row_gaps
 
 
 def oracle_poly(rng: np.random.Generator, n: int, *, zero_prob: float, wide: bool) -> SubsetPoly:
@@ -196,3 +201,92 @@ class TestCheckSlc:
                 else:
                     assert got.stats == expected.stats
         assert kinds == {"Holds", "dominance", "Violated", "NoViolationFound"}
+
+
+def witness_cases(seed: int, count: int):
+    """Seeded inputs with n <= 5: random weights (zeros, wide ones), weights
+    near 1e-400 on every set holding the last variable, and family cells.
+
+    n = 5 costs about 0.15 s an input (its 5^5 grid), so it comes in 3 of 60.
+    """
+    rng = np.random.default_rng(seed)
+    yield counterexample_weights()
+    for k in range(count):
+        if k % 4 == 3:
+            b, c = (Fraction(int(rng.integers(0, 41)), 10) for _ in range(2))
+            yield make_family(b, c)
+            continue
+        n = 5 if k % 60 in (0, 5, 10) else 1 + k // 4 % 4
+        p = oracle_poly(rng, n, zero_prob=(0.0, 0.3, 0.6)[k % 3], wide=k % 4 == 1)
+        if k % 4 == 2:
+            tiny = Fraction(1, 10**400)
+            last = 1 << (n - 1)
+            p = SubsetPoly(n, tuple(c * tiny if m & last else c for m, c in enumerate(p.coeffs)))
+        yield p
+
+
+def exact_signs(q: SubsetPoly, point, vectors) -> list[int]:
+    """Signs of v^T M(x) v, with M from m_matrix evaluated in rationals."""
+    m = m_matrix(q).eval_exact([Fraction(c) for c in point])
+    signs = []
+    for v in vectors:
+        u = [Fraction(c) for c in v]
+        value = sum(u[i] * m[i][j] * u[j] for i in range(q.n) for j in range(q.n))
+        signs.append((value > 0) - (value < 0))
+    return signs
+
+
+def crossing_vectors(q: SubsetPoly, point) -> list[tuple[float, ...]]:
+    """Two unit vectors just either side of where v^T M(x) v changes sign.
+
+    They mix the top and bottom eigenvectors of the float log-Hessian
+    H = -M / g^2, so a sign test that is off by any factor flips one of them.
+    """
+    lam, vec = np.linalg.eigh(log_hessian(q, point))
+    if not lam[-1] > 0.0 > lam[0]:
+        return []
+    theta = math.atan(math.sqrt(lam[-1] / -lam[0]))
+    return [tuple(math.cos(t) * vec[:, -1] + math.sin(t) * vec[:, 0])
+            for t in (theta * 0.999, theta * 1.001)]
+
+
+class TestPointWitness:
+    def test_witnesses_verify_and_m_form_matches_m_matrix(self):
+        rng = np.random.default_rng(101)
+        inputs = witnesses = crossings = 0
+        signs = set()
+        for k, p in enumerate(witness_cases(102, 300)):
+            inputs += 1
+            report = check_slc(p, SampleConfig(points=20, seed=k))
+            cases = []
+            for a, verdict in sorted(report.subsets.items()):
+                if isinstance(verdict, Violated):
+                    w = verdict.witness
+                    q = p.derivative_subset(a)
+                    assert w.subset_mask == a and verify_point_witness(p, w), (p, a)
+                    assert q.eval_exact([Fraction(c) for c in w.point]) > 0
+                    witnesses += 1
+                    if not cases:
+                        cases.append((q, w.point, [w.vector] + crossing_vectors(q, w.point)))
+            q = p.derivative_subset(int(rng.integers(0, 1 << p.n)))
+            if not q.is_zero():
+                x = tuple(float(c) for c in np.exp(rng.uniform(np.log(0.01), np.log(100.0), p.n)))
+                e1 = (1.0,) + (0.0,) * (p.n - 1)
+                vectors = [tuple(rng.standard_normal(p.n)), e1] + crossing_vectors(q, x)
+                cases.append((q, x, vectors))
+            for q, x, vectors in cases:
+                got = [m_form(q, x, v) for v in vectors]
+                assert got == exact_signs(q, x, vectors), (q, x, vectors)
+                signs.update(got)
+                crossings += len(vectors) > 2
+        assert inputs >= 300 and witnesses >= 100 and crossings >= 100, (inputs, witnesses, crossings)
+        assert signs == {-1, 0, 1}
+
+    def test_m_form_rejects_what_proves_nothing(self, counterexample):
+        with pytest.raises(ValueError, match="not positive"):
+            m_form(SubsetPoly.zero(2), (1.0, 1.0), (1.0, 0.0))
+        for x in ((1.0, 0.0, 1.0), (1.0, float("nan"), 1.0), (1.0, float("inf"), 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError):
+                m_form(counterexample, x, (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            m_form(counterexample, (1.0, 1.0, 1.0), (1.0, 0.0))

@@ -12,10 +12,10 @@ from slcheck import (
     SubsetPoly,
     as_fraction,
     eval_many,
+    log_hessian,
     mask_from_indices,
     sparse_from_subset,
 )
-from slcheck.poly import check_point
 from conftest import exact_point, fd_partial, random_positive_point, random_subset_poly
 
 
@@ -279,11 +279,11 @@ class TestHelpers:
             SubsetPoly.zero(2).eval_exact((1,))
         with pytest.raises(ValueError):
             eval_many(SubsetPoly.zero(2), [[1.0]])
-        with pytest.raises(ValueError):
-            check_point((1.0,), 2)
+        with pytest.raises(ValueError, match="point array"):
+            log_hessian(SubsetPoly.constant(2, 1), (1.0,))
 
     def test_eval_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            check_point((float("nan"), 1.0), 2)
-        with pytest.raises(ValueError):
-            check_point((float("inf"), 1.0), 2)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            log_hessian(SubsetPoly.constant(2, 1), (float("nan"), 1.0))
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            log_hessian(SubsetPoly.constant(2, 1), (float("inf"), 1.0))

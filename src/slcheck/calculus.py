@@ -21,17 +21,19 @@ Both the float and the exact side work on the coefficient vector directly.
     evaluator: `eval_many` and `log_hessian_many` only read it, the latter
     after it may rescale the coefficients (see `_log_coeffs`), and
     `log_hessian` is `log_hessian_many` at one point.
-  * Exact: `m_row_gaps` forms the entries of M from products of the
-    integer coefficients of `SubsetPoly.cleared_coeffs`, keying the
-    monomial x^S x^T by the mask pair (S | T, S & T), and yields the
-    diagonal dominance gap of each row.  The dominance certificate decides
-    on these integers.  `m_form` runs the same superset sums on those
-    integers at a float point, read as exact dyadic rationals, and returns
-    the exact sign of v^T M(x) v, which proves a sampled violation.
+  * Exact: `_cleared_m_rows` forms M once, times L^2, from products of the
+    integer coefficients of `SubsetPoly.cleared_coeffs` (`poly.add_products`,
+    under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
+    the diagonal dominance gap of each row, on which the dominance
+    certificate decides; `m_matrix` and the certificate's gaps are the same
+    integers divided by L^2 (`uncleared`).  `m_form` runs the same superset
+    sums on the integer coefficients at a float point, read as exact dyadic
+    rationals, and returns the exact sign of v^T M(x) v, which proves a
+    sampled violation.
 
-`m_matrix` builds M as `SparsePoly` entries.  No check runs it: it is kept
-for display, for the counterexample replay and as the tests' reference,
-and its entries are evaluated only exactly (`SymbolicMatrix.eval_exact`).
+No check runs `m_matrix`: it serves display, the counterexample replay and
+the tests, and its entries are evaluated only exactly
+(`SymbolicMatrix.eval_exact`).
 """
 
 from __future__ import annotations
@@ -39,17 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .poly import (
-    RationalLike,
-    SparsePoly,
-    SubsetPoly,
-    as_fraction,
-    sparse_from_subset,
-)
+from .poly import RationalLike, SparsePoly, SubsetPoly, add_products, as_fraction
 
 # A derivative table has 2**n rows, one per derivative subset, and a column
 # per point; points are taken in blocks that keep it near this many float64
@@ -179,38 +175,15 @@ class SymbolicMatrix:
         return [[e.eval_exact(point) for e in row] for row in self.rows]
 
 
-def m_matrix(p: SubsetPoly) -> SymbolicMatrix:
-    """The polynomial matrix grad g grad g^T - g * D2g, exactly.
-
-    Positive semidefiniteness of this matrix at a positive point is
-    equivalent to negative semidefiniteness of the log-Hessian there.
-    Diagonal entries reduce to squared first derivatives.
-    """
-    g = sparse_from_subset(p)
-    grads = [sparse_from_subset(p.derivative(i + 1)) for i in range(p.n)]
-    rows: list[list[SparsePoly]] = [[None] * p.n for _ in range(p.n)]  # type: ignore[list-item]
-    for i in range(p.n):
-        for j in range(i, p.n):
-            entry = grads[i] * grads[j]
-            if i != j:
-                gij = sparse_from_subset(p.derivative_subset((1 << i) | (1 << j)))
-                entry = entry - g * gij
-            rows[i][j] = rows[j][i] = entry
-    return SymbolicMatrix(p.n, tuple(tuple(row) for row in rows))
-
-
 # ----- exact M matrix on integer coefficients ----------------------------------
 
 
-def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
-    """Row by row, the diagonal dominance gap of M in integer coefficients.
+def _cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
+    """Row by row, the entries L^2 M_ij for j >= i, as integer dicts.
 
-    Yields for each i the coefficients of L^2 (M_ii - sum_{j != i} |M_ij|),
-    where L clears the denominators of p (M scales by L^2) and |.| is taken
-    coefficient-wise after like terms are combined.  The monomial x^S x^T
-    is keyed by its mask pair as (S | T) << n | (S & T).  Each M_ij is
-    formed when row min(i, j) needs it and dropped after row max(i, j), so
-    a caller that stops at the first failing row pays for that row only.
+    L clears the denominators of p (`SubsetPoly.cleared_coeffs`), so M
+    scales by L^2, and each dict is keyed by `SparsePoly`'s monomial key.
+    Row i is formed only when it is asked for.
     """
     n = p.n
     terms = [(s, c) for s, c in enumerate(p.cleared_coeffs()) if c]
@@ -218,29 +191,54 @@ def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
     def derivative(mask: int) -> list[tuple[int, int]]:
         return [(s ^ mask, c) for s, c in terms if s & mask == mask]
 
-    def add_product(out: dict[int, int], f, h, sign: int) -> None:
-        get = out.get
-        for s, c in f:
-            c *= sign
-            for t, d in h:
-                key = (s | t) << n | (s & t)
-                out[key] = get(key, 0) + c * d
-
     grads = [derivative(1 << i) for i in range(n)]
-    pending: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(n):
-        gap: dict[int, int] = {}
-        add_product(gap, grads[i], grads[i], 1)
-        for j in range(n):
-            if j < i:
-                entry = pending.pop((j, i))
-            elif j > i:
-                entry = {}
-                add_product(entry, grads[i], grads[j], 1)
-                add_product(entry, terms, derivative(1 << i | 1 << j), -1)
-                pending[(i, j)] = entry
-            else:
-                continue
+        row = []
+        for j in range(i, n):
+            entry: dict[int, int] = {}
+            add_products(n, entry, grads[i], grads[j], 1)
+            if j != i:
+                add_products(n, entry, terms, derivative(1 << i | 1 << j), -1)
+            row.append(entry)
+        yield row
+
+
+def uncleared(p: SubsetPoly, cleared: Mapping[int, int]) -> SparsePoly:
+    """An entry of `_cleared_m_rows` or a gap of `m_row_gaps`, divided by L^2."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs)) ** 2
+    return SparsePoly(p.n, {key: Fraction(c, scale) for key, c in cleared.items() if c})
+
+
+def m_matrix(p: SubsetPoly) -> SymbolicMatrix:
+    """The polynomial matrix grad g grad g^T - g * D2g, exactly.
+
+    Positive semidefiniteness of this matrix at a positive point is
+    equivalent to negative semidefiniteness of the log-Hessian there.
+    Diagonal entries reduce to squared first derivatives.  The entries are
+    those of `_cleared_m_rows`, which the dominance decision reads, divided
+    by L^2.
+    """
+    rows: list[list[SparsePoly]] = [[None] * p.n for _ in range(p.n)]  # type: ignore[list-item]
+    for i, upper in enumerate(_cleared_m_rows(p)):
+        for j, entry in enumerate(upper, i):
+            rows[i][j] = rows[j][i] = uncleared(p, entry)
+    return SymbolicMatrix(p.n, tuple(tuple(row) for row in rows))
+
+
+def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
+    """Row by row, the diagonal dominance gap of M in integer coefficients.
+
+    Yields for each i the coefficients of L^2 (M_ii - sum_{j != i} |M_ij|),
+    with |.| taken coefficient-wise after like terms are combined, under
+    `SparsePoly`'s monomial key.  Each M_ij is formed when row min(i, j)
+    needs it and dropped after row max(i, j), so a caller that stops at the
+    first failing row pays for that row only.
+    """
+    pending: dict[tuple[int, int], dict[int, int]] = {}
+    for i, (gap, *upper) in enumerate(_cleared_m_rows(p)):
+        for j, entry in enumerate(upper, i + 1):
+            pending[(i, j)] = entry
+        for entry in [pending.pop((j, i)) for j in range(i)] + upper:
             for key, v in entry.items():
                 gap[key] = gap.get(key, 0) - abs(v)
         yield gap

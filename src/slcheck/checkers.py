@@ -13,10 +13,11 @@ that is log-concave for structural reasons (zero, constant, a single
 monomial, or an affine polynomial).
 
 The lattice scan and the dominance certificate (`calculus.m_row_gaps`)
-decide on the integer coefficients of `SubsetPoly.cleared_coeffs`; the
-certificate's symbolic matrix and gap polynomials are built through
-`m_matrix` only when a caller reads them.  Sampling reads every
-log-Hessian from the derivative table of `calculus` and only flags points.
+decide on the integer coefficients of `SubsetPoly.cleared_coeffs`.  A
+`DominanceCertificate` builds its symbolic matrix and gap polynomials from
+the same integer M, only when a caller reads them: its gaps are the ones
+the decision read.  Sampling reads every log-Hessian from the derivative
+table of `calculus` and only flags points.
 Both witnesses are proofs: a lattice witness holds its products in
 rationals, a point witness a point and vector with v^T M(x) v < 0 in
 integers (`calculus.m_form`), and neither is returned unless that holds.
@@ -35,7 +36,8 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .calculus import SymbolicMatrix, log_hessian, log_hessian_many, m_form, m_matrix, m_row_gaps
+from .calculus import (SymbolicMatrix, log_hessian, log_hessian_many, m_form, m_matrix,
+                       m_row_gaps, uncleared)
 from .linalg import nsd_threshold
 from .poly import SparsePoly, SubsetPoly, format_subset
 
@@ -71,8 +73,8 @@ class DominanceCertificate:
     least one positive coefficient, so on the open positive orthant M is
     strictly diagonally dominant with positive diagonal, hence positive
     definite, hence log g is concave there.  matrix and row_gaps are built
-    exactly on first read; the decision that issued the certificate was
-    taken on the same gaps in integer coefficients.
+    exactly on first read; row_gaps are the integer gaps of
+    `calculus.m_row_gaps` that the decision read, divided by L^2.
     """
 
     poly: SubsetPoly
@@ -83,15 +85,7 @@ class DominanceCertificate:
 
     @cached_property
     def row_gaps(self) -> tuple[SparsePoly, ...]:
-        m = self.matrix
-        gaps = []
-        for i in range(m.n):
-            gap = m.entry(i, i)
-            for j in range(m.n):
-                if j != i:
-                    gap = gap - m.entry(i, j).abs_coeffs()
-            gaps.append(gap)
-        return tuple(gaps)
+        return tuple(uncleared(self.poly, gap) for gap in m_row_gaps(self.poly))
 
 
 @dataclass(frozen=True)
@@ -288,12 +282,12 @@ class SampleConfig:
 
     def validate(self) -> None:
         lo, hi = self.box
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"box must satisfy 0 < lo <= hi, got {self.box}")
+        if not (0.0 < lo <= hi < math.inf):
+            raise ValueError(f"box must satisfy 0 < lo <= hi < inf, got {self.box}")
         if self.points < 0:
             raise ValueError("points must be nonnegative")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
 
 
 def grid_points(n: int) -> np.ndarray:

@@ -10,8 +10,9 @@ about it can be verified exactly:
   * the dominance certificate proves log-concavity of g itself;
   * every first derivative is affine, every second derivative constant;
   * the M matrix equals a single positive rational multiple of a
-    hard-coded reference matrix, whose diagonal dominance on the open
-    orthant has a one-line gap polynomial per row.
+    reference matrix, written as the polynomials 3(u + v + 1)^2 and
+    3w^2 + 3w - 1, and the certificate's row-1 gap (the one the dominance
+    decision read) is that same multiple of 6yz + 3y + 3z + 1.
 
 `run_reproduction` replays all of that and reports each expectation.
 """
@@ -34,7 +35,7 @@ from .checkers import (
     format_fraction_pair,
 )
 from .linalg import eigen_sym
-from .poly import SparsePoly, SubsetPoly, format_subset
+from .poly import SparsePoly, SubsetPoly, format_subset, sparse_from_subset
 
 EXPECTED_NLC_LHS = Fraction(9, 484)
 EXPECTED_NLC_RHS = Fraction(12, 484)
@@ -59,44 +60,17 @@ def reference_matrix() -> SymbolicMatrix:
     row/column pair.  The reproduction checks that m_matrix of the
     normalized distribution is exactly a positive rational multiple of this.
     """
+    one = SparsePoly.constant(3, 1)
+    x = [sparse_from_subset(SubsetPoly.point_mass(3, 1 << k)) for k in range(3)]
 
-    def diag(u: int, v: int) -> SparsePoly:
-        # 3(x_u + x_v + 1)^2 expanded, exponents over (x, y, z)
-        terms = {
-            (0, 0, 0): 3,
-            _unit(u, 2): 3,
-            _unit(v, 2): 3,
-            _unit(u, 1): 6,
-            _unit(v, 1): 6,
-            _pair(u, v): 6,
-        }
-        return SparsePoly.make(3, terms)
+    def entry(i: int, j: int) -> SparsePoly:
+        if i == j:
+            u, v = (x[k] for k in range(3) if k != i)
+            return 3 * (u + v + one) * (u + v + one)
+        w = x[3 - i - j]
+        return 3 * w * w + 3 * w - one
 
-    def off(w: int) -> SparsePoly:
-        return SparsePoly.make(3, {(0, 0, 0): -1, _unit(w, 1): 3, _unit(w, 2): 3})
-
-    r = [[None] * 3 for _ in range(3)]  # type: ignore[list-item]
-    axes = (0, 1, 2)
-    for i in axes:
-        others = tuple(k for k in axes if k != i)
-        r[i][i] = diag(*others)
-    r[0][1] = r[1][0] = off(2)
-    r[0][2] = r[2][0] = off(1)
-    r[1][2] = r[2][1] = off(0)
-    return SymbolicMatrix(3, tuple(tuple(row) for row in r))
-
-
-def _unit(axis: int, power: int) -> tuple[int, int, int]:
-    e = [0, 0, 0]
-    e[axis] = power
-    return tuple(e)
-
-
-def _pair(a: int, b: int) -> tuple[int, int, int]:
-    e = [0, 0, 0]
-    e[a] += 1
-    e[b] += 1
-    return tuple(e)
+    return SymbolicMatrix(3, tuple(tuple(entry(i, j) for j in range(3)) for i in range(3)))
 
 
 def reference_row_gap() -> SparsePoly:
@@ -110,25 +84,13 @@ def proportionality_scalar(m: SymbolicMatrix, r: SymbolicMatrix) -> Fraction | N
     """The single positive rational q with m == q * r, if one exists."""
     if m.n != r.n:
         return None
-    scalar: Fraction | None = None
-    for i in range(r.n):
-        for j in range(r.n):
-            for exps, coeff in r.entry(i, j).terms.items():
-                other = m.entry(i, j).terms.get(exps)
-                if other is None:
-                    return None
-                q = other / coeff
-                if scalar is None:
-                    scalar = q
-                elif q != scalar:
-                    return None
-    if scalar is None or scalar <= 0:
+    first = next(((i, j, key, c) for i in range(r.n) for j in range(r.n)
+                  for key, c in r.entry(i, j).terms.items()), None)
+    if first is None:
         return None
-    for i in range(r.n):
-        for j in range(r.n):
-            if m.entry(i, j) != r.entry(i, j) * scalar:
-                return None
-    return scalar
+    i, j, key, c = first
+    q = m.entry(i, j).terms.get(key, 0) / c
+    return q if q > 0 and m == r.scaled(q) else None
 
 
 # ----- reproduction -------------------------------------------------------------

@@ -52,12 +52,12 @@ def parse_subset_key(key: str, n: int) -> int:
             idx = int(piece.strip())
         except ValueError:
             raise DistributionFormatError(f"bad subset key {key!r}") from None
+        if not 1 <= idx <= n:
+            raise DistributionFormatError(f"index {idx} out of range 1..{n} in key {key!r}")
         if idx <= last:
             raise DistributionFormatError(
                 f"subset key {key!r} must list strictly increasing indices"
             )
-        if idx > n:
-            raise DistributionFormatError(f"index {idx} exceeds n={n} in key {key!r}")
         mask |= 1 << (idx - 1)
         last = idx
     return mask

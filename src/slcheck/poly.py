@@ -11,11 +11,12 @@ bitmask, where bit k of the mask stands for variable k+1.  All algebra and
 evaluation here is exact (`eval_exact` at rational points); float values of
 g and its derivatives come only from `calculus.derivative_table`.
 
-`SparsePoly` is a companion type for general sparse polynomials with small
-integer exponents.  It carries products of first derivatives, which are
-quadratic per variable and therefore leave the multi-affine class, when the
-M matrix is built for display, for the counterexample replay, or as the
-tests' reference; the checks themselves work on coefficients directly.
+`SparsePoly` holds polynomials of degree at most 2 in each variable under
+one integer key: x^S x^T, for subsets S and T, is keyed (S | T) << n | (S & T).
+The entries and row gaps of M = grad g grad g^T - g D2g fit, being sums of
+products of two multi-affine polynomials.  `add_products` is the one loop
+that forms such products: on Fractions for `SparsePoly.__mul__`, on
+integers for the M of `calculus`.  Only this module builds or decodes keys.
 """
 
 from __future__ import annotations
@@ -271,35 +272,56 @@ def default_var_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
+def add_products(n: int, out: dict, f, h, sign: int) -> None:
+    """Add sign * f * h into out under the monomial key, zero sums included.
+
+    f and h are the (mask, coefficient) pairs of multi-affine polynomials in
+    n variables, with int or Fraction coefficients.
+    """
+    get = out.get
+    for s, c in f:
+        c *= sign
+        for t, d in h:
+            key = (s | t) << n | (s & t)
+            out[key] = get(key, 0) + c * d
+
+
+def _exponents(n: int, key: int) -> tuple[int, ...]:
+    return tuple((key >> (n + k) & 1) + (key >> k & 1) for k in range(n))
+
+
 @dataclass(frozen=True)
 class SparsePoly:
-    """Sparse polynomial in n variables with exact rational coefficients.
+    """Sparse polynomial in n variables, of degree at most 2 in each, with
+    exact rational coefficients.
 
-    terms maps an exponent tuple of length n to a nonzero Fraction.  The
-    mapping is canonical: zero coefficients are never stored, so equality
-    of dataclass fields is equality of polynomials.  Treat instances as
-    immutable.
+    terms maps the key of x^S x^T, (S | T) << n | (S & T), to a nonzero
+    Fraction.  The mapping is canonical: zero coefficients are never
+    stored, so equality of dataclass fields is equality of polynomials.
+    Treat instances as immutable.
     """
 
     n: int
-    terms: Mapping[tuple[int, ...], Fraction]
+    terms: Mapping[int, Fraction]
 
     @staticmethod
     def make(n: int, terms: Mapping[tuple[int, ...], RationalLike]) -> SparsePoly:
+        """Build from exponent tuples of length n, each exponent in 0..2."""
         if not 1 <= n <= MAX_VARS:
             raise ValueError(f"number of variables must be in 1..{MAX_VARS}, got {n}")
-        canon: dict[tuple[int, ...], Fraction] = {}
+        canon: dict[int, Fraction] = {}
         for exps, value in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != n:
                 raise ValueError(f"exponent tuple {exps} has length {len(exps)}, expected {n}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            if any(not 0 <= e <= 2 for e in exps):
+                raise ValueError(f"exponent outside 0..2 in {exps}")
+            key = sum(1 << (n + k) | (e - 1) << k for k, e in enumerate(exps) if e)
             c = as_fraction(value)
             if c != 0:
-                canon[exps] = canon.get(exps, _ZERO) + c
-                if canon[exps] == 0:
-                    del canon[exps]
+                canon[key] = canon.get(key, _ZERO) + c
+                if canon[key] == 0:
+                    del canon[key]
         return SparsePoly(n, canon)
 
     @staticmethod
@@ -316,15 +338,21 @@ class SparsePoly:
         if self.n != other.n:
             raise ValueError(f"variable count mismatch: {self.n} vs {other.n}")
 
+    def _subset_terms(self) -> list[tuple[int, Fraction]]:
+        """(mask, coefficient) pairs; raises ValueError if a variable is squared."""
+        if any(key & ((1 << self.n) - 1) for key in self.terms):
+            raise ValueError("only multi-affine polynomials can be multiplied")
+        return [(key >> self.n, c) for key, c in self.terms.items()]
+
     def __add__(self, other: SparsePoly) -> SparsePoly:
         self._require_same_n(other)
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            tot = out.get(exps, _ZERO) + c
+        for key, c in other.terms.items():
+            tot = out.get(key, _ZERO) + c
             if tot == 0:
-                out.pop(exps, None)
+                out.pop(key, None)
             else:
-                out[exps] = tot
+                out[key] = tot
         return SparsePoly(self.n, out)
 
     def __neg__(self) -> SparsePoly:
@@ -334,18 +362,12 @@ class SparsePoly:
         return self + (-other)
 
     def __mul__(self, other: SparsePoly | RationalLike) -> SparsePoly:
+        """Product with a scalar, or with a SparsePoly when both are multi-affine."""
         if isinstance(other, SparsePoly):
             self._require_same_n(other)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    tot = out.get(exps, _ZERO) + c1 * c2
-                    if tot == 0:
-                        out.pop(exps, None)
-                    else:
-                        out[exps] = tot
-            return SparsePoly(self.n, out)
+            out: dict[int, Fraction] = {}
+            add_products(self.n, out, self._subset_terms(), other._subset_terms(), 1)
+            return SparsePoly(self.n, {key: c for key, c in out.items() if c})
         c = as_fraction(other)
         if c == 0:
             return SparsePoly.zero(self.n)
@@ -354,20 +376,8 @@ class SparsePoly:
     def __rmul__(self, other: RationalLike) -> SparsePoly:
         return self.__mul__(other)
 
-    def abs_coeffs(self) -> SparsePoly:
-        """Coefficient-wise absolute value: an upper bound for |self| on x > 0."""
-        return SparsePoly(self.n, {e: abs(c) for e, c in self.terms.items()})
-
-    # ----- predicates ------------------------------------------------------
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def all_coeffs_nonneg(self) -> bool:
-        return all(c >= 0 for c in self.terms.values())
-
-    def has_positive_coeff(self) -> bool:
-        return any(c > 0 for c in self.terms.values())
 
     # ----- evaluation -------------------------------------------------------
 
@@ -376,9 +386,9 @@ class SparsePoly:
             raise ValueError(f"point has {len(point)} coordinates, polynomial has {self.n} variables")
         coords = [as_fraction(v) for v in point]
         total = _ZERO
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             term = c
-            for v, e in zip(coords, exps):
+            for v, e in zip(coords, _exponents(self.n, key)):
                 if e:
                     term *= v ** e
             total += term
@@ -395,8 +405,8 @@ class SparsePoly:
         if len(names) != self.n:
             raise ValueError(f"need {self.n} variable names, got {len(names)}")
         pieces = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), tuple(-v for v in e))):
-            c = self.terms[exps]
+        terms = ((_exponents(self.n, key), c) for key, c in self.terms.items())
+        for exps, c in sorted(terms, key=lambda t: (sum(t[0]), tuple(-v for v in t[0]))):
             factors = []
             for name, e in zip(names, exps):
                 if e == 1:
@@ -420,10 +430,4 @@ class SparsePoly:
 
 def sparse_from_subset(p: SubsetPoly) -> SparsePoly:
     """View a multi-affine subset polynomial as a SparsePoly (same values everywhere)."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for mask, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        exps = tuple(1 if mask & (1 << k) else 0 for k in range(p.n))
-        terms[exps] = c
-    return SparsePoly(p.n, terms)
+    return SparsePoly(p.n, {mask << p.n: c for mask, c in enumerate(p.coeffs) if c})

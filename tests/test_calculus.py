@@ -156,6 +156,27 @@ class TestMMatrix:
             assert matrix_close(lhs, rhs, rel=1e-9)
             checked += 1
 
+    def test_entries_match_exact_derivatives(self):
+        # M_ij(x) = d_i g(x) d_j g(x) - g(x) d_ij g(x), every factor taken by
+        # SubsetPoly.eval_exact at a rational point, compared exactly.
+        rng = np.random.default_rng(26)
+        checked = 0
+        for k in range(120):
+            n = 1 + k % 5
+            p = random_subset_poly(rng, n, zero_prob=(0.0, 0.3, 0.6)[k % 3])
+            m = m_matrix(p)
+            for _ in range(2):
+                x = [Fraction(int(rng.integers(0, 30)), int(rng.integers(1, 12))) for _ in range(n)]
+                values = m.eval_exact(x)
+                g = p.eval_exact(x)
+                d = [p.derivative(i + 1).eval_exact(x) for i in range(n)]
+                for i in range(n):
+                    for j in range(n):
+                        dij = p.derivative_subset(1 << i | 1 << j).eval_exact(x) if i != j else 0
+                        assert values[i][j] == d[i] * d[j] - g * dij, (p, x, i, j)
+                        checked += 1
+        assert checked > 2000
+
     def test_eval_exact_at_ones(self, counterexample):
         m = m_matrix(counterexample)
         vals = m.eval_exact((1, 1, 1))

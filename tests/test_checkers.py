@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,12 @@ class TestSampling:
             SampleConfig(points=-1).validate()
         with pytest.raises(ValueError):
             SampleConfig(tolerance=-1e-9).validate()
+        for box in ((0.01, math.inf), (math.nan, 1.0), (0.01, math.nan), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="box"):
+                SampleConfig(box=box).validate()
+        for tolerance in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                SampleConfig(tolerance=tolerance).validate()
 
     def test_one_plus_xy_violated(self):
         verdict = check_log_concavity_sampled(one_plus_xy(), SampleConfig(points=100))

@@ -5,8 +5,9 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
 
   * every row of `derivative_table` against exact evaluation of the
     corresponding derivative at rational points;
-  * the integer dominance gaps and decision against the SparsePoly route
-    through `m_matrix`;
+  * the integer M (`m_matrix`), its dominance gaps (`DominanceCertificate.
+    row_gaps`) and the decision against M built term by term in Fractions
+    on exponent tuples, apart from the package's key and product loop;
   * `check_slc`, whose memoized sample points serve every derivative
     subset, against a loop that draws fresh points for each derivative;
   * the integer sign of v^T M(x) v (`m_form`) against v^T M(x) v from
@@ -42,7 +43,7 @@ from slcheck import (
     trivial_log_concavity,
     verify_point_witness,
 )
-from slcheck.calculus import TABLE_CELLS, derivative_table, m_form, m_row_gaps
+from slcheck.calculus import TABLE_CELLS, derivative_table, m_form
 
 
 def oracle_poly(rng: np.random.Generator, n: int, *, zero_prob: float, wide: bool) -> SubsetPoly:
@@ -111,26 +112,48 @@ class TestDerivativeTable:
             derivative_table(counterexample, np.ones((4, 2)))
 
 
-def reference_gaps(p: SubsetPoly) -> list[SparsePoly]:
-    """Row gaps of the SparsePoly matrix; building them decides nothing."""
-    return list(DominanceCertificate(p).row_gaps)
+def reference_m(p: SubsetPoly) -> list[list[dict[tuple[int, ...], Fraction]]]:
+    """M_ij = d_i g d_j g - g d_ij g, one product of Fractions at a time, keyed
+    by exponent tuples: apart from the package's monomial key and product loop."""
+    n = p.n
+
+    def terms(q: SubsetPoly) -> list[tuple[tuple[int, ...], Fraction]]:
+        return [(tuple(s >> k & 1 for k in range(n)), c) for s, c in enumerate(q.coeffs) if c]
+
+    def add(out: dict, f, h, sign: int) -> None:
+        for e1, c1 in f:
+            for e2, c2 in h:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + sign * c1 * c2
+
+    g, grads = terms(p), [terms(p.derivative(i + 1)) for i in range(n)]
+    m = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            add(m[i][j], grads[i], grads[j], 1)
+            if i != j:
+                add(m[i][j], g, terms(p.derivative_subset(1 << i | 1 << j)), -1)
+    return m
 
 
-def reference_certified(p: SubsetPoly, gaps: list[SparsePoly]) -> bool:
-    """The SparsePoly route's decision; M_ii never has a negative coefficient."""
-    return not p.is_zero() and all(g.all_coeffs_nonneg() and g.has_positive_coeff() for g in gaps)
+def reference_gaps(m: list[list[dict]]) -> list[dict[tuple[int, ...], Fraction]]:
+    """M_ii - sum_{j != i} |M_ij| coefficient-wise, from reference_m, zeros dropped."""
+    gaps = []
+    for i in range(len(m)):
+        gap = dict(m[i][i])
+        for j in range(len(m)):
+            if j != i:
+                for e, c in m[i][j].items():
+                    gap[e] = gap.get(e, 0) - abs(c)
+        gaps.append({e: c for e, c in gap.items() if c})
+    return gaps
 
 
-def integer_gap_as_sparse(p: SubsetPoly, gap: dict[int, int]) -> SparsePoly:
-    """Undo the mask-pair keys and the L^2 scale of an integer gap."""
-    den = math.lcm(*(c.denominator for c in p.coeffs)) ** 2
-    low = (1 << p.n) - 1
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for key, c in gap.items():
-        union, inter = key >> p.n, key & low
-        exps = tuple((union >> k & 1) + (inter >> k & 1) for k in range(p.n))
-        terms[exps] = terms.get(exps, Fraction(0)) + Fraction(c, den)
-    return SparsePoly.make(p.n, terms)
+def reference_certified(p: SubsetPoly, gaps: list[dict]) -> bool:
+    """The reference decision; M_ii never has a negative coefficient."""
+    return not p.is_zero() and all(
+        all(c >= 0 for c in g.values()) and any(c > 0 for c in g.values()) for g in gaps
+    )
 
 
 class TestIntegerDominance:
@@ -143,9 +166,13 @@ class TestIntegerDominance:
             cases.append(SubsetPoly.product_measure(probs))
         outcomes = {True: 0, False: 0}
         for p in cases:
-            want = reference_gaps(p)
-            got = [integer_gap_as_sparse(p, gap) for gap in m_row_gaps(p)]
-            assert got == want, p
+            m = reference_m(p)
+            assert m_matrix(p).rows == tuple(
+                tuple(SparsePoly.make(p.n, entry) for entry in row) for row in m
+            ), p
+            want = reference_gaps(m)
+            got = DominanceCertificate(p).row_gaps
+            assert got == tuple(SparsePoly.make(p.n, gap) for gap in want), p
             certified = certify_log_concavity_dominance(p) is not None
             assert certified == reference_certified(p, want), p
             outcomes[certified] += 1
@@ -160,7 +187,7 @@ class TestIntegerDominance:
 
 
 def reference_slc(p: SubsetPoly, cfg: SampleConfig) -> dict:
-    """Each derivative on its own: fresh sample points, the SparsePoly certificate."""
+    """Each derivative on its own: fresh sample points, the reference certificate."""
     out = {}
     for a in range(1 << p.n):
         sample_points.cache_clear()
@@ -168,7 +195,7 @@ def reference_slc(p: SubsetPoly, cfg: SampleConfig) -> dict:
         trivial = trivial_log_concavity(q)
         if trivial is not None:
             out[a] = Holds(trivial)
-        elif reference_certified(q, reference_gaps(q)):
+        elif reference_certified(q, reference_gaps(reference_m(q))):
             out[a] = "dominance"
         else:
             out[a] = check_log_concavity_sampled(q, cfg, subset_mask=a)

@@ -246,14 +246,15 @@ class TestSparsePoly:
                 x = exact_point(random_positive_point(rng, n))
                 assert p.eval_exact(x) == s.eval_exact(x)
 
-    def test_abs_coeffs_bounds_on_positive_orthant(self):
-        rng = np.random.default_rng(16)
-        terms = {(2, 0, 0): Fraction(-3), (1, 1, 0): Fraction(5), (0, 0, 1): Fraction(-1)}
-        q = SparsePoly.make(3, terms)
-        bound = q.abs_coeffs()
-        for _ in range(50):
-            x = exact_point(random_positive_point(rng, 3))
-            assert abs(q.eval_exact(x)) <= bound.eval_exact(x)
+    def test_refuses_what_the_key_cannot_hold(self):
+        with pytest.raises(ValueError, match="0..2"):
+            SparsePoly.make(2, {(3, 0): 1})
+        with pytest.raises(ValueError, match="0..2"):
+            SparsePoly.make(2, {(-1, 0): 1})
+        x = SparsePoly.make(2, {(1, 0): 1})
+        with pytest.raises(ValueError, match="multi-affine"):
+            (x * x) * x
+        assert (x * x).eval_exact((3, 5)) == 9
 
     def test_format_is_deterministic(self):
         q = SparsePoly.make(3, {(0, 1, 1): 6, (0, 1, 0): 3, (0, 0, 1): 3, (0, 0, 0): 1})

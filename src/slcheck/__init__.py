@@ -67,7 +67,6 @@ from .distfile import (
     save_distribution,
 )
 from .family import (
-    FamilyParams,
     SweepCell,
     SweepConfig,
     SweepResult,

@@ -17,7 +17,8 @@ decide on the integer coefficients of `SubsetPoly.cleared_coeffs`.  A
 `DominanceCertificate` builds its symbolic matrix and gap polynomials from
 the same integer M, only when a caller reads them: its gaps are the ones
 the decision read.  Sampling reads every log-Hessian from the derivative
-table of `calculus` and only flags points.
+table of `calculus` and only flags points, confirming each from the scan's
+own Hessian and threshold.  `SampleConfig` validates itself when built.
 Both witnesses are proofs: a lattice witness holds its products in
 rationals, a point witness a point and vector with v^T M(x) v < 0 in
 integers (`calculus.m_form`), and neither is returned unless that holds.
@@ -36,8 +37,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .calculus import (SymbolicMatrix, log_hessian, log_hessian_many, m_form, m_matrix,
-                       m_row_gaps, uncleared)
+from .calculus import SymbolicMatrix, log_hessian_many, m_form, m_matrix, m_row_gaps, uncleared
 from .linalg import nsd_threshold
 from .poly import SparsePoly, SubsetPoly, format_subset
 
@@ -189,11 +189,6 @@ def exit_code(verdict: Verdict) -> int:
 # ----- negative lattice condition --------------------------------------------
 
 
-def _require_nonnegative(p: SubsetPoly) -> None:
-    if p.has_negative_coeff():
-        raise ValueError("weights must be nonnegative")
-
-
 def check_nlc(p: SubsetPoly) -> Verdict:
     """Exact log-submodularity check by full enumeration.
 
@@ -202,7 +197,6 @@ def check_nlc(p: SubsetPoly) -> Verdict:
     first violating pair by (S, T) bitmask, its products checked in
     rationals, or Holds with an enumeration certificate.
     """
-    _require_nonnegative(p)
     first = next(_nlc_violating_pairs(p), None)
     if first is None:
         return Holds(ExhaustiveEnumeration(pairs_checked=4**p.n))
@@ -211,7 +205,6 @@ def check_nlc(p: SubsetPoly) -> Verdict:
 
 def nlc_violations(p: SubsetPoly) -> list[NlcWitness]:
     """Every violating ordered pair in lexicographic (S, T) order, each checked in rationals."""
-    _require_nonnegative(p)
     return [_nlc_witness(p, s, t) for s, t in _nlc_violating_pairs(p)]
 
 
@@ -271,8 +264,9 @@ class SampleConfig:
     points log-uniform samples are drawn from box[0]..box[1] per coordinate,
     on top of a fixed deterministic grid.  tolerance is relative: at each
     point the largest log-Hessian eigenvalue may not exceed
-    tolerance * (1 + max |H entry|).  seed must be hashable, since
-    sample_points is memoized on the configuration.
+    tolerance * (1 + max |H entry|).  seed must be one numpy accepts, and
+    hashable, since sample_points is memoized on the configuration.
+    Construction refuses an invalid configuration.
     """
 
     points: int = 2000
@@ -280,7 +274,7 @@ class SampleConfig:
     seed: object = 0
     tolerance: float = 1e-9
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         lo, hi = self.box
         if not (0.0 < lo <= hi < math.inf):
             raise ValueError(f"box must satisfy 0 < lo <= hi < inf, got {self.box}")
@@ -288,6 +282,11 @@ class SampleConfig:
             raise ValueError("points must be nonnegative")
         if not 0.0 <= self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
+        try:
+            np.random.SeedSequence(self.seed)
+            hash(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad seed {self.seed!r}: {exc}") from None
 
 
 def grid_points(n: int) -> np.ndarray:
@@ -338,8 +337,6 @@ def check_log_concavity_sampled(
     confirmed failure wins.  subset_mask only labels the witness; the
     polynomial passed in is checked as is.
     """
-    _require_nonnegative(p)
-    cfg.validate()
     if p.is_zero():
         return Holds(TrivialLogConcavity("zero"))
     if p.is_constant():
@@ -356,12 +353,13 @@ def check_log_concavity_sampled(
         eigs = np.linalg.eigvalsh(hessians)[:, -1]
         thresholds = nsd_threshold(hessians, cfg.tolerance)
         max_seen = max(max_seen, float(eigs.max()))
-        bad = np.flatnonzero(eigs > thresholds)
-        for k in bad:
+        for k in np.flatnonzero(eigs > thresholds):
+            eigenvalues, vectors = np.linalg.eigh(hessians[k])
+            top, threshold = float(eigenvalues[-1]), float(thresholds[k])
             point = tuple(float(v) for v in chunk[k])
-            witness = _confirm_point_witness(p, point, cfg.tolerance, subset_mask)
-            if witness is not None:
-                return Violated(witness)
+            vector = tuple(float(c) for c in vectors[:, -1])
+            if top > threshold and m_form(p, point, vector) < 0:
+                return Violated(PointWitness(subset_mask, point, top, threshold, vector))
         tested += chunk.shape[0]
     stats = SampleStats(
         points_tested=tested,
@@ -371,23 +369,6 @@ def check_log_concavity_sampled(
         max_eigenvalue_seen=max_seen,
     )
     return NoViolationFound(stats)
-
-
-def _confirm_point_witness(
-    p: SubsetPoly, point: tuple[float, ...], tolerance: float, subset_mask: int
-) -> PointWitness | None:
-    """A witness at a flagged point, or None unless it is proved exactly.
-
-    The top eigenpair of the log-Hessian there must clear the threshold in
-    floats, and its eigenvector v must give v^T M(x) v < 0 in integers.
-    """
-    h = log_hessian(p, point)
-    eigenvalues, vectors = np.linalg.eigh(h)
-    top, threshold = float(eigenvalues[-1]), float(nsd_threshold(h, tolerance))
-    vector = tuple(float(c) for c in vectors[:, -1])
-    if top > threshold and m_form(p, point, vector) < 0:
-        return PointWitness(subset_mask, point, top, threshold, vector)
-    return None
 
 
 def verify_point_witness(p: SubsetPoly, witness: PointWitness) -> bool:
@@ -420,9 +401,6 @@ def certify_log_concavity_dominance(p: SubsetPoly) -> DominanceCertificate | Non
     the first failing row ends the attempt.  Returns None when this
     sufficient condition does not apply (which proves nothing).
     """
-    _require_nonnegative(p)
-    if p.is_zero():
-        return None
     for gap in m_row_gaps(p):
         if not (all(c >= 0 for c in gap.values()) and any(c > 0 for c in gap.values())):
             return None
@@ -454,8 +432,6 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     strategy is triviality, then the exact dominance certificate, then
     sampling.
     """
-    _require_nonnegative(p)
-    cfg.validate()
     results: dict[int, Verdict] = {}
     for a in range(1 << p.n):
         q = p.derivative_subset(a)

@@ -52,11 +52,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="nlc: exact lattice condition; lc: sampled log-concavity of g; "
         "slc: every derivative subset",
     )
-    p_check.add_argument("--samples", type=int, default=2000, help="random points per polynomial")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--tolerance", type=float, default=1e-9, help="relative NSD tolerance")
     p_check.add_argument(
-        "--box", nargs=2, type=float, default=(0.01, 100.0), metavar=("LO", "HI")
+        "--samples", type=int, default=SampleConfig.points, help="random points per polynomial"
+    )
+    p_check.add_argument("--seed", type=int, default=SampleConfig.seed)
+    p_check.add_argument(
+        "--tolerance", type=float, default=SampleConfig.tolerance, help="relative NSD tolerance"
+    )
+    p_check.add_argument(
+        "--box", nargs=2, type=float, default=SampleConfig.box, metavar=("LO", "HI")
     )
     p_check.add_argument(
         "--normalize", action="store_true", help="rescale weights to sum to one before checking"
@@ -68,15 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
         "repro-counterexample",
         help="verify the built-in strongly log-concave, non-log-submodular distribution",
     )
-    p_repro.add_argument("--seed", type=int, default=0)
+    p_repro.add_argument("--seed", type=int, default=SampleConfig.seed)
     p_repro.set_defaults(func=cmd_repro)
 
     p_sweep = sub.add_parser("sweep", help="sweep the (b, c) family and write region tables")
-    p_sweep.add_argument("--b-max", default="4", help="exact rational, e.g. 4 or 7/2")
-    p_sweep.add_argument("--c-max", default="4")
-    p_sweep.add_argument("--step", default="0.05", help="exact rational grid step")
-    p_sweep.add_argument("--samples", type=int, default=2000, help="random points per cell")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--b-max", default=SweepConfig.b_max, help="exact rational, e.g. 4 or 7/2")
+    p_sweep.add_argument("--c-max", default=SweepConfig.c_max)
+    p_sweep.add_argument("--step", default=SweepConfig.step, help="exact rational grid step")
+    p_sweep.add_argument(
+        "--samples", type=int, default=SweepConfig.samples_per_cell, help="random points per cell"
+    )
+    p_sweep.add_argument("--seed", type=int, default=SweepConfig.seed)
     p_sweep.add_argument("--out", default="sweep_out", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
@@ -120,21 +126,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"property: {args.property}",
     ]
     report: dict = {"property": args.property, "n": p.n}
-    if args.property == "nlc":
-        verdict = check_nlc(p)
-        lines += _render_verdict(verdict)
-        report.update(_jsonable_verdict(verdict))
-        code = exit_code(verdict)
-    elif args.property == "lc":
-        verdict = check_log_concavity_sampled(p, cfg)
-        lines += _render_verdict(verdict)
-        report.update(_jsonable_verdict(verdict))
-        code = exit_code(verdict)
-    else:
+    if args.property == "slc":
         slc = check_slc(p, cfg)
         lines += _render_slc(slc)
         report.update(_jsonable_slc(slc))
         code = exit_code(slc.aggregate)
+    else:
+        verdict = check_nlc(p) if args.property == "nlc" else check_log_concavity_sampled(p, cfg)
+        lines += _render_verdict(verdict)
+        report.update(_jsonable_verdict(verdict))
+        code = exit_code(verdict)
     print("\n".join(lines))
     if args.report:
         with open(args.report, "w") as fh:
@@ -248,10 +249,10 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = SweepConfig.of(
-        b_max=str(args.b_max),
-        c_max=str(args.c_max),
-        step=str(args.step),
+    cfg = SweepConfig(
+        b_max=args.b_max,
+        c_max=args.c_max,
+        step=args.step,
         samples_per_cell=args.samples,
         seed=args.seed,
     )

@@ -97,7 +97,7 @@ def loads_distribution(text: str) -> SubsetPoly:
             )
         try:
             weight = as_fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise DistributionFormatError(f"bad rational {value!r}: {exc}") from None
         if weight < 0:
             raise DistributionFormatError(f"negative weight {value!r} for key {key!r}")

@@ -10,6 +10,7 @@ inequality, b^2 >= 4c: singleton-singleton pairs are the only incomparable
 pairs whose products are not automatically ordered.  `sweep` walks a (b, c)
 grid and records, per cell, the exact lattice verdict next to a sampled
 log-concavity verdict, which is the data behind the region tables.
+Negative parameters and invalid sweep settings are refused on conversion.
 """
 
 from __future__ import annotations
@@ -33,37 +34,29 @@ from .poly import RationalLike, SubsetPoly, as_fraction
 CELL_CAP = 250_000
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Nonnegative rational parameters (b, c)."""
-
-    b: Fraction
-    c: Fraction
-
-    def __post_init__(self) -> None:
-        if self.b < 0 or self.c < 0:
-            raise ValueError(f"family parameters must be nonnegative, got ({self.b}, {self.c})")
-
-    @staticmethod
-    def of(b: RationalLike, c: RationalLike) -> FamilyParams:
-        return FamilyParams(as_fraction(b), as_fraction(c))
+def _params(b: RationalLike, c: RationalLike) -> tuple[Fraction, Fraction]:
+    """(b, c) as Fractions; raises ValueError if either is negative."""
+    b, c = as_fraction(b), as_fraction(c)
+    if b < 0 or c < 0:
+        raise ValueError(f"family parameters must be nonnegative, got ({b}, {c})")
+    return b, c
 
 
 def make_family(b: RationalLike, c: RationalLike) -> SubsetPoly:
     """The normalized family member at (b, c)."""
-    params = FamilyParams.of(b, c)
+    b, c = _params(b, c)
     weights = {0: Fraction(4)}
     for k in range(3):
-        weights[1 << k] = params.b
+        weights[1 << k] = b
     for mask in (0b011, 0b101, 0b110):
-        weights[mask] = params.c
+        weights[mask] = c
     return SubsetPoly.from_weights(3, weights).normalize()
 
 
 def nlc_region_exact(b: RationalLike, c: RationalLike) -> bool:
     """Closed-form lattice condition for the family: b^2 >= 4c, exactly."""
-    params = FamilyParams.of(b, c)
-    return params.b * params.b >= 4 * params.c
+    b, c = _params(b, c)
+    return b * b >= 4 * c
 
 
 # ----- grid sweep -------------------------------------------------------------
@@ -74,8 +67,9 @@ class SweepConfig:
     """Grid and sampling parameters for a (b, c) sweep.
 
     b and c run over {0, step, 2*step, ...} up to b_max and c_max.  The grid
-    values are exact rationals; pass steps like '0.05' as strings so nothing
-    is rounded before the exact lattice check.  Each cell is sampled in
+    values are exact rationals; b_max, c_max and step are converted with
+    as_fraction, so pass steps like '0.05' as strings.  Construction refuses
+    an invalid grid, sample count or seed.  Each cell is sampled in
     SampleConfig's default box at its default tolerance.
     """
 
@@ -85,29 +79,17 @@ class SweepConfig:
     samples_per_cell: int = 2000
     seed: int = 0
 
-    @staticmethod
-    def of(
-        b_max: RationalLike = Fraction(4),
-        c_max: RationalLike = Fraction(4),
-        step: RationalLike = Fraction(1, 20),
-        samples_per_cell: int = 2000,
-        seed: int = 0,
-    ) -> SweepConfig:
-        return SweepConfig(
-            b_max=as_fraction(b_max),
-            c_max=as_fraction(c_max),
-            step=as_fraction(step),
-            samples_per_cell=samples_per_cell,
-            seed=seed,
-        )
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("b_max", "c_max", "step"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.b_max < 0 or self.c_max < 0:
             raise ValueError("parameter ranges must be nonnegative")
         if self.samples_per_cell < 0:
             raise ValueError("samples_per_cell must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if (self.b_max // self.step + 1) * (self.c_max // self.step + 1) > CELL_CAP:
             raise ValueError(f"sweep would exceed the {CELL_CAP} cell cap")
 
@@ -163,7 +145,6 @@ def sweep(cfg: SweepConfig = SweepConfig()) -> SweepResult:
     sweep seed and the cell's grid indices, so results are reproducible and
     independent of iteration order.
     """
-    cfg.validate()
     cells = []
     for bi, b in enumerate(cfg.grid_b()):
         for ci, c in enumerate(cfg.grid_c()):

@@ -45,7 +45,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(
         f"expected an exact rational (int, Fraction, or string), got {type(value).__name__}; "
         "write floats as strings, e.g. '0.05'"
@@ -83,10 +86,11 @@ def format_subset(mask: int) -> str:
 
 @dataclass(frozen=True)
 class SubsetPoly:
-    """Multi-affine polynomial with exact rational coefficients.
+    """Multi-affine polynomial with nonnegative exact rational coefficients.
 
     coeffs[mask] is the coefficient of prod_{bit k set in mask} x_{k+1}.
-    Instances are immutable; every operation returns a new polynomial.
+    Construction refuses a negative one.  Instances are immutable; every
+    operation returns a new polynomial.
     """
 
     n: int
@@ -101,6 +105,8 @@ class SubsetPoly:
             )
         if not all(isinstance(c, Fraction) for c in self.coeffs):
             raise TypeError("coefficients must be Fraction; use SubsetPoly.from_weights")
+        if any(c.numerator < 0 for c in self.coeffs):
+            raise ValueError("weights must be nonnegative")
 
     # ----- constructors -------------------------------------------------
 
@@ -170,11 +176,8 @@ class SubsetPoly:
         """Total degree at most one (only the empty set and singletons weighted)."""
         return all(c == 0 for m, c in enumerate(self.coeffs) if m & (m - 1))
 
-    def has_negative_coeff(self) -> bool:
-        return any(c < 0 for c in self.coeffs)
-
     def is_distribution(self) -> bool:
-        return not self.has_negative_coeff() and self.coeff_sum() == 1
+        return self.coeff_sum() == 1
 
     # ----- evaluation ---------------------------------------------------
 

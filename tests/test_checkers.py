@@ -82,9 +82,9 @@ class TestLatticeCondition:
         assert isinstance(check_nlc(SubsetPoly.constant(2, 3)), Holds)
 
     def test_rejects_negative_weights(self):
-        p = SubsetPoly(2, (Fraction(1), Fraction(-1), Fraction(0), Fraction(0)))
-        with pytest.raises(ValueError):
-            check_nlc(p)
+        # A signed polynomial cannot be built, so no checker is handed one.
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            SubsetPoly(2, (Fraction(1), Fraction(-1), Fraction(0), Fraction(0)))
 
     def test_matches_brute_force_oracle(self):
         def agrees(p: SubsetPoly) -> list:
@@ -185,19 +185,24 @@ class TestSampling:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SampleConfig(box=(0.0, 1.0)).validate()
+            SampleConfig(box=(0.0, 1.0))
         with pytest.raises(ValueError):
-            SampleConfig(box=(2.0, 1.0)).validate()
+            SampleConfig(box=(2.0, 1.0))
         with pytest.raises(ValueError):
-            SampleConfig(points=-1).validate()
+            SampleConfig(points=-1)
         with pytest.raises(ValueError):
-            SampleConfig(tolerance=-1e-9).validate()
+            SampleConfig(tolerance=-1e-9)
         for box in ((0.01, math.inf), (math.nan, 1.0), (0.01, math.nan), (math.inf, math.inf)):
             with pytest.raises(ValueError, match="box"):
-                SampleConfig(box=box).validate()
+                SampleConfig(box=box)
         for tolerance in (math.nan, math.inf):
             with pytest.raises(ValueError, match="tolerance"):
-                SampleConfig(tolerance=tolerance).validate()
+                SampleConfig(tolerance=tolerance)
+        for seed in (-1, (0, -1, 2), 1.5, "7", [1, 2]):
+            with pytest.raises(ValueError, match="seed"):
+                SampleConfig(seed=seed)
+        for seed in (None, 0, 2**70, (0, 1, 2)):
+            SampleConfig(seed=seed)
 
     def test_one_plus_xy_violated(self):
         verdict = check_log_concavity_sampled(one_plus_xy(), SampleConfig(points=100))
@@ -380,9 +385,8 @@ class TestFullCheck:
         assert report.aggregate.stats.points_tested == 125 + 30
 
     def test_rejects_negative_weights(self):
-        p = SubsetPoly(1, (Fraction(-1), Fraction(2)))
-        with pytest.raises(ValueError):
-            check_slc(p)
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            SubsetPoly.from_weights(1, {0: -1, 1: 2})
 
     def test_tiny_weights_are_checked(self):
         # Every weight on a set holding variable 4 is below the smallest float.

@@ -262,12 +262,43 @@ class TestErrorPaths:
         )
         assert main(["check", str(path), "lc"]) == 1  # violated at the first grid point
         capsys.readouterr()
-        for prop in ("lc", "slc"):
+        for prop in ("nlc", "lc", "slc"):
             for extra in (["--tolerance", "nan"], ["--tolerance", "inf"], ["--box", "0.01", "inf"]):
                 code = main(["check", str(path), prop, *extra])
                 out, err = capsys.readouterr()
                 assert code == 2, (prop, extra)
                 assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_nlc_validates_sampling_options(self, xy_file, capsys):
+        code = main(["check", xy_file, "nlc", "--samples", "-5", "--tolerance", "nan",
+                     "--box", "5", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        # (1 + x)(1 + y): slc and nlc decide it without drawing a point.
+        path = tmp_path / "product.json"
+        path.write_text('{"n": 2, "coefficients": {"": "1", "1": "1", "2": "1", "1,2": "1"}}')
+        runs = [["check", str(path), prop, "--seed", "-1"] for prop in ("nlc", "lc", "slc")]
+        # A one-cell grid whose only member is constant, so nothing is sampled.
+        runs.append(["sweep", "--b-max", "0", "--c-max", "0", "--seed", "-1",
+                     "--out", str(tmp_path / "tables")])
+        for argv in runs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code == 2, argv
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+            assert "seed" in err
+        assert not (tmp_path / "tables").exists()
+
+    def test_zero_denominator_in_sweep_options(self, tmp_path, capsys):
+        for option in ("--step", "--b-max", "--c-max"):
+            code = main(["sweep", option, "1/0", "--out", str(tmp_path / "tables")])
+            out, err = capsys.readouterr()
+            assert code == 2, option
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+            assert "zero denominator" in err
 
     def test_negative_weight_file(self, tmp_path, capsys):
         path = tmp_path / "neg.json"

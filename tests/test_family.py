@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from slcheck import (
-    FamilyParams,
     Holds,
     SweepConfig,
     check_nlc,
@@ -44,8 +43,8 @@ class TestFamilyConstruction:
     def test_rejects_negative_parameters(self):
         with pytest.raises(ValueError):
             make_family(-1, 2)
-        with pytest.raises(ValueError):
-            FamilyParams.of(1, "-1/2")
+        with pytest.raises(ValueError, match="family parameters"):
+            nlc_region_exact(1, "-1/2")
 
 
 class TestRegionLaw:
@@ -73,7 +72,7 @@ class TestRegionLaw:
 def small_config(**overrides) -> SweepConfig:
     base = dict(b_max=2, c_max=1, step="1/4", samples_per_cell=40, seed=7)
     base.update(overrides)
-    return SweepConfig.of(**base)
+    return SweepConfig(**base)
 
 
 class TestSweep:
@@ -81,14 +80,20 @@ class TestSweep:
         cfg = small_config()
         assert cfg.grid_b() == tuple(Fraction(k, 4) for k in range(9))
         assert cfg.grid_c() == tuple(Fraction(k, 4) for k in range(5))
+        assert SweepConfig("4", "4", "0.05") == SweepConfig()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SweepConfig.of(step=0).validate()
+            SweepConfig(step=0)
         with pytest.raises(ValueError):
-            SweepConfig.of(step="1/100000").validate()  # over the cell cap
+            SweepConfig(step="1/100000")  # over the cell cap
         with pytest.raises(ValueError):
-            SweepConfig.of(samples_per_cell=-1).validate()
+            SweepConfig(samples_per_cell=-1)
+        with pytest.raises(ValueError, match="seed"):
+            SweepConfig(seed=-1)
+        for field in ("b_max", "c_max", "step"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                SweepConfig(**{field: "1/0"})
 
     def test_cells_and_flags(self):
         result = sweep(small_config())

@@ -44,6 +44,8 @@ class TestConstruction:
         assert as_fraction("3/22") == Fraction(3, 22)
         assert as_fraction("0.05") == Fraction(1, 20)
         assert as_fraction(7) == Fraction(7)
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_fraction("1/0")
 
     def test_product_measure_is_distribution(self):
         p = SubsetPoly.product_measure(["1/2", "1/3", "1/4"])

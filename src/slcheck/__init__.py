@@ -12,7 +12,6 @@ holds inside a two-parameter family.
 """
 
 from .calculus import (
-    SymbolicMatrix,
     derivative_table,
     eval_many,
     log_hessian,
@@ -76,7 +75,6 @@ from .family import (
     sweep,
 )
 from .linalg import (
-    EigenResult,
     eigen_sym,
     nsd_threshold,
 )

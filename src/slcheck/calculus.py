@@ -31,21 +31,20 @@ Both the float and the exact side work on the coefficient vector directly.
     rationals, and returns the exact sign of v^T M(x) v, which proves a
     sampled violation.
 
-No check runs `m_matrix`: it serves display, the counterexample replay and
-the tests, and its entries are evaluated only exactly
-(`SymbolicMatrix.eval_exact`).
+No check runs `m_matrix`: it serves the counterexample replay and the
+tests, as rows of `SparsePoly` entries that are evaluated only exactly
+(`SparsePoly.eval_exact`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .poly import RationalLike, SparsePoly, SubsetPoly, add_products, as_fraction
+from .poly import SparsePoly, SubsetPoly, add_products
 
 # A derivative table has 2**n rows, one per derivative subset, and a column
 # per point; points are taken in blocks that keep it near this many float64
@@ -149,32 +148,6 @@ def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SymbolicMatrix:
-    """Symmetric matrix of SparsePoly entries, stored densely."""
-
-    n: int
-    rows: tuple[tuple[SparsePoly, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise ValueError("rows do not form an n-by-n matrix")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError(f"symbolic matrix is not symmetric at ({i}, {j})")
-
-    def entry(self, i: int, j: int) -> SparsePoly:
-        return self.rows[i][j]
-
-    def scaled(self, factor: RationalLike) -> SymbolicMatrix:
-        f = as_fraction(factor)
-        return SymbolicMatrix(self.n, tuple(tuple(e * f for e in row) for row in self.rows))
-
-    def eval_exact(self, point: Sequence[RationalLike]) -> list[list[Fraction]]:
-        return [[e.eval_exact(point) for e in row] for row in self.rows]
-
-
 # ----- exact M matrix on integer coefficients ----------------------------------
 
 
@@ -209,9 +182,10 @@ def uncleared(p: SubsetPoly, cleared: Mapping[int, int]) -> SparsePoly:
     return SparsePoly(p.n, {key: Fraction(c, scale) for key, c in cleared.items() if c})
 
 
-def m_matrix(p: SubsetPoly) -> SymbolicMatrix:
-    """The polynomial matrix grad g grad g^T - g * D2g, exactly.
+def m_matrix(p: SubsetPoly) -> tuple[tuple[SparsePoly, ...], ...]:
+    """The polynomial matrix grad g grad g^T - g * D2g, exactly, as rows.
 
+    Entry (i, j) is m[i][j], one object at both (i, j) and (j, i).
     Positive semidefiniteness of this matrix at a positive point is
     equivalent to negative semidefiniteness of the log-Hessian there.
     Diagonal entries reduce to squared first derivatives.  The entries are
@@ -222,7 +196,7 @@ def m_matrix(p: SubsetPoly) -> SymbolicMatrix:
     for i, upper in enumerate(_cleared_m_rows(p)):
         for j, entry in enumerate(upper, i):
             rows[i][j] = rows[j][i] = uncleared(p, entry)
-    return SymbolicMatrix(p.n, tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
 def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:

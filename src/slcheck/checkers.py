@@ -14,11 +14,11 @@ monomial, or an affine polynomial).
 
 The lattice scan and the dominance certificate (`calculus.m_row_gaps`)
 decide on the integer coefficients of `SubsetPoly.cleared_coeffs`.  A
-`DominanceCertificate` builds its symbolic matrix and gap polynomials from
-the same integer M, only when a caller reads them: its gaps are the ones
-the decision read.  Sampling reads every log-Hessian from the derivative
-table of `calculus` and only flags points, confirming each from the scan's
-own Hessian and threshold.  `SampleConfig` validates itself when built.
+`DominanceCertificate` builds its gap polynomials from the same integer M,
+only when a caller reads them: they are the gaps the decision read.
+Sampling reads every log-Hessian from the derivative table of `calculus`
+and only flags points, confirming each from the scan's own Hessian and
+threshold.  `SampleConfig` validates itself when built.
 Both witnesses are proofs: a lattice witness holds its products in
 rationals, a point witness a point and vector with v^T M(x) v < 0 in
 integers (`calculus.m_form`), and neither is returned unless that holds.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -37,7 +38,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .calculus import SymbolicMatrix, log_hessian_many, m_form, m_matrix, m_row_gaps, uncleared
+from .calculus import log_hessian_many, m_form, m_row_gaps, uncleared
 from .linalg import nsd_threshold
 from .poly import SparsePoly, SubsetPoly, format_subset
 
@@ -72,16 +73,12 @@ class DominanceCertificate:
     off-diagonal row entries.  Every gap has nonnegative coefficients and at
     least one positive coefficient, so on the open positive orthant M is
     strictly diagonally dominant with positive diagonal, hence positive
-    definite, hence log g is concave there.  matrix and row_gaps are built
-    exactly on first read; row_gaps are the integer gaps of
-    `calculus.m_row_gaps` that the decision read, divided by L^2.
+    definite, hence log g is concave there.  row_gaps are built exactly on
+    first read: they are the integer gaps of `calculus.m_row_gaps` that the
+    decision read, divided by L^2.
     """
 
     poly: SubsetPoly
-
-    @cached_property
-    def matrix(self) -> SymbolicMatrix:
-        return m_matrix(self.poly)
 
     @cached_property
     def row_gaps(self) -> tuple[SparsePoly, ...]:
@@ -266,7 +263,8 @@ class SampleConfig:
     point the largest log-Hessian eigenvalue may not exceed
     tolerance * (1 + max |H entry|).  seed must be one numpy accepts, and
     hashable, since sample_points is memoized on the configuration.
-    Construction refuses an invalid configuration.
+    Construction stores box as two floats and points as an int, and refuses
+    an invalid configuration.
     """
 
     points: int = 2000
@@ -275,9 +273,14 @@ class SampleConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        lo, hi = self.box
+        lo, hi = map(float, self.box)
+        object.__setattr__(self, "box", (lo, hi))
         if not (0.0 < lo <= hi < math.inf):
             raise ValueError(f"box must satisfy 0 < lo <= hi < inf, got {self.box}")
+        try:
+            object.__setattr__(self, "points", operator.index(self.points))
+        except TypeError:
+            raise ValueError(f"points must be an integer, got {self.points!r}") from None
         if self.points < 0:
             raise ValueError("points must be nonnegative")
         if not 0.0 <= self.tolerance < math.inf:

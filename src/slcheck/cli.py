@@ -32,7 +32,7 @@ from .checkers import (
     exit_code,
 )
 from .counterexample import run_reproduction
-from .distfile import DistributionFormatError, load_distribution
+from .distfile import load_distribution
 from .family import SweepConfig, emit_region_tables, sweep
 from .poly import format_subset
 
@@ -98,7 +98,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (DistributionFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -116,7 +116,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         p = p.normalize()
     cfg = SampleConfig(
         points=args.samples,
-        box=(args.box[0], args.box[1]),
+        box=args.box,
         seed=args.seed,
         tolerance=args.tolerance,
     )

@@ -16,6 +16,7 @@ Negative parameters and invalid sweep settings are refused on conversion.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,6 @@ from typing import Sequence
 
 from .checkers import (
     Holds,
-    NoViolationFound,
     SampleConfig,
     Violated,
     check_nlc,
@@ -82,6 +82,12 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for name in ("b_max", "c_max", "step"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        for name in ("samples_per_cell", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.b_max < 0 or self.c_max < 0:
@@ -112,7 +118,6 @@ class SweepCell:
     nlc: bool
     slc_no_violation: bool
     certified: bool
-    points_tested: int
 
 
 @dataclass(frozen=True)
@@ -151,25 +156,10 @@ def sweep(cfg: SweepConfig = SweepConfig()) -> SweepResult:
             p = make_family(b, c)
             nlc = isinstance(check_nlc(p), Holds)
             sample_cfg = SampleConfig(points=cfg.samples_per_cell, seed=(cfg.seed, bi, ci))
-            report = check_slc(p, sample_cfg)
-            violated = isinstance(report.aggregate, Violated)
-            certified = isinstance(report.aggregate, Holds)
-            points = _points_tested(report.subsets.values())
-            cells.append(
-                SweepCell(
-                    b=b,
-                    c=c,
-                    nlc=nlc,
-                    slc_no_violation=not violated,
-                    certified=certified,
-                    points_tested=points,
-                )
-            )
+            aggregate = check_slc(p, sample_cfg).aggregate
+            slc = not isinstance(aggregate, Violated)
+            cells.append(SweepCell(b, c, nlc, slc, certified=isinstance(aggregate, Holds)))
     return SweepResult(config=cfg, cells=tuple(cells))
-
-
-def _points_tested(verdicts) -> int:
-    return sum(v.stats.points_tested for v in verdicts if isinstance(v, NoViolationFound))
 
 
 # ----- output files -------------------------------------------------------------

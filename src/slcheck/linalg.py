@@ -1,38 +1,22 @@
 """Small dense symmetric matrix routines.
 
 Every eigen solve in the library is LAPACK's: `eigen_sym` validates one
-symmetric matrix (dimension at most 16) and hands it to eigvalsh, the
-sampler scans stacks with eigvalsh and takes each flagged point's top
-eigenvector from eigh.  No decision rests on these floats alone.  Exact
-definiteness is decided by the dominance certificate on integer
-coefficients (`calculus.m_row_gaps`), and a point witness is proved by the
-exact sign of v^T M(x) v (`calculus.m_form`).
+symmetric matrix (dimension at most 16), hands it to eigvalsh and returns
+the eigenvalues as a tuple of floats; the sampler scans stacks with
+eigvalsh and takes each flagged point's top eigenvector from eigh.  No
+decision rests on these floats alone.  Exact definiteness is decided by
+the dominance certificate on integer coefficients (`calculus.m_row_gaps`),
+and a point witness is proved by the exact sign of v^T M(x) v
+(`calculus.m_form`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .poly import MAX_VARS
 
 SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues of a real symmetric matrix, sorted ascending."""
-
-    eigenvalues: tuple[float, ...]
-
-    @property
-    def min(self) -> float:
-        return self.eigenvalues[0]
-
-    @property
-    def max(self) -> float:
-        return self.eigenvalues[-1]
 
 
 def _as_sym_array(matrix) -> np.ndarray:
@@ -48,9 +32,9 @@ def _as_sym_array(matrix) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def eigen_sym(matrix) -> EigenResult:
-    """Eigenvalues of a validated symmetric matrix, by LAPACK's eigvalsh."""
-    return EigenResult(tuple(float(v) for v in np.linalg.eigvalsh(_as_sym_array(matrix))))
+def eigen_sym(matrix) -> tuple[float, ...]:
+    """Ascending eigenvalues of a validated symmetric matrix, by LAPACK's eigvalsh."""
+    return tuple(float(v) for v in np.linalg.eigvalsh(_as_sym_array(matrix)))
 
 
 def nsd_threshold(matrix, rel_tol: float) -> float | np.ndarray:

@@ -269,12 +269,6 @@ class SubsetPoly:
         return sparse_from_subset(self).__str__()
 
 
-def default_var_names(n: int) -> tuple[str, ...]:
-    if n <= 3:
-        return ("x", "y", "z")[:n]
-    return tuple(f"x{i}" for i in range(1, n + 1))
-
-
 def add_products(n: int, out: dict, f, h, sign: int) -> None:
     """Add sign * f * h into out under the monomial key, zero sums included.
 
@@ -400,13 +394,11 @@ class SparsePoly:
     def __str__(self) -> str:
         return self.format()
 
-    def format(self, var_names: Sequence[str] | None = None) -> str:
-        """Deterministic human-readable rendering, low degree terms first."""
+    def format(self) -> str:
+        """Deterministic rendering in x, y, z (x1..xn for n > 3), low degree terms first."""
         if not self.terms:
             return "0"
-        names = var_names or default_var_names(self.n)
-        if len(names) != self.n:
-            raise ValueError(f"need {self.n} variable names, got {len(names)}")
+        names = "xyz" if self.n <= 3 else [f"x{i}" for i in range(1, self.n + 1)]
         pieces = []
         terms = ((_exponents(self.n, key), c) for key, c in self.terms.items())
         for exps, c in sorted(terms, key=lambda t: (sum(t[0]), tuple(-v for v in t[0]))):

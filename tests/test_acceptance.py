@@ -89,7 +89,7 @@ def test_c3_first_derivative_eigenvalues():
         y, z = (float(v) for v in np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=2)))
         h = log_hessian(d1, (1.0, y, z))
         scaled = -((y + z + 1.0) ** 2) * h
-        eigs = np.array(eigen_sym(scaled).eigenvalues)
+        eigs = np.array(eigen_sym(scaled))
         assert float(np.max(np.abs(eigs - np.array([0.0, 0.0, 2.0])))) <= 1e-9
 
 

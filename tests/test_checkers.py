@@ -27,6 +27,7 @@ from slcheck import (
     exit_code,
     format_fraction_pair,
     grid_points,
+    m_matrix,
     nlc_violations,
     sample_points,
     trivial_log_concavity,
@@ -203,6 +204,17 @@ class TestSampling:
                 SampleConfig(seed=seed)
         for seed in (None, 0, 2**70, (0, 1, 2)):
             SampleConfig(seed=seed)
+        for points in (2.5, "7", None):
+            with pytest.raises(ValueError, match="points"):
+                SampleConfig(points=points)
+        cfg = SampleConfig(points=np.int64(30), box=[0.5, np.float64(2.0)])
+        assert cfg == SampleConfig(points=30, box=(0.5, 2.0))
+        assert type(cfg.points) is int and type(cfg.box) is tuple and type(cfg.box[1]) is float
+        # A list box is stored as a tuple, so the memoized sampler accepts it.
+        p = one_plus_xy()
+        tuple_cfg = SampleConfig(points=30, box=(0.5, 2.0))
+        assert check_log_concavity_sampled(p, cfg) == check_log_concavity_sampled(p, tuple_cfg)
+        assert check_slc(p, cfg) == check_slc(p, tuple_cfg)
 
     def test_one_plus_xy_violated(self):
         verdict = check_log_concavity_sampled(one_plus_xy(), SampleConfig(points=100))
@@ -221,6 +233,22 @@ class TestSampling:
         # Along e_1, v^T M v = (d_1 g)^2 >= 0, so the doctored witness proves nothing.
         doctored = PointWitness(w.subset_mask, w.point, w.max_eigenvalue, w.threshold, (1.0, 0.0))
         assert not verify_point_witness(one_plus_xy(), doctored)
+
+    def test_float_recheck_refuses_a_top_eigenvalue_under_the_threshold(self, monkeypatch):
+        # eigvalsh flags points of 1 + xy; if eigh then puts the top eigenvalue
+        # at 0.0, under the threshold, no witness may claim it exceeds it,
+        # even though m_form still proves v^T M(x) v < 0 along its vector.
+        eigh = np.linalg.eigh
+
+        def flat_top(a):
+            values, vectors = eigh(a)
+            values = values.copy()
+            values[..., -1] = 0.0
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", flat_top)
+        verdict = check_log_concavity_sampled(SubsetPoly.from_weights(2, {0: 1, 3: 1}))
+        assert isinstance(verdict, NoViolationFound)
 
     def test_never_holds_from_samples(self, counterexample):
         # Log-concave but not structurally trivial: sampling must stay agnostic.
@@ -305,7 +333,8 @@ class TestDominanceCertificate:
         p = SubsetPoly.product_measure([Fraction(1, 2), Fraction(1, 3)])
         cert = certify_log_concavity_dominance(p)
         assert cert is not None
-        assert all(cert.matrix.entry(i, j).is_zero() for i in range(2) for j in range(2) if i != j)
+        m = m_matrix(cert.poly)
+        assert all(m[i][j].is_zero() for i in range(2) for j in range(2) if i != j)
 
     def test_pure_monomial_certified(self):
         p = SubsetPoly.from_weights(2, {0b11: 1})  # g = xy

@@ -50,14 +50,14 @@ class TestReferenceMatrix:
                 (0, 1, 1): 6,
             },
         )
-        assert r.entry(0, 0) == want
+        assert r[0][0] == want
         # The (0, 1) entry lives in the missing variable z.
-        assert r.entry(0, 1) == SparsePoly.make(3, {(0, 0, 0): -1, (0, 0, 1): 3, (0, 0, 2): 3})
-        assert r.entry(0, 1) == r.entry(1, 0)
+        assert r[0][1] == SparsePoly.make(3, {(0, 0, 0): -1, (0, 0, 1): 3, (0, 0, 2): 3})
+        assert r[0][1] == r[1][0]
 
     def test_value_at_ones(self):
-        vals = reference_matrix().eval_exact((1, 1, 1))
-        assert [row[:] for row in vals] == [
+        vals = [[e.eval_exact((1, 1, 1)) for e in row] for row in reference_matrix()]
+        assert vals == [
             [27, 5, 5],
             [5, 27, 5],
             [5, 5, 27],
@@ -68,6 +68,10 @@ class TestReferenceMatrix:
             3, {(0, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 3, (0, 1, 1): 6}
         )
         assert reference_row_gap().format() == "1 + 3*y + 3*z + 6*y*z"
+
+
+def scaled(m, q):
+    return tuple(tuple(e * q for e in row) for row in m)
 
 
 class TestProportionality:
@@ -83,13 +87,13 @@ class TestProportionality:
     def test_self_proportionality(self):
         r = reference_matrix()
         assert proportionality_scalar(r, r) == 1
-        assert proportionality_scalar(r.scaled(Fraction(5, 7)), r) == Fraction(5, 7)
+        assert proportionality_scalar(scaled(r, Fraction(5, 7)), r) == Fraction(5, 7)
 
     def test_rejects_non_proportional(self, counterexample, raw_counterexample):
         r = reference_matrix()
         assert proportionality_scalar(m_matrix(counterexample.derivative(1)), r) is None
         # A negative multiple is not accepted: the scalar must be positive.
-        assert proportionality_scalar(r.scaled(Fraction(-1)), r) is None
+        assert proportionality_scalar(scaled(r, Fraction(-1)), r) is None
 
 
 class TestReproduction:
@@ -115,4 +119,4 @@ class TestReproduction:
     def test_seed_independence(self):
         # Different streams, same verdicts: the sampled pieces only confirm.
         assert run_reproduction(seed=1).passed
-        assert run_reproduction(eigen_samples=5, seed=2).passed
+        assert run_reproduction(seed=2).passed

@@ -94,6 +94,13 @@ class TestSweep:
         for field in ("b_max", "c_max", "step"):
             with pytest.raises(ValueError, match="zero denominator"):
                 SweepConfig(**{field: "1/0"})
+        for field in ("samples_per_cell", "seed"):
+            for value in (2.5, "3", None):
+                with pytest.raises(ValueError, match=field):
+                    SweepConfig(**{field: value})
+        cfg = SweepConfig(samples_per_cell=np.int64(20), seed=np.int64(3))
+        assert cfg == SweepConfig(samples_per_cell=20, seed=3)
+        assert type(cfg.samples_per_cell) is int and type(cfg.seed) is int
 
     def test_cells_and_flags(self):
         result = sweep(small_config())

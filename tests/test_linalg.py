@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slcheck import EigenResult, eigen_sym, nsd_threshold
+from slcheck import eigen_sym, nsd_threshold
 
 
 def random_symmetric_rational(rng: np.random.Generator, n: int) -> list[list[Fraction]]:
@@ -33,29 +33,27 @@ def leibniz_det(rows: list[list[Fraction]]) -> Fraction:
 
 class TestEigenSym:
     def test_identity(self):
-        assert eigen_sym(np.eye(3)).eigenvalues == (1.0, 1.0, 1.0)
+        assert eigen_sym(np.eye(3)) == (1.0, 1.0, 1.0)
 
     def test_one_by_one(self):
-        r = eigen_sym([[-2.5]])
-        assert r.eigenvalues == (-2.5,)
-        assert r.min == r.max == -2.5
+        assert eigen_sym([[-2.5]]) == (-2.5,)
 
     def test_rank_two_projector_block(self):
         # Scaled outer product on the (y, z) coordinates; spectrum {0, 0, 2}.
         w = [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
-        np.testing.assert_allclose(eigen_sym(w).eigenvalues, [0.0, 0.0, 2.0], atol=1e-14)
+        np.testing.assert_allclose(eigen_sym(w), [0.0, 0.0, 2.0], atol=1e-14)
 
     def test_reference_matrix_at_ones(self):
         # 27 on the diagonal, 5 off: eigenvalues 22 (twice) and 37.
         r = [[27, 5, 5], [5, 27, 5], [5, 5, 27]]
-        np.testing.assert_allclose(eigen_sym(r).eigenvalues, [22.0, 22.0, 37.0], rtol=1e-13)
+        np.testing.assert_allclose(eigen_sym(r), [22.0, 22.0, 37.0], rtol=1e-13)
 
     def test_trace_and_determinant_identities(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
             n = int(rng.integers(1, 5))
             rows = random_symmetric_rational(rng, n)
-            ev = eigen_sym([[float(v) for v in row] for row in rows]).eigenvalues
+            ev = eigen_sym([[float(v) for v in row] for row in rows])
             det_exact = float(leibniz_det(rows))
             trace_exact = float(sum(rows[i][i] for i in range(n)))
             scale = 1.0 + max(abs(v) for v in ev)
@@ -85,7 +83,7 @@ class TestEigenSym:
         rng = np.random.default_rng(33)
         for _ in range(50):
             a = rng.standard_normal((4, 4))
-            ev = eigen_sym((a + a.T) / 2.0).eigenvalues
+            ev = eigen_sym((a + a.T) / 2.0)
             assert all(ev[k] <= ev[k + 1] for k in range(3))
 
 
@@ -100,8 +98,3 @@ class TestThreshold:
     def test_stack_gets_one_threshold_per_matrix(self):
         stack = [[[0.0, 0.0], [0.0, 0.0]], [[3.0, -4.0], [-4.0, 1.0]], [[1.0, -7.5], [-7.5, 2.0]]]
         np.testing.assert_array_equal(nsd_threshold(stack, 1.0), [1.0, 5.0, 8.5])
-
-    def test_eigen_result_accessors(self):
-        r = EigenResult((-1.0, 0.0, 4.0))
-        assert r.min == -1.0
-        assert r.max == 4.0

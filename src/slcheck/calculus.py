@@ -19,10 +19,10 @@ Both the float and the exact side work on the coefficient vector directly.
     n superset-sum (Yates) stages.  g, its gradient and its Hessian are
     rows 0, {i} and {i, j} of that one table.  It is the only float
     evaluator: `eval_many` and `log_hessian_many` only read it, the latter
-    after it may rescale the coefficients (see `_log_coeffs`), and
+    on coefficients rescaled by a power of two (see `_log_coeffs`), and
     `log_hessian` is `log_hessian_many` at one point.
   * Exact: `_cleared_m_rows` forms M once, times L^2, from products of the
-    integer coefficients of `SubsetPoly.cleared_coeffs` (`poly.add_products`,
+    integer coefficients of `SubsetPoly.cleared` (`poly.add_products`,
     under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
     the diagonal dominance gap of each row, on which the dominance
     certificate decides; `m_matrix` and the certificate's gaps are the same
@@ -51,11 +51,6 @@ from .poly import SparsePoly, SubsetPoly, add_products
 # cells (256 KiB), so memory stays flat in n and in the number of points.
 TABLE_CELLS = 1 << 15
 
-# While the largest coefficient lies in this range, g squared and products
-# of first derivatives stay normal floats for n <= 16 at coordinates in
-# [0.01, 100]; outside it the log-Hessian readers rescale the coefficients.
-LOG_COEFF_RANGE = (2.0**-300, 2.0**300)
-
 
 # ----- the derivative table --------------------------------------------------
 
@@ -83,28 +78,21 @@ def _superset_sums(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return table
 
 
-def _float_coeffs(p: SubsetPoly) -> np.ndarray:
-    return np.array([float(c) for c in p.coeffs], dtype=float)
+def _float_coeffs(p: SubsetPoly, k: int = 0) -> np.ndarray:
+    """Coefficients times 2**k, each the correctly rounded w[s] 2^k / L: float(c) at k = 0."""
+    w, den = p.cleared
+    num, den = (1 << k, den) if k >= 0 else (1, den << -k)
+    return np.array([c * num / den for c in w], dtype=float)
 
 
 def _log_coeffs(p: SubsetPoly) -> np.ndarray:
     """Float coefficients for the log-Hessian readers, whose result ignores scale.
 
-    Unless the largest lies in LOG_COEFF_RANGE (weights near 1e-400 round to
-    zero), every coefficient is first multiplied by one exact power of two,
-    which brings the largest into (1/2, 2), by an integer shift before the
-    one rounding division.
+    One exact power of two brings the largest into (1/2, 2), so that weights
+    near 1e-400 do not round to zero, nor squares of weights near 1e-200.
     """
-    try:
-        coeffs = _float_coeffs(p)
-        if LOG_COEFF_RANGE[0] <= coeffs.max() <= LOG_COEFF_RANGE[1] or p.is_zero():
-            return coeffs
-    except OverflowError:
-        pass  # a coefficient beyond the floats: rescale as well
-    big = max(p.coeffs)
-    k = big.denominator.bit_length() - big.numerator.bit_length()
-    return np.array([c.numerator / (c.denominator << -k) if k < 0
-                     else (c.numerator << k) / c.denominator for c in p.coeffs])
+    w, den = p.cleared
+    return _float_coeffs(p, den.bit_length() - max(w).bit_length())
 
 
 def _blocks(n: int, count: int) -> list[slice]:
@@ -154,12 +142,12 @@ def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
     """Row by row, the entries L^2 M_ij for j >= i, as integer dicts.
 
-    L clears the denominators of p (`SubsetPoly.cleared_coeffs`), so M
+    L clears the denominators of p (`SubsetPoly.cleared`), so M
     scales by L^2, and each dict is keyed by `SparsePoly`'s monomial key.
     Row i is formed only when it is asked for.
     """
     n = p.n
-    terms = [(s, c) for s, c in enumerate(p.cleared_coeffs()) if c]
+    terms = [(s, c) for s, c in enumerate(p.cleared[0]) if c]
 
     def derivative(mask: int) -> list[tuple[int, int]]:
         return [(s ^ mask, c) for s, c in terms if s & mask == mask]
@@ -178,7 +166,7 @@ def _cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
 
 def uncleared(p: SubsetPoly, cleared: Mapping[int, int]) -> SparsePoly:
     """An entry of `_cleared_m_rows` or a gap of `m_row_gaps`, divided by L^2."""
-    scale = math.lcm(*(c.denominator for c in p.coeffs)) ** 2
+    scale = p.cleared[1] ** 2
     return SparsePoly(p.n, {key: Fraction(c, scale) for key, c in cleared.items() if c})
 
 
@@ -222,7 +210,7 @@ def m_form(p: SubsetPoly, point: Sequence[float], v: Sequence[float]) -> int:
     """The exact sign of v^T M(x) v at a positive float point x where g_p > 0.
 
     A float is a dyadic rational, x_k = a_k / b_k exactly.  Starting from
-    w = p.cleared_coeffs(), stage k sets t[s] = b_k t[s] + a_k t[s | bit k]
+    w = p.cleared[0], stage k sets t[s] = b_k t[s] + a_k t[s | bit k]
     for every s without bit k, so that T_B = L d^B g(x) prod_{k not in B} b_k.
     With u_i = v_i b_i (scaled to integers, which keeps the sign),
 
@@ -233,7 +221,7 @@ def m_form(p: SubsetPoly, point: Sequence[float], v: Sequence[float]) -> int:
     if len(point) != p.n or len(v) != p.n or not all(0.0 < c < math.inf for c in point):
         raise ValueError(f"expected a positive finite point and a vector of length {p.n}")
     xs = [float(c).as_integer_ratio() for c in point]
-    t = list(p.cleared_coeffs())
+    t = list(p.cleared[0])
     for k, (a, b) in enumerate(xs):
         bit = 1 << k
         t = [t[s] if s & bit else b * t[s] + a * t[s | bit] for s in range(len(t))]
@@ -266,14 +254,19 @@ def eval_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
 
 
 def log_hessian_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
-    """Hessians of log g_p at every row of an (N, n) array of positive points."""
+    """Hessians of log g_p at every row of an (N, n) array of positive points.
+
+    Raises ValueError where a point takes a log-Hessian out of the floats.
+    """
     pts = _point_array(p, points)
     if np.any(pts <= 0.0) or not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite and strictly positive")
     coeffs = _log_coeffs(p)
     out = np.empty((pts.shape[0], p.n, p.n), dtype=float)
-    for rows in _blocks(p.n, pts.shape[0]):
-        _log_hessians(_superset_sums(coeffs, pts[rows]), out[rows])
+    with np.errstate(all="ignore"):
+        for rows in _blocks(p.n, pts.shape[0]):
+            if not np.isfinite(_log_hessians(_superset_sums(coeffs, pts[rows]), out[rows])).all():
+                raise ValueError("points overflow the floats: a log-Hessian is not finite")
     return out
 
 

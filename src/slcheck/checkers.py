@@ -13,7 +13,7 @@ that is log-concave for structural reasons (zero, constant, a single
 monomial, or an affine polynomial).
 
 The lattice scan and the dominance certificate (`calculus.m_row_gaps`)
-decide on the integer coefficients of `SubsetPoly.cleared_coeffs`.  A
+decide on the integer coefficients of `SubsetPoly.cleared`.  A
 `DominanceCertificate` builds its gap polynomials from the same integer M,
 only when a caller reads them: they are the gaps the decision read.
 Sampling reads every log-Hessian from the derivative table of `calculus`
@@ -213,12 +213,12 @@ NLC_BLOCK_PAIRS = 1 << 12
 def _nlc_violating_pairs(p: SubsetPoly) -> Iterator[tuple[int, int]]:
     """Every (S, T) with p(S) p(T) < p(S | T) p(S & T), in lexicographic order.
 
-    Compares the same products of the integers w = p.cleared_coeffs(), for
+    Compares the same products of the integers w = p.cleared[0], for
     a block of consecutive S rows against every T at once, so row-major
     order is lexicographic.  Comparable pairs compare equal.
     """
     size = 1 << p.n
-    w = np.array(p.cleared_coeffs(), dtype=object)
+    w = np.array(p.cleared[0], dtype=object)
     t = np.arange(size)
     rows = max(1, NLC_BLOCK_PAIRS >> p.n)
     for s0 in range(0, size, rows):

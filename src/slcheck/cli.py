@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -214,6 +215,7 @@ def _jsonable_verdict(v: Verdict) -> dict:
             }
         return {"verdict": "violated", "witness": witness}
     s = v.stats
+    seen = s.max_eigenvalue_seen  # -inf when no point was tested, which JSON cannot hold
     return {
         "verdict": "no_violation_found",
         "stats": {
@@ -221,7 +223,7 @@ def _jsonable_verdict(v: Verdict) -> dict:
             "derivatives_tested": s.derivatives_tested,
             "tolerance": s.tolerance,
             "seed": str(s.seed),
-            "max_eigenvalue_seen": s.max_eigenvalue_seen,
+            "max_eigenvalue_seen": seen if math.isfinite(seen) else None,
         },
     }
 

@@ -35,7 +35,7 @@ from .checkers import (
     format_fraction_pair,
 )
 from .linalg import eigen_sym
-from .poly import SparsePoly, SubsetPoly, format_subset, sparse_from_subset
+from .poly import SparsePoly, SubsetPoly, format_subset
 
 EXPECTED_NLC_LHS = Fraction(9, 484)
 EXPECTED_NLC_RHS = Fraction(12, 484)
@@ -56,20 +56,20 @@ def counterexample_distribution() -> SubsetPoly:
 def reference_matrix() -> tuple[tuple[SparsePoly, ...], ...]:
     """Hard-coded reference form of the M matrix, up to a positive scalar, as rows.
 
-    Diagonal entries are 3(u + v + 1)^2 in the two other variables;
-    off-diagonal entries are 3w^2 + 3w - 1 in the variable missing from the
-    row/column pair.  The reproduction checks that m_matrix of the
-    normalized distribution is exactly a positive rational multiple of this.
+    Diagonal entries are 3(u + v + 1)^2 = 3u^2 + 6uv + 3v^2 + 6u + 6v + 3
+    in the two other variables; off-diagonal entries are 3w^2 + 3w - 1 in
+    the variable missing from the row/column pair.  The reproduction checks
+    that m_matrix of the normalized distribution is exactly a positive
+    rational multiple of this.
     """
-    one = SparsePoly.constant(3, 1)
-    x = [sparse_from_subset(SubsetPoly.point_mass(3, 1 << k)) for k in range(3)]
-
     def entry(i: int, j: int) -> SparsePoly:
-        if i == j:
-            u, v = (x[k] for k in range(3) if k != i)
-            return 3 * (u + v + one) * (u + v + one)
-        w = x[3 - i - j]
-        return 3 * w * w + 3 * w - one
+        if i == j:  # monomials as tuples of 0-based variables, one per factor
+            u, v = (k for k in range(3) if k != i)
+            terms = {(u, u): 3, (u, v): 6, (v, v): 3, (u,): 6, (v,): 6, (): 3}
+        else:
+            w = 3 - i - j
+            terms = {(w, w): 3, (w,): 3, (): -1}
+        return SparsePoly.make(3, {tuple(m.count(k) for k in range(3)): c for m, c in terms.items()})
 
     return tuple(tuple(entry(i, j) for j in range(3)) for i in range(3))
 

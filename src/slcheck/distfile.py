@@ -16,8 +16,8 @@ Keys are strictly increasing comma-separated 1-based indices ("" is the
 empty set); the alternative "mask:<int>" spelling gives the subset bitmask
 directly.  Values are exact rationals written as strings: "3/22", "5", or a
 decimal literal like "0.15".  Unlisted subsets are zero.  Weights must be
-nonnegative, and the writer always emits index-list keys with num/den
-values, so a document round-trips exactly.
+nonnegative, and no key may repeat within a JSON object.  The writer always
+emits index-list keys with num/den values, so a document round-trips exactly.
 """
 
 from __future__ import annotations
@@ -67,9 +67,19 @@ def format_subset_key(mask: int) -> str:
     return ",".join(str(i) for i in indices_from_mask(mask))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; raises DistributionFormatError on a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DistributionFormatError(f"key {key!r} given twice in one JSON object")
+        doc[key] = value
+    return doc
+
+
 def loads_distribution(text: str) -> SubsetPoly:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DistributionFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -7,22 +7,25 @@ its generating polynomial
 
 a polynomial that is affine in each variable separately.  Coefficients live
 in a dense tuple of 2**n `fractions.Fraction` values indexed by subset
-bitmask, where bit k of the mask stands for variable k+1.  All algebra and
+bitmask, where bit k of the mask stands for variable k+1, and once over one
+common denominator as integers (`SubsetPoly.cleared`).  All algebra and
 evaluation here is exact (`eval_exact` at rational points); float values of
 g and its derivatives come only from `calculus.derivative_table`.
 
-`SparsePoly` holds polynomials of degree at most 2 in each variable under
-one integer key: x^S x^T, for subsets S and T, is keyed (S | T) << n | (S & T).
-The entries and row gaps of M = grad g grad g^T - g D2g fit, being sums of
-products of two multi-affine polynomials.  `add_products` is the one loop
-that forms such products: on Fractions for `SparsePoly.__mul__`, on
-integers for the M of `calculus`.  Only this module builds or decodes keys.
+`SparsePoly` is a plain exact value (built, scaled by a rational, compared,
+evaluated, printed) of degree at most 2 in each variable under one integer
+key: x^S x^T, for subsets S and T, is keyed (S | T) << n | (S & T).  The
+entries and row gaps of M = grad g grad g^T - g D2g fit, being sums of
+products of two multi-affine polynomials, which `add_products` forms on
+the integers of `calculus`.  Only this module builds or decodes keys.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -232,14 +235,15 @@ class SubsetPoly:
             raise ValueError(f"scale factor must be positive, got {f}")
         return SubsetPoly(self.n, tuple(c * f for c in self.coeffs))
 
-    def cleared_coeffs(self) -> tuple[int, ...]:
-        """The coefficients times the lcm L of their denominators, as integers.
+    @cached_property
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """(w, L): L is the lcm of the denominators, w[s] = L * coeffs[s]; formed once.
 
         L > 0, so a product of k coefficients scales by L**k: comparisons
         between products of equal length, and their signs, are unchanged.
         """
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
 
     def normalize(self) -> SubsetPoly:
         """Rescale so the coefficients sum to one."""
@@ -273,7 +277,7 @@ def add_products(n: int, out: dict, f, h, sign: int) -> None:
     """Add sign * f * h into out under the monomial key, zero sums included.
 
     f and h are the (mask, coefficient) pairs of multi-affine polynomials in
-    n variables, with int or Fraction coefficients.
+    n variables, with integer coefficients.
     """
     get = out.get
     for s, c in f:
@@ -303,78 +307,29 @@ class SparsePoly:
 
     @staticmethod
     def make(n: int, terms: Mapping[tuple[int, ...], RationalLike]) -> SparsePoly:
-        """Build from exponent tuples of length n, each exponent in 0..2."""
+        """Build from integer exponent tuples of length n, each exponent in 0..2."""
         if not 1 <= n <= MAX_VARS:
             raise ValueError(f"number of variables must be in 1..{MAX_VARS}, got {n}")
         canon: dict[int, Fraction] = {}
         for exps, value in terms.items():
-            exps = tuple(int(e) for e in exps)
+            try:
+                exps = tuple(operator.index(e) for e in exps)
+            except TypeError:
+                raise ValueError(f"exponents must be integers, got {exps!r}") from None
             if len(exps) != n:
                 raise ValueError(f"exponent tuple {exps} has length {len(exps)}, expected {n}")
             if any(not 0 <= e <= 2 for e in exps):
                 raise ValueError(f"exponent outside 0..2 in {exps}")
             key = sum(1 << (n + k) | (e - 1) << k for k, e in enumerate(exps) if e)
             c = as_fraction(value)
-            if c != 0:
-                canon[key] = canon.get(key, _ZERO) + c
-                if canon[key] == 0:
-                    del canon[key]
+            if c:  # distinct exponent tuples have distinct keys: nothing to add up
+                canon[key] = c
         return SparsePoly(n, canon)
 
-    @staticmethod
-    def zero(n: int) -> SparsePoly:
-        return SparsePoly(n, {})
-
-    @staticmethod
-    def constant(n: int, value: RationalLike) -> SparsePoly:
-        return SparsePoly.make(n, {(0,) * n: value})
-
-    # ----- ring operations ----------------------------------------------
-
-    def _require_same_n(self, other: SparsePoly) -> None:
-        if self.n != other.n:
-            raise ValueError(f"variable count mismatch: {self.n} vs {other.n}")
-
-    def _subset_terms(self) -> list[tuple[int, Fraction]]:
-        """(mask, coefficient) pairs; raises ValueError if a variable is squared."""
-        if any(key & ((1 << self.n) - 1) for key in self.terms):
-            raise ValueError("only multi-affine polynomials can be multiplied")
-        return [(key >> self.n, c) for key, c in self.terms.items()]
-
-    def __add__(self, other: SparsePoly) -> SparsePoly:
-        self._require_same_n(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            tot = out.get(key, _ZERO) + c
-            if tot == 0:
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        return SparsePoly(self.n, out)
-
-    def __neg__(self) -> SparsePoly:
-        return SparsePoly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: SparsePoly) -> SparsePoly:
-        return self + (-other)
-
-    def __mul__(self, other: SparsePoly | RationalLike) -> SparsePoly:
-        """Product with a scalar, or with a SparsePoly when both are multi-affine."""
-        if isinstance(other, SparsePoly):
-            self._require_same_n(other)
-            out: dict[int, Fraction] = {}
-            add_products(self.n, out, self._subset_terms(), other._subset_terms(), 1)
-            return SparsePoly(self.n, {key: c for key, c in out.items() if c})
+    def __mul__(self, other: RationalLike) -> SparsePoly:
+        """Product with an exact rational."""
         c = as_fraction(other)
-        if c == 0:
-            return SparsePoly.zero(self.n)
-        return SparsePoly(self.n, {e: v * c for e, v in self.terms.items()})
-
-    def __rmul__(self, other: RationalLike) -> SparsePoly:
-        return self.__mul__(other)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return SparsePoly(self.n, {e: v * c for e, v in self.terms.items()} if c else {})
 
     # ----- evaluation -------------------------------------------------------
 

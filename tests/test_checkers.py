@@ -334,7 +334,7 @@ class TestDominanceCertificate:
         cert = certify_log_concavity_dominance(p)
         assert cert is not None
         m = m_matrix(cert.poly)
-        assert all(m[i][j].is_zero() for i in range(2) for j in range(2) if i != j)
+        assert all(m[i][j].terms == {} for i in range(2) for j in range(2) if i != j)
 
     def test_pure_monomial_certified(self):
         p = SubsetPoly.from_weights(2, {0b11: 1})  # g = xy

@@ -99,6 +99,9 @@ class TestDistributionFiles:
             '{"n": 2, "coefficients": {"1": "1/0"}}',
             '{"n": 2, "coefficients": {"1": "abc"}}',
             '{"n": 2, "coefficients": {"1": "1", "mask:1": "2"}}',
+            # json.loads alone would keep the last value: p({1}) = 1/3, or n = 3.
+            '{"n": 2, "coefficients": {"1": "1/2", "1": "1/3", "": "1"}}',
+            '{"n": 2, "n": 3, "coefficients": {"": "1"}}',
         ]
         for doc in bad:
             with pytest.raises(DistributionFormatError):
@@ -207,6 +210,27 @@ class TestCheckCommand:
         assert doc["aggregate"]["verdict"] == "holds"
         assert doc["subsets"]["{}"]["certificate"] == "diagonal dominance certificate"
 
+    def test_report_without_points_is_strict_json(self, tmp_path, capsys):
+        # No grid past n = 6, so --samples 0 tests no point and the largest
+        # eigenvalue seen is -inf: the text says so, the report writes null.
+        path = tmp_path / "n7.json"
+        weights = {0: 4, **{1 << i: 1 for i in range(7)}, **{3 << i: 4 for i in range(6)}}
+        save_distribution(SubsetPoly.from_weights(7, weights), str(path))
+
+        def strict(report: Path) -> dict:
+            return json.loads(report.read_text(), parse_constant=pytest.fail)
+
+        assert main(["check", str(path), "lc", "--samples", "0", "--report",
+                     str(tmp_path / "lc.json")]) == 0
+        assert "max eigenvalue seen: -inf" in capsys.readouterr().out
+        assert strict(tmp_path / "lc.json")["stats"]["max_eigenvalue_seen"] is None
+        assert main(["check", str(path), "slc", "--samples", "0", "--report",
+                     str(tmp_path / "slc.json")]) == 0
+        capsys.readouterr()
+        doc = strict(tmp_path / "slc.json")
+        assert doc["aggregate"]["stats"]["max_eigenvalue_seen"] is None
+        assert doc["subsets"]["{}"]["stats"]["max_eigenvalue_seen"] is None
+
     def test_point_witness_report_reverifies(self, xy_file, tmp_path, capsys):
         report_path = tmp_path / "lc.json"
         assert main(["check", xy_file, "lc", "--samples", "10", "--report", str(report_path)]) == 1
@@ -299,6 +323,22 @@ class TestErrorPaths:
             assert code == 2, option
             assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
             assert "zero denominator" in err
+
+    def test_repeated_json_key_file(self, tmp_path, capsys):
+        path = tmp_path / "twice.json"
+        path.write_text('{"n": 2, "coefficients": {"1": "1/2", "1": "1/3", "": "1"}}')
+        assert main(["check", str(path), "nlc"]) == 2
+        assert "key '1' given twice" in capsys.readouterr().err
+
+    def test_box_beyond_the_floats(self, counterexample_file, capsys):
+        # Far out the log-Hessian leaves the floats: one error line, no numpy
+        # warnings, no eigen solve on its inf and nan entries.
+        for box in (["1e150", "1e160"], ["1e300", "1e308"]):
+            code = main(["check", counterexample_file, "lc", "--box", *box])
+            out, err = capsys.readouterr()
+            assert code == 2, box
+            assert out == "" and err.count("\n") == 1, err
+            assert err.startswith("error: points overflow the floats"), err
 
     def test_negative_weight_file(self, tmp_path, capsys):
         path = tmp_path / "neg.json"

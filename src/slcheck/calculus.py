@@ -118,7 +118,9 @@ def derivative_table(p: SubsetPoly, points) -> np.ndarray:
 def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write (g D2g - grad g grad g^T) / g^2 at the m points of a table into out.
 
-    out has shape (m, n, n).  Raises ValueError unless g > 0 at every point.
+    out has shape (m, n, n).  Raises ValueError unless g > 0 at every point,
+    and unless g^2 is finite there: past that it would divide a finite
+    numerator into zeros.
     """
     if np.any(table[0] <= 0.0):
         raise ValueError("polynomial is not positive at every sample point")
@@ -126,13 +128,16 @@ def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     bits = 1 << np.arange(n)  # rows {i} of the gradient; {i, j} of the Hessian
     pairs = bits[:, None] | bits[None, :]
     g = table[0][:, None, None]
+    g2 = g * g
+    if not np.isfinite(g2).all():
+        raise ValueError("points overflow the floats: g^2 is not finite")
     grad = table[bits].T
     out[:] = table[pairs].transpose(2, 0, 1)
     # The pair mask of (i, i) is the row of d_i g; D2g has zero diagonal.
     out[:, np.arange(n), np.arange(n)] = 0.0
     out *= g
     out -= grad[:, :, None] * grad[:, None, :]
-    out /= g * g
+    out /= g2
     return out
 
 

@@ -10,7 +10,9 @@ Sampling can only ever falsify.  A Holds verdict always traces back to an
 exact argument: exhaustive enumeration for the lattice condition, a
 coefficient-wise diagonal dominance certificate, or membership in a class
 that is log-concave for structural reasons (zero, constant, a single
-monomial, or an affine polynomial).
+monomial, or an affine polynomial), which `trivial_log_concavity` alone
+decides, from the nonzero coefficients.  `check_slc` takes every class;
+`check_log_concavity_sampled` takes all but the affine one.
 
 The lattice scan and the dominance certificate (`calculus.m_row_gaps`)
 decide on the integer coefficients of `SubsetPoly.cleared`.  A
@@ -315,13 +317,14 @@ def sample_points(n: int, cfg: SampleConfig) -> np.ndarray:
 
 def trivial_log_concavity(p: SubsetPoly) -> TrivialLogConcavity | None:
     """Exact structural reasons making log g concave wherever g > 0."""
-    if p.is_zero():
+    masks = p.nonzero_masks()
+    if not masks:
         return TrivialLogConcavity("zero")
-    if p.is_constant():
+    if masks == (0,):
         return TrivialLogConcavity("constant")
-    if p.is_monomial():
+    if len(masks) == 1:
         return TrivialLogConcavity("monomial")
-    if p.is_affine():
+    if all(m & (m - 1) == 0 for m in masks):
         return TrivialLogConcavity("affine")
     return None
 
@@ -335,17 +338,15 @@ def check_log_concavity_sampled(
     """Search positive points for a non-NSD log-Hessian.
 
     Never returns Holds on the strength of samples alone: only the zero,
-    constant, and single-monomial short circuits produce Holds here.  The
-    scan order (grid, then seeded draws) is deterministic, and the first
-    confirmed failure wins.  subset_mask only labels the witness; the
+    constant, and single-monomial classes of `trivial_log_concavity`
+    produce Holds here; an affine polynomial is sampled like any other.
+    The scan order (grid, then seeded draws) is deterministic, and the
+    first confirmed failure wins.  subset_mask only labels the witness; the
     polynomial passed in is checked as is.
     """
-    if p.is_zero():
-        return Holds(TrivialLogConcavity("zero"))
-    if p.is_constant():
-        return Holds(TrivialLogConcavity("constant"))
-    if p.is_monomial():
-        return Holds(TrivialLogConcavity("monomial"))
+    trivial = trivial_log_concavity(p)
+    if trivial is not None and trivial.kind != "affine":
+        return Holds(trivial)
 
     pts = sample_points(p.n, cfg)
     max_seen = -np.inf

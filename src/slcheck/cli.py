@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repro-counterexample",
         help="verify the built-in strongly log-concave, non-log-submodular distribution",
     )
-    p_repro.add_argument("--seed", type=int, default=SampleConfig.seed)
     p_repro.set_defaults(func=cmd_repro)
 
     p_sweep = sub.add_parser("sweep", help="sweep the (b, c) family and write region tables")
@@ -239,7 +238,7 @@ def _jsonable_slc(slc: SlcReport) -> dict:
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
-    report = run_reproduction(seed=args.seed)
+    report = run_reproduction()
     print("reproduction of the built-in counterexample")
     for line in report.lines():
         print(line)

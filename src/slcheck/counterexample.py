@@ -4,11 +4,14 @@ The distribution weights the empty set 4, each singleton 3, each pair 3,
 and the triple 0 over a ground set of three elements (this is the family
 member at b = c = 3).  It is strongly log-concave yet fails the negative
 lattice condition, so the two properties genuinely differ, and everything
-about it can be verified exactly:
+about it is verified exactly, with no float and no seed:
 
   * the lattice condition fails on two singletons;
-  * the dominance certificate proves log-concavity of g itself;
-  * every first derivative is affine, every second derivative constant;
+  * every derivative subset carries an exact certificate, the dominance
+    certificate among them proving log-concavity of g itself;
+  * the first derivative d1 g = (3/22)(1 + y + z) is affine, so its M
+    matrix is grad grad^T = (3/22)^2 E with E = [[0,0,0],[0,1,1],[0,1,1]],
+    and -(1 + y + z)^2 times its log-Hessian is E, of eigenvalues {0, 0, 2};
   * the M matrix equals a single positive rational multiple of a
     reference matrix, written as the polynomials 3(u + v + 1)^2 and
     3w^2 + 3w - 1, and the certificate's row-1 gap (the one the dominance
@@ -22,24 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .calculus import log_hessian, m_matrix
-from .checkers import (
-    DominanceCertificate,
-    Holds,
-    SampleConfig,
-    Violated,
-    check_nlc,
-    check_slc,
-    format_fraction_pair,
-)
-from .linalg import eigen_sym
-from .poly import SparsePoly, SubsetPoly, format_subset
+from .calculus import m_matrix
+from .checkers import DominanceCertificate, Holds, Violated, check_nlc, check_slc
+from .poly import SparsePoly, SubsetPoly
 
 EXPECTED_NLC_LHS = Fraction(9, 484)
 EXPECTED_NLC_RHS = Fraction(12, 484)
-EIGEN_SAMPLES = 20  # seeded points (1, y, z) for the first-derivative eigenvalues
 
 
 def counterexample_weights() -> SubsetPoly:
@@ -119,7 +110,7 @@ class ReproReport:
         return out
 
 
-def run_reproduction(seed: int = 0) -> ReproReport:
+def run_reproduction() -> ReproReport:
     """Re-derive every known fact about the counterexample and report each one."""
     p = counterexample_distribution()
     checks = []
@@ -134,22 +125,18 @@ def run_reproduction(seed: int = 0) -> ReproReport:
             and w.lhs == EXPECTED_NLC_LHS
             and w.rhs == EXPECTED_NLC_RHS
         )
-        detail = (
-            f"S = {format_subset(w.s_mask)}, T = {format_subset(w.t_mask)}, "
-            f"p(S)*p(T) = {format_fraction_pair(w.lhs, w.rhs)} = p(S|T)*p(S&T)"
-        )
+        detail = w.describe()
     else:
         good = False
         detail = f"expected a violation, got {type(verdict).__name__}"
     checks.append(ReproCheck("lattice-condition-violated", good, detail))
 
-    # 2. Log-concavity of g itself carries an exact dominance certificate.
-    report = check_slc(p, SampleConfig(seed=seed))
+    # 2. Log-concavity of g itself carries an exact dominance certificate;
+    # every other derivative subset is trivial, so no point is sampled.
+    report = check_slc(p)
     base = report.subsets.get(0)
     cert = base.certificate if isinstance(base, Holds) else None
-    good = isinstance(cert, DominanceCertificate) and not isinstance(
-        report.aggregate, Violated
-    )
+    good = isinstance(cert, DominanceCertificate) and isinstance(report.aggregate, Holds)
     detail = (
         "dominance certificate found for the undifferentiated polynomial; "
         f"aggregate over {len(report.subsets)} derivative subsets: "
@@ -159,26 +146,22 @@ def run_reproduction(seed: int = 0) -> ReproReport:
         detail = f"no dominance certificate; base verdict {type(base).__name__}"
     checks.append(ReproCheck("dominance-certificate", good, detail))
 
-    # 3. First-derivative log-Hessians: eigenvalues {0, 0, 2} after the
-    # known scaling, at seeded sample points (1, y, z).
-    rng = np.random.default_rng(seed)
+    # 3. d1 g = (3/22)(1 + y + z) is affine, so M(d1 g) = grad grad^T =
+    # (3/22)^2 E and -(1 + y + z)^2 H(d1 g) = E exactly, with eigenvalues
+    # {0, 0, 2} on e1, (0, 1, -1) and (0, 1, 1).
     d1 = p.derivative(1)
-    worst = 0.0
-    for _ in range(EIGEN_SAMPLES):
-        y, z = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=2))
-        h = log_hessian(d1, (1.0, float(y), float(z)))
-        scaled = -((y + z + 1.0) ** 2) * h
-        eigs = eigen_sym(scaled)
-        worst = max(worst, float(np.max(np.abs(np.array(eigs) - np.array([0.0, 0.0, 2.0])))))
-    good = worst <= 1e-9
-    checks.append(
-        ReproCheck(
-            "first-derivative-eigenvalues",
-            good,
-            f"eigenvalues {{0, 0, 2}} after scaling by -(y+z+1)^2, "
-            f"max deviation {worst:.3e} over {EIGEN_SAMPLES} samples",
-        )
+    c = Fraction(3, 22)
+    one, zero = SparsePoly.make(3, {(0, 0, 0): 1}), SparsePoly(3, {})
+    e = tuple(tuple(one if i and j else zero for j in range(3)) for i in range(3))
+    q = proportionality_scalar(m_matrix(d1), e)
+    good = d1 == SubsetPoly.from_weights(3, {0: c, 0b010: c, 0b100: c}) and q == c * c
+    detail = (
+        f"d1 g = 3/22 * (1 + y + z), M(d1 g) = {q} * E with E = [[0,0,0],[0,1,1],[0,1,1]], "
+        "so -(1+y+z)^2 H(d1 g) = E: eigenvalues {0, 0, 2}, exactly"
+        if good
+        else f"expected d1 g = 3/22 * (1 + y + z) and M(d1 g) = 9/484 * E, got scalar {q}"
     )
+    checks.append(ReproCheck("first-derivative-eigenvalues", good, detail))
 
     # 4. The M matrix is a single positive rational multiple of the reference.
     m = m_matrix(p)

@@ -1,9 +1,10 @@
 """Small dense symmetric matrix routines.
 
-Every eigen solve in the library is LAPACK's: `eigen_sym` validates one
-symmetric matrix (dimension at most 16), hands it to eigvalsh and returns
-the eigenvalues as a tuple of floats; the sampler scans stacks with
-eigvalsh and takes each flagged point's top eigenvector from eigh.  No
+Every eigen solve in the library is LAPACK's: the sampler scans stacks
+with eigvalsh and takes each flagged point's top eigenvector from eigh.
+`eigen_sym` validates one symmetric matrix (dimension at most 16), hands
+it to eigvalsh and returns the eigenvalues as a tuple of floats; no code
+in the package calls it.  No
 decision rests on these floats alone.  Exact definiteness is decided by
 the dominance certificate on integer coefficients (`calculus.m_row_gaps`),
 and a point witness is proved by the exact sign of v^T M(x) v

@@ -165,20 +165,6 @@ class SubsetPoly:
     def coeff_sum(self) -> Fraction:
         return sum(self.coeffs, _ZERO)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_constant(self) -> bool:
-        return all(c == 0 for m, c in enumerate(self.coeffs) if m != 0)
-
-    def is_monomial(self) -> bool:
-        """Exactly one nonzero coefficient."""
-        return len(self.nonzero_masks()) == 1
-
-    def is_affine(self) -> bool:
-        """Total degree at most one (only the empty set and singletons weighted)."""
-        return all(c == 0 for m, c in enumerate(self.coeffs) if m & (m - 1))
-
     def is_distribution(self) -> bool:
         return self.coeff_sum() == 1
 

@@ -33,7 +33,7 @@ def random_subset_poly(
             if rng.random() >= zero_prob:
                 weights[mask] = random_fraction(rng, max_num=max_num)
         p = SubsetPoly.from_weights(n, weights)
-        if not p.is_zero():
+        if p.nonzero_masks():
             return p
 
 

@@ -220,6 +220,15 @@ class TestBatchEvaluation:
             with pytest.raises(ValueError, match="overflow the floats"):
                 log_hessian_many(counterexample, np.full((4, 3), 1e160))
 
+    def test_refuses_points_where_g_squared_overflows(self, raw_counterexample):
+        # At 1e120 g is about 1e240: finite, with a finite numerator, but g^2
+        # is not, and dividing by it would return the zero matrix.
+        with pytest.raises(ValueError, match="overflow the floats"):
+            log_hessian(raw_counterexample, (1e120,) * 3)
+        x = (1e70,) * 3  # g^2 near 1e281 is still a float: the usual answer
+        assert matrix_close(log_hessian(raw_counterexample, x),
+                            exact_log_hessian(raw_counterexample, x), rel=1e-10)
+
     def test_out_of_range_coefficients_rescale_exactly(self):
         # Weights near 1e-400 fall below the floats, near 1e-200 their squares
         # do, and near 1e400 they overflow: the log-Hessian readers read the

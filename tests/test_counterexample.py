@@ -113,10 +113,6 @@ class TestReproduction:
         report = run_reproduction()
         by_name = {c.name: c.detail for c in report.checks}
         assert "9/484 < 12/484" in by_name["lattice-condition-violated"]
+        assert "9/484 * E" in by_name["first-derivative-eigenvalues"]
         assert "3/484" in by_name["reference-proportionality"]
         assert "1 + 3*y + 3*z + 6*y*z" in by_name["row-gap-form"]
-
-    def test_seed_independence(self):
-        # Different streams, same verdicts: the sampled pieces only confirm.
-        assert run_reproduction(seed=1).passed
-        assert run_reproduction(seed=2).passed

@@ -151,7 +151,7 @@ def reference_gaps(m: list[list[dict]]) -> list[dict[tuple[int, ...], Fraction]]
 
 def reference_certified(p: SubsetPoly, gaps: list[dict]) -> bool:
     """The reference decision; M_ii never has a negative coefficient."""
-    return not p.is_zero() and all(
+    return bool(p.nonzero_masks()) and all(
         all(c >= 0 for c in g.values()) and any(c > 0 for c in g.values()) for g in gaps
     )
 
@@ -300,7 +300,7 @@ class TestPointWitness:
                     if not cases:
                         cases.append((q, w.point, [w.vector] + crossing_vectors(q, w.point)))
             q = p.derivative_subset(int(rng.integers(0, 1 << p.n)))
-            if not q.is_zero():
+            if q.nonzero_masks():
                 x = tuple(float(c) for c in np.exp(rng.uniform(np.log(0.01), np.log(100.0), p.n)))
                 e1 = (1.0,) + (0.0,) * (p.n - 1)
                 vectors = [tuple(rng.standard_normal(p.n)), e1] + crossing_vectors(q, x)

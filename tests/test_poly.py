@@ -15,6 +15,7 @@ from slcheck import (
     log_hessian,
     mask_from_indices,
     sparse_from_subset,
+    trivial_log_concavity,
 )
 from conftest import exact_point, fd_partial, random_positive_point, random_subset_poly
 
@@ -82,22 +83,22 @@ class TestCounterexampleValues:
         assert d1.coeff(0b100) == Fraction(3, 22)
         assert d1.coeff(0b001) == 0
         assert d1.coeff(0b110) == 0
-        assert d1.is_affine()
+        assert trivial_log_concavity(d1).kind == "affine"
 
     def test_second_derivative_is_constant(self, counterexample):
         d12 = counterexample.derivative(1).derivative(2)
-        assert d12.is_constant()
+        assert d12.nonzero_masks() == (0,)
         assert d12.coeff(0) == Fraction(3, 22)
 
     def test_repeated_derivative_vanishes(self, counterexample):
-        assert counterexample.derivative(1).derivative(1).is_zero()
+        assert counterexample.derivative(1).derivative(1).nonzero_masks() == ()
 
     def test_derivative_subset_pairs_and_triple(self, counterexample):
         p = counterexample
         assert p.derivative_subset(0) == p
         d12 = p.derivative_subset(0b011)
-        assert d12.is_constant() and d12.coeff(0) == Fraction(3, 22)
-        assert p.derivative_subset(0b111).is_zero()
+        assert d12.nonzero_masks() == (0,) and d12.coeff(0) == Fraction(3, 22)
+        assert p.derivative_subset(0b111).nonzero_masks() == ()
 
     def test_normalization_of_raw_weights(self, raw_counterexample, counterexample):
         assert raw_counterexample.coeff_sum() == 22
@@ -192,10 +193,12 @@ class TestRescaling:
 class TestStructurePredicates:
     def test_affine_and_monomial(self):
         p = SubsetPoly.from_weights(3, {0: 1, 0b001: 2, 0b100: 3})
-        assert p.is_affine() and not p.is_monomial()
+        assert trivial_log_concavity(p).kind == "affine"
         q = SubsetPoly.from_weights(3, {0b101: "7/2"})
-        assert q.is_monomial() and not q.is_affine()
-        assert SubsetPoly.point_mass(3, 0).is_constant()
+        assert trivial_log_concavity(q).kind == "monomial"
+        assert trivial_log_concavity(SubsetPoly.point_mass(3, 0)).kind == "constant"
+        assert trivial_log_concavity(SubsetPoly.zero(3)).kind == "zero"
+        assert trivial_log_concavity(SubsetPoly.from_weights(3, {0: 1, 0b011: 1})) is None
 
     def test_permute_relabels_evaluation(self):
         rng = np.random.default_rng(13)

@@ -344,9 +344,8 @@ def check_log_concavity_sampled(
     first confirmed failure wins.  subset_mask only labels the witness; the
     polynomial passed in is checked as is.
     """
-    trivial = trivial_log_concavity(p)
-    if trivial is not None and trivial.kind != "affine":
-        return Holds(trivial)
+    if len(p.nonzero_masks()) <= 1:
+        return Holds(trivial_log_concavity(p))
 
     pts = sample_points(p.n, cfg)
     max_seen = -np.inf

@@ -413,6 +413,19 @@ class TestFullCheck:
         assert report.aggregate.stats.derivatives_tested == 8
         assert report.aggregate.stats.points_tested == 125 + 30
 
+    def test_each_subset_is_classified_once(self, monkeypatch):
+        # The top level is sampled; the sampler must not classify it again.
+        p = SubsetPoly.from_weights(
+            3, {0: 4, 1: 4, 2: 4, 4: 4, 0b011: 1, 0b101: 1, 0b110: 1}
+        )
+        classified = []
+        classify = checkers.trivial_log_concavity
+        monkeypatch.setattr(
+            checkers, "trivial_log_concavity", lambda q: classified.append(q) or classify(q)
+        )
+        check_slc(p, SampleConfig(points=30))
+        assert len(classified) == 8
+
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError, match="weights must be nonnegative"):
             SubsetPoly.from_weights(1, {0: -1, 1: 2})

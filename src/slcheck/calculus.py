@@ -48,8 +48,12 @@ from .poly import SparsePoly, SubsetPoly, add_products
 
 # A derivative table has 2**n rows, one per derivative subset, and a column
 # per point; points are taken in blocks that keep it near this many float64
-# cells (256 KiB), so memory stays flat in n and in the number of points.
+# cells (256 KiB), so memory stays flat in the number of points.  A block
+# holds at least MIN_BLOCK_POINTS points (so the table outgrows the budget
+# past n = 11, up to 8 MiB at n = 16): with fewer, each Yates stage costs
+# more in loop overhead than in arithmetic.
 TABLE_CELLS = 1 << 15
+MIN_BLOCK_POINTS = 16
 
 
 # ----- the derivative table --------------------------------------------------
@@ -95,13 +99,18 @@ def _log_coeffs(p: SubsetPoly) -> np.ndarray:
     return _float_coeffs(p, den.bit_length() - max(w).bit_length())
 
 
+def block_points(n: int) -> int:
+    """Points per derivative-table block at n variables."""
+    return max(MIN_BLOCK_POINTS, TABLE_CELLS >> n)
+
+
 def _blocks(n: int, count: int) -> list[slice]:
-    """Consecutive row ranges of a point array whose tables stay near TABLE_CELLS.
+    """Consecutive row ranges of a point array, block_points(n) rows each.
 
     Callers pass each block's table straight to its consumer, so that no
     more than one table is alive at a time.
     """
-    step = max(1, TABLE_CELLS >> n)
+    step = block_points(n)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 

@@ -252,7 +252,10 @@ GRID_VALUES = (0.1, 0.5, 1.0, 2.0, 10.0)
 GRID_MAX_VARS = 6
 
 # Points per batched log-Hessian and eigvalsh call in the sampler; bounds
-# the (points, n, n) arrays one call holds.
+# the (points, n, n) arrays one call holds.  The scan first probes
+# SAMPLE_PROBE points on their own, since a failing input usually fails
+# within them, and only then goes on a full chunk at a time.
+SAMPLE_PROBE = 64
 SAMPLE_CHUNK = 1024
 
 
@@ -294,10 +297,18 @@ class SampleConfig:
             raise ValueError(f"bad seed {self.seed!r}: {exc}") from None
 
 
+@lru_cache(maxsize=None)
 def grid_points(n: int) -> np.ndarray:
+    """The fixed 5**n grid over GRID_VALUES, empty past GRID_MAX_VARS.
+
+    Built once per n and returned read-only.
+    """
     if n > GRID_MAX_VARS:
-        return np.empty((0, n), dtype=float)
-    return np.array(list(itertools.product(GRID_VALUES, repeat=n)), dtype=float)
+        grid = np.empty((0, n), dtype=float)
+    else:
+        grid = np.array(list(itertools.product(GRID_VALUES, repeat=n)), dtype=float)
+    grid.flags.writeable = False
+    return grid
 
 
 @lru_cache(maxsize=1)
@@ -305,7 +316,7 @@ def sample_points(n: int, cfg: SampleConfig) -> np.ndarray:
     """Deterministic point sequence: fixed grid first, then seeded log-uniform draws.
 
     The last result is kept, read-only, so checking several derivatives of
-    one polynomial builds the 5**n grid and draws the points once.
+    one polynomial draws the points once; the grid is built once per n.
     """
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.box
@@ -329,6 +340,14 @@ def trivial_log_concavity(p: SubsetPoly) -> TrivialLogConcavity | None:
     return None
 
 
+def _scan_chunks(count: int) -> Iterator[slice]:
+    """The sampler's chunks of count points: SAMPLE_PROBE first, then SAMPLE_CHUNK each."""
+    start, size = 0, SAMPLE_PROBE
+    while start < count:
+        yield slice(start, start + size)
+        start, size = start + size, SAMPLE_CHUNK
+
+
 def check_log_concavity_sampled(
     p: SubsetPoly,
     cfg: SampleConfig = SampleConfig(),
@@ -341,8 +360,11 @@ def check_log_concavity_sampled(
     constant, and single-monomial classes of `trivial_log_concavity`
     produce Holds here; an affine polynomial is sampled like any other.
     The scan order (grid, then seeded draws) is deterministic, and the
-    first confirmed failure wins.  subset_mask only labels the witness; the
-    polynomial passed in is checked as is.
+    first confirmed failure wins.  Points go through in the chunks of
+    `_scan_chunks`; every value a point yields is computed for that point
+    alone, so the chunks decide only how much is computed past the first
+    failure.  subset_mask only labels the witness; the polynomial passed in
+    is checked as is.
     """
     if len(p.nonzero_masks()) <= 1:
         return Holds(trivial_log_concavity(p))
@@ -350,8 +372,8 @@ def check_log_concavity_sampled(
     pts = sample_points(p.n, cfg)
     max_seen = -np.inf
     tested = 0
-    for start in range(0, pts.shape[0], SAMPLE_CHUNK):
-        chunk = pts[start : start + SAMPLE_CHUNK]
+    for rows in _scan_chunks(pts.shape[0]):
+        chunk = pts[rows]
         hessians = log_hessian_many(p, chunk)
         eigs = np.linalg.eigvalsh(hessians)[:, -1]
         thresholds = nsd_threshold(hessians, cfg.tolerance)

@@ -27,6 +27,7 @@ from slcheck import (
     exit_code,
     format_fraction_pair,
     grid_points,
+    log_hessian_many,
     m_matrix,
     nlc_violations,
     sample_points,
@@ -171,6 +172,9 @@ class TestSampling:
         assert grid_points(1).shape == (5, 1)
         assert grid_points(3).shape == (125, 3)
         assert grid_points(7).shape == (0, 7)
+        for n in (1, 3, 7):
+            assert grid_points(n) is grid_points(n)  # built once per n
+            assert not grid_points(n).flags.writeable
 
     def test_sample_points_deterministic(self):
         cfg = SampleConfig(points=64, seed=9)
@@ -249,6 +253,31 @@ class TestSampling:
         monkeypatch.setattr(np.linalg, "eigh", flat_top)
         verdict = check_log_concavity_sampled(SubsetPoly.from_weights(2, {0: 1, 3: 1}))
         assert isinstance(verdict, NoViolationFound)
+
+    def test_empty_scan_evaluates_nothing(self, monkeypatch):
+        # Past GRID_MAX_VARS there is no grid, so points=0 leaves no point.
+        def refuse(p, points):
+            raise AssertionError("an empty scan evaluated a log-Hessian")
+
+        monkeypatch.setattr(checkers, "log_hessian_many", refuse)
+        p = SubsetPoly.from_weights(7, {0: 1, 0b11: 1})
+        verdict = check_log_concavity_sampled(p, SampleConfig(points=0))
+        assert isinstance(verdict, NoViolationFound)
+        assert verdict.stats.points_tested == 0
+        assert verdict.stats.max_eigenvalue_seen == -math.inf
+
+    def test_violation_in_the_probe_wins_over_a_later_overflow(self):
+        # 1 + x1 x2 fails at the first grid point, (0.1, 0.1, 0.1); the draws
+        # from point 125 on take g^2 out of the floats.  The scan ends within
+        # its first SAMPLE_PROBE points, before any chunk reaches them.
+        p = SubsetPoly.from_weights(3, {0: 1, 0b011: 1})
+        cfg = SampleConfig(points=10, box=(1e160, 1e200))
+        with pytest.raises(ValueError, match="overflow"):
+            log_hessian_many(p, sample_points(3, cfg))
+        verdict = check_log_concavity_sampled(p, cfg)
+        assert isinstance(verdict, Violated)
+        assert verdict.witness.point == (0.1, 0.1, 0.1)
+        assert verify_point_witness(p, verdict.witness)
 
     def test_never_holds_from_samples(self, counterexample):
         # Log-concave but not structurally trivial: sampling must stay agnostic.

@@ -1,6 +1,6 @@
 """The coefficient-space engine against slower, independent routes.
 
-Four fast paths are checked on seeded random inputs with n = 1..8, zero
+Five fast paths are checked on seeded random inputs with n = 1..8, zero
 weights, weights spanning about 1e-40..1e40, and the counterexample:
 
   * every row of `derivative_table` against exact evaluation of the
@@ -12,7 +12,10 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
     subset, against a loop that draws fresh points for each derivative;
   * the integer sign of v^T M(x) v (`m_form`) against v^T M(x) v from
     `m_matrix` in rationals, and every point witness `check_slc` issues,
-    also with weights near 1e-400 and on cells of the (b, c) family.
+    also with weights near 1e-400 and on cells of the (b, c) family;
+  * the sampler's chunked scan (`check_log_concavity_sampled`) against one
+    pass over all its points at once, at n = 2..7, on point counts either
+    side of each chunk edge and on witnesses planted either side of them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ import pytest
 from slcheck import (
     DominanceCertificate,
     Holds,
+    NoViolationFound,
+    PointWitness,
     SampleConfig,
+    SampleStats,
     SparsePoly,
     SubsetPoly,
     Violated,
@@ -43,7 +49,9 @@ from slcheck import (
     trivial_log_concavity,
     verify_point_witness,
 )
-from slcheck.calculus import TABLE_CELLS, derivative_table, m_form
+from slcheck import checkers
+from slcheck.calculus import block_points, derivative_table, m_form
+from slcheck.linalg import nsd_threshold
 
 
 def oracle_poly(rng: np.random.Generator, n: int, *, zero_prob: float, wide: bool) -> SubsetPoly:
@@ -100,7 +108,7 @@ class TestDerivativeTable:
         rng = np.random.default_rng(73)
         for n in (3, 8, 12):
             p = oracle_poly(rng, n, zero_prob=0.3, wide=True)
-            count = 2 * max(1, TABLE_CELLS >> n) + 5
+            count = 2 * block_points(n) + 5
             pts = np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=(count, n)))
             np.testing.assert_array_equal(eval_many(p, pts), derivative_table(p, pts)[0])
             batch = log_hessian_many(p, pts)
@@ -321,3 +329,85 @@ class TestPointWitness:
                 m_form(counterexample, x, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             m_form(counterexample, (1.0, 1.0, 1.0), (1.0, 0.0))
+
+
+def reference_scan(p: SubsetPoly, pts: np.ndarray, cfg: SampleConfig):
+    """The sampler in one pass: every log-Hessian and eigenvalue at once, then
+    the first flagged point whose float re-check and exact sign both hold.
+
+    Returns the verdict and the index of its witness (None if there is none).
+    """
+    if pts.shape[0] == 0:
+        return NoViolationFound(SampleStats(0, 1, cfg.tolerance, cfg.seed, -math.inf)), None
+    hessians = log_hessian_many(p, pts)
+    tops = np.linalg.eigvalsh(hessians)[:, -1]
+    thresholds = nsd_threshold(hessians, cfg.tolerance)
+    for k in np.flatnonzero(tops > thresholds):
+        values, vectors = np.linalg.eigh(hessians[k])
+        top, threshold = float(values[-1]), float(thresholds[k])
+        point = tuple(float(c) for c in pts[k])
+        vector = tuple(float(c) for c in vectors[:, -1])
+        if top > threshold and m_form(p, point, vector) < 0:
+            return Violated(PointWitness(0, point, top, threshold, vector)), int(k)
+    stats = SampleStats(pts.shape[0], 1, cfg.tolerance, cfg.seed, float(tops.max()))
+    return NoViolationFound(stats), None
+
+
+# Either side of the edges of the sampler's chunks: 0, 64, 1088, 2112, ...
+SCAN_COUNTS = (0, 1, 63, 64, 65, 1088, 1089)
+WITNESS_AT = (0, 30, 63, 64, 1087, 1088, 1100)
+
+
+def scaled(p: SubsetPoly, k: int) -> SubsetPoly:
+    """p as is, or times 1e-30 or 1e-400, by k % 3."""
+    return p.scale((1, Fraction(1, 10**30), Fraction(1, 10**400))[k % 3])
+
+
+class TestChunkedScan:
+    def test_matches_one_pass_on_sample_points(self):
+        rng = np.random.default_rng(111)
+        outcomes = set()
+        for n in range(2, 8):
+            grid = 5**n if n <= 6 else 0
+            counts = [c for c in SCAN_COUNTS if c >= grid] or [grid + 3]
+            for k, count in enumerate(counts):
+                cfg = SampleConfig(points=count - grid, seed=k)
+                pts = sample_points(n, cfg)
+                assert pts.shape[0] == count
+                # A random input, mostly violated, and a log-concave product measure.
+                mixed = oracle_poly(rng, n, zero_prob=(0.0, 0.3)[k % 2], wide=k % 2 == 1)
+                product = SubsetPoly.product_measure(
+                    [Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)]
+                )
+                for p in (scaled(mixed, k), scaled(product, k + 1)):
+                    if len(p.nonzero_masks()) <= 1:
+                        continue
+                    want, _ = reference_scan(p, pts, cfg)
+                    assert check_log_concavity_sampled(p, cfg) == want, (p, count)
+                    outcomes.add((n, count, type(want).__name__))
+        for name in ("NoViolationFound", "Violated"):
+            assert {(7, 1, name), (7, 1089, name)} <= outcomes, outcomes
+        assert (7, 0, "NoViolationFound") in outcomes
+
+    def test_matches_one_pass_on_planted_witnesses(self, monkeypatch):
+        # g = (1 + x1 x2) (1 + x3) ... (1 + xn) has a NSD log-Hessian exactly
+        # where x1 x2 >= 1, so every point before the planted one is clean.
+        rng = np.random.default_rng(112)
+
+        def draw(count: int, n: int, lo: float, hi: float) -> np.ndarray:
+            return np.exp(rng.uniform(np.log(lo), np.log(hi), size=(count, n)))
+
+        for n in range(2, 8):
+            weights = {mask: 1 for mask in range(1 << n) if mask & 3 in (0, 3)}
+            for k, at in enumerate(WITNESS_AT):
+                p = scaled(SubsetPoly.from_weights(n, weights), k + n)
+                pts = np.vstack([
+                    draw(at, n, 1.5, 10.0),
+                    draw(1, n, 0.05, 0.7),
+                    draw(int(rng.integers(0, 70)), n, 0.05, 10.0),
+                ])
+                cfg = SampleConfig(seed=k)
+                want, index = reference_scan(p, pts, cfg)
+                assert index == at, (n, at, index)
+                monkeypatch.setattr(checkers, "sample_points", lambda n, cfg: pts)
+                assert check_log_concavity_sampled(p, cfg) == want, (n, at)

@@ -14,13 +14,13 @@ is positive semidefinite at x, since M evaluated at x equals -g(x)^2 H(x).
 
 Both the float and the exact side work on the coefficient vector directly.
 
-  * Float: `derivative_table` holds every iterated derivative
-    d^B g(x) = sum_{S >= B} p(S) x^(S \\ B) at a block of points, built by
-    n superset-sum (Yates) stages.  g, its gradient and its Hessian are
-    rows 0, {i} and {i, j} of that one table.  It is the only float
-    evaluator: `eval_many` and `log_hessian_many` only read it, the latter
-    on coefficients rescaled by a power of two (see `_log_coeffs`), and
-    `log_hessian` is `log_hessian_many` at one point.
+  * Float: the derivative table (`_superset_sums`) holds every iterated
+    derivative d^B g(x) = sum_{S >= B} p(S) x^(S \\ B) at a block of
+    points, built by n superset-sum (Yates) stages.  g, its gradient and
+    its Hessian are rows 0, {i} and {i, j} of that one table.  It is the
+    only float evaluator: `eval_many` and `log_hessian_many` only read it,
+    the latter on coefficients rescaled by a power of two (see
+    `_log_coeffs`), and `log_hessian` is `log_hessian_many` at one point.
   * Exact: `_cleared_m_rows` forms M once, times L^2, from products of the
     integer coefficients of `SubsetPoly.cleared` (`poly.add_products`,
     under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
@@ -72,7 +72,8 @@ def _superset_sums(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     Stage k adds x_k times each row holding variable k to the row without
     it.  Afterwards row B has summed p(S) x^(S \\ B) over every S >= B:
     variables outside B were multiplied in at their stage, and the rows of
-    B never changed at the stages of its own variables.
+    B never changed at the stages of its own variables.  So row 0 is g, row
+    {i} the partial derivative in x_(i+1), row {i, j} a mixed second one.
     """
     m, n = pts.shape
     table = np.repeat(coeffs[:, None], m, axis=1)
@@ -112,16 +113,6 @@ def _blocks(n: int, count: int) -> list[slice]:
     """
     step = block_points(n)
     return [slice(start, start + step) for start in range(0, count, step)]
-
-
-def derivative_table(p: SubsetPoly, points) -> np.ndarray:
-    """Every iterated derivative of g_p at every row of an (m, n) point array.
-
-    Row B of the (2**n, m) result is d^B g(x) = sum_{S >= B} p(S) x^(S \\ B)
-    at each point: row 0 is g, row {i} the partial derivative in x_(i+1),
-    row {i, j} the mixed second derivative.
-    """
-    return _superset_sums(_float_coeffs(p), _point_array(p, points))
 
 
 def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -202,11 +202,6 @@ def check_nlc(p: SubsetPoly) -> Verdict:
     return Violated(_nlc_witness(p, *first))
 
 
-def nlc_violations(p: SubsetPoly) -> list[NlcWitness]:
-    """Every violating ordered pair in lexicographic (S, T) order, each checked in rationals."""
-    return [_nlc_witness(p, s, t) for s, t in _nlc_violating_pairs(p)]
-
-
 # Pairs per comparison in the lattice scan, whose products are Python ints:
 # this bounds its memory.  A block is never less than one S row.
 NLC_BLOCK_PAIRS = 1 << 12
@@ -394,17 +389,6 @@ def check_log_concavity_sampled(
         max_eigenvalue_seen=max_seen,
     )
     return NoViolationFound(stats)
-
-
-def verify_point_witness(p: SubsetPoly, witness: PointWitness) -> bool:
-    """Re-check a PointWitness exactly against the polynomial it was issued for.
-
-    True iff v^T M(x) v < 0 at the witness's point and vector, in integers
-    (`calculus.m_form`): since M(x) = -g(x)^2 H(x), the log-Hessian of the
-    derivative is then not NSD at x.  No tolerance enters.
-    """
-    q = p.derivative_subset(witness.subset_mask)
-    return m_form(q, witness.point, witness.vector) < 0
 
 
 # ----- dominance certificate ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reading and writing subset distributions as JSON documents.
+"""Reading subset distributions from JSON documents.
 
 The on-disk shape is
 
@@ -12,28 +12,39 @@ The on-disk shape is
       }
     }
 
-Keys are strictly increasing comma-separated 1-based indices ("" is the
-empty set); the alternative "mask:<int>" spelling gives the subset bitmask
-directly.  Values are exact rationals written as strings: "3/22", "5", or a
-decimal literal like "0.15".  Unlisted subsets are zero.  Weights must be
-nonnegative, and no key may repeat within a JSON object.  The writer always
-emits index-list keys with num/den values, so a document round-trips exactly.
+Both fields are required and no other is allowed.  Keys are strictly
+increasing comma-separated 1-based indices ("" is the empty set); the
+alternative "mask:<int>" spelling gives the subset bitmask directly.  An
+index or a bitmask is written in ASCII decimal digits, with spaces allowed
+around it.  Values are exact rationals written as strings: "3/22", "5", or
+a decimal literal like "0.15".  Unlisted subsets are zero.  Weights must be
+nonnegative, and no key may repeat within a JSON object.  Anything else is
+refused with a DistributionFormatError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
-from .poly import MAX_VARS, SubsetPoly, as_fraction, indices_from_mask
+from .poly import MAX_VARS, SubsetPoly, as_fraction, format_subset
 
 
 class DistributionFormatError(ValueError):
     """Raised for any malformed distribution document."""
 
 
+# What int() reads in a key is limited to ASCII digits and a minus sign (read
+# only to refuse a negative index by value): alone it would also read "1_0"
+# as 10, "+3" as 3 and a non-ASCII digit by its value.
+_KEY_CHARS = re.compile(r"(mask:)?[-0-9,\s]*", re.ASCII)
+
+
 def parse_subset_key(key: str, n: int) -> int:
     key = key.strip()
+    if not _KEY_CHARS.fullmatch(key):
+        raise DistributionFormatError(f"bad subset key {key!r}")
     if key.startswith("mask:"):
         body = key[len("mask:") :].strip()
         try:
@@ -63,10 +74,6 @@ def parse_subset_key(key: str, n: int) -> int:
     return mask
 
 
-def format_subset_key(mask: int) -> str:
-    return ",".join(str(i) for i in indices_from_mask(mask))
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object as a dict; raises DistributionFormatError on a repeated key."""
     doc = {}
@@ -84,6 +91,9 @@ def loads_distribution(text: str) -> SubsetPoly:
         raise DistributionFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DistributionFormatError("top level must be a JSON object")
+    for field in doc:
+        if field not in ("n", "coefficients"):
+            raise DistributionFormatError(f"unknown field {field!r}, not 'n' or 'coefficients'")
     if "n" not in doc:
         raise DistributionFormatError("missing integer field 'n'")
     n = doc["n"]
@@ -91,16 +101,16 @@ def loads_distribution(text: str) -> SubsetPoly:
         raise DistributionFormatError(f"'n' must be an integer, got {n!r}")
     if not 1 <= n <= MAX_VARS:
         raise DistributionFormatError(f"'n' must be in 1..{MAX_VARS}, got {n}")
-    raw = doc.get("coefficients", {})
+    if "coefficients" not in doc:
+        raise DistributionFormatError("missing object field 'coefficients'")
+    raw = doc["coefficients"]
     if not isinstance(raw, dict):
         raise DistributionFormatError("'coefficients' must be an object")
     weights: dict[int, Fraction] = {}
     for key, value in raw.items():
         mask = parse_subset_key(key, n)
         if mask in weights:
-            raise DistributionFormatError(
-                f"subset {format_subset_key(mask) or 'empty set'} given twice"
-            )
+            raise DistributionFormatError(f"subset {format_subset(mask)} given twice")
         if not isinstance(value, str):
             raise DistributionFormatError(
                 f"value for key {key!r} must be a rational string, got {value!r}"
@@ -118,15 +128,3 @@ def loads_distribution(text: str) -> SubsetPoly:
 def load_distribution(path: str) -> SubsetPoly:
     with open(path, "r") as fh:
         return loads_distribution(fh.read())
-
-
-def dumps_distribution(p: SubsetPoly) -> str:
-    coeffs: dict[str, str] = {}
-    for mask in p.nonzero_masks():
-        coeffs[format_subset_key(mask)] = str(p.coeff(mask))
-    return json.dumps({"n": p.n, "coefficients": coeffs}, indent=2) + "\n"
-
-
-def save_distribution(p: SubsetPoly, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_distribution(p))

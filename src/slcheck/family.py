@@ -34,29 +34,17 @@ from .poly import RationalLike, SubsetPoly, as_fraction
 CELL_CAP = 250_000
 
 
-def _params(b: RationalLike, c: RationalLike) -> tuple[Fraction, Fraction]:
-    """(b, c) as Fractions; raises ValueError if either is negative."""
+def make_family(b: RationalLike, c: RationalLike) -> SubsetPoly:
+    """The normalized family member at (b, c); raises ValueError if either is negative."""
     b, c = as_fraction(b), as_fraction(c)
     if b < 0 or c < 0:
         raise ValueError(f"family parameters must be nonnegative, got ({b}, {c})")
-    return b, c
-
-
-def make_family(b: RationalLike, c: RationalLike) -> SubsetPoly:
-    """The normalized family member at (b, c)."""
-    b, c = _params(b, c)
     weights = {0: Fraction(4)}
     for k in range(3):
         weights[1 << k] = b
     for mask in (0b011, 0b101, 0b110):
         weights[mask] = c
     return SubsetPoly.from_weights(3, weights).normalize()
-
-
-def nlc_region_exact(b: RationalLike, c: RationalLike) -> bool:
-    """Closed-form lattice condition for the family: b^2 >= 4c, exactly."""
-    b, c = _params(b, c)
-    return b * b >= 4 * c
 
 
 # ----- grid sweep -------------------------------------------------------------
@@ -124,13 +112,6 @@ class SweepCell:
 class SweepResult:
     config: SweepConfig
     cells: tuple[SweepCell, ...]
-
-    def cell_at(self, b: RationalLike, c: RationalLike) -> SweepCell:
-        b, c = as_fraction(b), as_fraction(c)
-        for cell in self.cells:
-            if cell.b == b and cell.c == c:
-                return cell
-        raise KeyError(f"no sweep cell at ({b}, {c})")
 
     def count_nlc(self) -> int:
         return sum(1 for cell in self.cells if cell.nlc)

@@ -9,8 +9,10 @@ a polynomial that is affine in each variable separately.  Coefficients live
 in a dense tuple of 2**n `fractions.Fraction` values indexed by subset
 bitmask, where bit k of the mask stands for variable k+1, and once over one
 common denominator as integers (`SubsetPoly.cleared`).  All algebra and
-evaluation here is exact (`eval_exact` at rational points); float values of
-g and its derivatives come only from `calculus.derivative_table`.
+evaluation here is exact; float values of g and its derivatives come only
+from the derivative table of `calculus`.  `eval_exact` (at rational points,
+on both classes below) is read by no code in the package: it is the tests'
+exact reference.
 
 `SparsePoly` is a plain exact value (built, scaled by a rational, compared,
 evaluated, printed) of degree at most 2 in each variable under one integer
@@ -27,14 +29,13 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 MAX_VARS = 16
 
 RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -56,19 +57,6 @@ def as_fraction(value: RationalLike) -> Fraction:
         f"expected an exact rational (int, Fraction, or string), got {type(value).__name__}; "
         "write floats as strings, e.g. '0.05'"
     )
-
-
-def mask_from_indices(indices: Iterable[int], n: int) -> int:
-    """Bitmask for a collection of 1-based variable indices."""
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= n:
-            raise IndexError(f"variable index {i} out of range 1..{n}")
-        bit = 1 << (i - 1)
-        if mask & bit:
-            raise ValueError(f"duplicate variable index {i}")
-        mask |= bit
-    return mask
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
@@ -123,50 +111,13 @@ class SubsetPoly:
             coeffs[mask] = as_fraction(value)
         return SubsetPoly(n, tuple(coeffs))
 
-    @staticmethod
-    def zero(n: int) -> SubsetPoly:
-        return SubsetPoly(n, tuple([_ZERO] * (1 << n)))
-
-    @staticmethod
-    def constant(n: int, value: RationalLike) -> SubsetPoly:
-        return SubsetPoly.from_weights(n, {0: value})
-
-    @staticmethod
-    def point_mass(n: int, mask: int) -> SubsetPoly:
-        """Distribution concentrated on a single subset."""
-        return SubsetPoly.from_weights(n, {mask: 1})
-
-    @staticmethod
-    def product_measure(probs: Sequence[RationalLike]) -> SubsetPoly:
-        """Independent inclusion probabilities q_i: p(S) = prod q_i prod (1-q_i)."""
-        n = len(probs)
-        qs = [as_fraction(q) for q in probs]
-        for q in qs:
-            if not 0 <= q <= 1:
-                raise ValueError(f"inclusion probability {q} outside [0, 1]")
-        coeffs = []
-        for mask in range(1 << n):
-            c = _ONE
-            for k in range(n):
-                c *= qs[k] if mask & (1 << k) else (1 - qs[k])
-            coeffs.append(c)
-        return SubsetPoly(n, tuple(coeffs))
-
     # ----- structure ----------------------------------------------------
-
-    def coeff(self, mask: int) -> Fraction:
-        if not 0 <= mask < (1 << self.n):
-            raise ValueError(f"subset mask {mask} out of range for n={self.n}")
-        return self.coeffs[mask]
 
     def nonzero_masks(self) -> tuple[int, ...]:
         return tuple(m for m, c in enumerate(self.coeffs) if c != 0)
 
     def coeff_sum(self) -> Fraction:
         return sum(self.coeffs, _ZERO)
-
-    def is_distribution(self) -> bool:
-        return self.coeff_sum() == 1
 
     # ----- evaluation ---------------------------------------------------
 
@@ -237,23 +188,6 @@ class SubsetPoly:
         if s <= 0:
             raise ValueError(f"cannot normalize: coefficient sum is {s}")
         return self.scale(1 / s)
-
-    def permute(self, images: Sequence[int]) -> SubsetPoly:
-        """Relabel variables: variable i becomes images[i-1] (a permutation of 1..n)."""
-        if sorted(images) != list(range(1, self.n + 1)):
-            raise ValueError(f"{images!r} is not a permutation of 1..{self.n}")
-        coeffs = [_ZERO] * (1 << self.n)
-        for mask, c in enumerate(self.coeffs):
-            target = 0
-            m = mask
-            k = 0
-            while m:
-                if m & 1:
-                    target |= 1 << (images[k] - 1)
-                m >>= 1
-                k += 1
-            coeffs[target] = c
-        return SubsetPoly(self.n, tuple(coeffs))
 
     def __str__(self) -> str:
         return sparse_from_subset(self).__str__()

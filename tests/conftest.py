@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from slcheck import SubsetPoly
+from slcheck.poly import RationalLike, as_fraction
 
 
 def random_fraction(rng: np.random.Generator, max_num: int = 9, max_den: int = 7) -> Fraction:
@@ -45,6 +46,29 @@ def random_positive_point(
 
 def random_permutation(rng: np.random.Generator, n: int) -> tuple[int, ...]:
     return tuple(int(v) + 1 for v in rng.permutation(n))
+
+
+def product_measure(probs: list[RationalLike]) -> SubsetPoly:
+    """Independent inclusion probabilities q_i:
+
+    p(S) = prod_{i in S} q_i prod_{i not in S} (1 - q_i).
+    """
+    qs = [as_fraction(q) for q in probs]
+    coeffs = []
+    for mask in range(1 << len(qs)):
+        c = Fraction(1)
+        for k, q in enumerate(qs):
+            c *= q if mask >> k & 1 else 1 - q
+        coeffs.append(c)
+    return SubsetPoly(len(qs), tuple(coeffs))
+
+
+def permute(p: SubsetPoly, images: tuple[int, ...]) -> SubsetPoly:
+    """Relabel variables: variable i becomes images[i-1], a permutation of 1..n."""
+    coeffs = [Fraction(0)] * (1 << p.n)
+    for mask, c in enumerate(p.coeffs):
+        coeffs[sum(1 << (images[k] - 1) for k in range(p.n) if mask >> k & 1)] = c
+    return SubsetPoly(p.n, tuple(coeffs))
 
 
 def exact_point(point) -> list[Fraction]:
@@ -130,8 +154,8 @@ def brute_nlc_violations(p: SubsetPoly) -> list[tuple[int, int, Fraction, Fracti
             t_set = {i for i in range(n) if t >> i & 1}
             union = sum(1 << i for i in s_set | t_set)
             inter = sum(1 << i for i in s_set & t_set)
-            lhs = p.coeff(s) * p.coeff(t)
-            rhs = p.coeff(union) * p.coeff(inter)
+            lhs = p.coeffs[s] * p.coeffs[t]
+            rhs = p.coeffs[union] * p.coeffs[inter]
             if lhs < rhs:
                 out.append((s, t, lhs, rhs))
     return out
@@ -139,14 +163,14 @@ def brute_nlc_violations(p: SubsetPoly) -> list[tuple[int, int, Fraction, Fracti
 
 @pytest.fixture
 def counterexample():
-    from slcheck import counterexample_distribution
+    from slcheck.counterexample import counterexample_distribution
 
     return counterexample_distribution()
 
 
 @pytest.fixture
 def raw_counterexample():
-    from slcheck import counterexample_weights
+    from slcheck.counterexample import counterexample_weights
 
     return counterexample_weights()
 

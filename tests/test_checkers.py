@@ -9,33 +9,37 @@ import numpy as np
 import pytest
 
 from slcheck import (
-    DominanceCertificate,
-    ExhaustiveEnumeration,
     Holds,
     NoViolationFound,
-    PointWitness,
     SampleConfig,
-    SparsePoly,
-    SubsetCertificates,
     SubsetPoly,
-    TrivialLogConcavity,
     Violated,
-    certify_log_concavity_dominance,
-    check_log_concavity_sampled,
     check_nlc,
     check_slc,
+)
+from slcheck import checkers
+from slcheck.calculus import log_hessian_many, m_form, m_matrix
+from slcheck.checkers import (
+    DominanceCertificate,
+    ExhaustiveEnumeration,
+    SubsetCertificates,
+    TrivialLogConcavity,
+    certify_log_concavity_dominance,
+    check_log_concavity_sampled,
     exit_code,
     format_fraction_pair,
     grid_points,
-    log_hessian_many,
-    m_matrix,
-    nlc_violations,
     sample_points,
     trivial_log_concavity,
-    verify_point_witness,
 )
-from slcheck import checkers
-from conftest import brute_nlc_violations, random_subset_poly
+from slcheck.poly import SparsePoly
+from conftest import (
+    brute_nlc_violations,
+    permute,
+    product_measure,
+    random_permutation,
+    random_subset_poly,
+)
 
 
 def one_plus_xy() -> SubsetPoly:
@@ -56,10 +60,12 @@ class TestLatticeCondition:
     def test_counterexample_violation_count(self, counterexample):
         # Every unordered pair of distinct singletons violates; ordered, that
         # is 6 pairs, and no larger pair does because p({1,2,3}) = 0.
-        wits = nlc_violations(counterexample)
-        assert len(wits) == 6
-        assert all(w.s_mask.bit_count() == 1 and w.t_mask.bit_count() == 1 for w in wits)
-        assert wits[0] == check_nlc(counterexample).witness
+        pairs = list(checkers._nlc_violating_pairs(counterexample))
+        assert pairs == [(s, t) for s, t, _, _ in brute_nlc_violations(counterexample)]
+        assert len(pairs) == 6
+        assert all(s.bit_count() == 1 and t.bit_count() == 1 for s, t in pairs)
+        w = check_nlc(counterexample).witness
+        assert pairs[0] == (w.s_mask, w.t_mask)
 
     def test_unnormalized_weights_same_witness(self, raw_counterexample, counterexample):
         a = check_nlc(raw_counterexample).witness
@@ -69,19 +75,19 @@ class TestLatticeCondition:
         assert a.rhs == Fraction(12)
 
     def test_product_measure_holds(self):
-        p = SubsetPoly.product_measure([Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)])
+        p = product_measure([Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)])
         verdict = check_nlc(p)
         assert isinstance(verdict, Holds)
         assert verdict.certificate == ExhaustiveEnumeration(pairs_checked=8 * 8)
         assert exit_code(verdict) == 0
 
     def test_point_mass_holds(self):
-        p = SubsetPoly.point_mass(4, 0b1010)
+        p = SubsetPoly.from_weights(4, {0b1010: 1})
         assert isinstance(check_nlc(p), Holds)
 
     def test_zero_and_constant_hold(self):
-        assert isinstance(check_nlc(SubsetPoly.zero(2)), Holds)
-        assert isinstance(check_nlc(SubsetPoly.constant(2, 3)), Holds)
+        assert isinstance(check_nlc(SubsetPoly.from_weights(2, {})), Holds)
+        assert isinstance(check_nlc(SubsetPoly.from_weights(2, {0: 3})), Holds)
 
     def test_rejects_negative_weights(self):
         # A signed polynomial cannot be built, so no checker is handed one.
@@ -91,8 +97,7 @@ class TestLatticeCondition:
     def test_matches_brute_force_oracle(self):
         def agrees(p: SubsetPoly) -> list:
             expected = brute_nlc_violations(p)
-            got = [(w.s_mask, w.t_mask, w.lhs, w.rhs) for w in nlc_violations(p)]
-            assert got == expected
+            assert list(checkers._nlc_violating_pairs(p)) == [(s, t) for s, t, _, _ in expected]
             verdict = check_nlc(p)
             if expected:
                 assert isinstance(verdict, Violated)
@@ -109,7 +114,7 @@ class TestLatticeCondition:
         for n in (5, 6, 7):
             agrees(random_subset_poly(rng, n, zero_prob=0.6))
             qs = [Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)]
-            product = SubsetPoly.product_measure(qs)
+            product = product_measure(qs)
             assert not agrees(product)
             truncated = {m: c for m, c in enumerate(product.coeffs) if m.bit_count() <= n // 2}
             assert not agrees(SubsetPoly.from_weights(n, truncated))
@@ -119,7 +124,7 @@ class TestLatticeCondition:
         # Denominators above 2**64, holding and violated.
         big = 2**64
         qs = [Fraction(int(rng.integers(1, 2**62)), big + k) for k in range(6)]
-        assert not agrees(SubsetPoly.product_measure(qs))
+        assert not agrees(product_measure(qs))
         for n in (4, 6):
             weights = {m: Fraction(int(rng.integers(0, 5)), big + m) for m in range(1 << n)}
             assert agrees(SubsetPoly.from_weights(n, weights))
@@ -127,7 +132,7 @@ class TestLatticeCondition:
         # weight halved, fails only in the last S rows.
         n, top = 7, 0b1100000
         qs = [Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)]
-        product = SubsetPoly.product_measure(qs)
+        product = product_measure(qs)
         weights = {m: c for m, c in enumerate(product.coeffs) if m & top == top}
         weights[top | 0b10110] /= 2
         late = agrees(SubsetPoly.from_weights(n, weights))
@@ -139,8 +144,6 @@ class TestLatticeCondition:
         monkeypatch.setattr(checkers, "_nlc_violating_pairs", lambda p: iter([(0b001, 0b011)]))
         with pytest.raises(AssertionError):
             check_nlc(counterexample)
-        with pytest.raises(AssertionError):
-            nlc_violations(counterexample)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)
@@ -161,10 +164,10 @@ class TestLatticeCondition:
         rng = np.random.default_rng(43)
         for _ in range(100):
             p = random_subset_poly(rng, 3)
-            images = tuple(int(v) + 1 for v in rng.permutation(3))
-            q = p.permute(images)
+            q = permute(p, random_permutation(rng, 3))
             assert isinstance(check_nlc(p), Violated) == isinstance(check_nlc(q), Violated)
-            assert len(nlc_violations(p)) == len(nlc_violations(q))
+            pairs = checkers._nlc_violating_pairs
+            assert len(list(pairs(p))) == len(list(pairs(q)))
 
 
 class TestSampling:
@@ -227,16 +230,16 @@ class TestSampling:
         # First failing point in scan order is the first grid point.
         assert w.point == (0.1, 0.1)
         assert w.max_eigenvalue > w.threshold
-        assert verify_point_witness(one_plus_xy(), w)
+        assert m_form(one_plus_xy(), w.point, w.vector) < 0
         assert "max log-Hessian eigenvalue" in w.describe()
         assert exit_code(verdict) == 1
 
     def test_witness_vector_is_binding(self):
         verdict = check_log_concavity_sampled(one_plus_xy(), SampleConfig(points=10))
         w = verdict.witness
-        # Along e_1, v^T M v = (d_1 g)^2 >= 0, so the doctored witness proves nothing.
-        doctored = PointWitness(w.subset_mask, w.point, w.max_eigenvalue, w.threshold, (1.0, 0.0))
-        assert not verify_point_witness(one_plus_xy(), doctored)
+        assert m_form(one_plus_xy(), w.point, w.vector) < 0
+        # Along e_1, v^T M v = (d_1 g)^2 >= 0, so the witness's point alone proves nothing.
+        assert m_form(one_plus_xy(), w.point, (1.0, 0.0)) > 0
 
     def test_float_recheck_refuses_a_top_eigenvalue_under_the_threshold(self, monkeypatch):
         # eigvalsh flags points of 1 + xy; if eigh then puts the top eigenvalue
@@ -277,7 +280,7 @@ class TestSampling:
         verdict = check_log_concavity_sampled(p, cfg)
         assert isinstance(verdict, Violated)
         assert verdict.witness.point == (0.1, 0.1, 0.1)
-        assert verify_point_witness(p, verdict.witness)
+        assert m_form(p, verdict.witness.point, verdict.witness.vector) < 0
 
     def test_never_holds_from_samples(self, counterexample):
         # Log-concave but not structurally trivial: sampling must stay agnostic.
@@ -288,10 +291,10 @@ class TestSampling:
         assert verdict.stats.max_eigenvalue_seen <= 0.0
 
     def test_trivial_short_circuits(self):
-        assert check_log_concavity_sampled(SubsetPoly.zero(2)) == Holds(
+        assert check_log_concavity_sampled(SubsetPoly.from_weights(2, {})) == Holds(
             TrivialLogConcavity("zero")
         )
-        assert check_log_concavity_sampled(SubsetPoly.constant(2, 7)) == Holds(
+        assert check_log_concavity_sampled(SubsetPoly.from_weights(2, {0: 7})) == Holds(
             TrivialLogConcavity("constant")
         )
         assert check_log_concavity_sampled(
@@ -320,8 +323,8 @@ class TestSampling:
 
 class TestTrivialClasses:
     def test_kinds(self, counterexample):
-        assert trivial_log_concavity(SubsetPoly.zero(2)).kind == "zero"
-        assert trivial_log_concavity(SubsetPoly.constant(2, 4)).kind == "constant"
+        assert trivial_log_concavity(SubsetPoly.from_weights(2, {})).kind == "zero"
+        assert trivial_log_concavity(SubsetPoly.from_weights(2, {0: 4})).kind == "constant"
         assert trivial_log_concavity(SubsetPoly.from_weights(3, {0b101: 2})).kind == "monomial"
         affine = SubsetPoly.from_weights(3, {0: 1, 1: 2, 2: 1, 4: 3})
         assert trivial_log_concavity(affine).kind == "affine"
@@ -359,7 +362,7 @@ class TestDominanceCertificate:
 
     def test_product_measure_certified(self):
         # Product form makes every off-diagonal M entry vanish identically.
-        p = SubsetPoly.product_measure([Fraction(1, 2), Fraction(1, 3)])
+        p = product_measure([Fraction(1, 2), Fraction(1, 3)])
         cert = certify_log_concavity_dominance(p)
         assert cert is not None
         m = m_matrix(cert.poly)
@@ -378,7 +381,7 @@ class TestDominanceCertificate:
         assert certify_log_concavity_dominance(one_plus_xy()) is None
 
     def test_zero_not_certified(self):
-        assert certify_log_concavity_dominance(SubsetPoly.zero(2)) is None
+        assert certify_log_concavity_dominance(SubsetPoly.from_weights(2, {})) is None
 
     def test_certificate_implies_no_sampled_violation(self):
         rng = np.random.default_rng(44)
@@ -419,7 +422,7 @@ class TestFullCheck:
         assert isinstance(report.subsets[0b11], Holds)
 
     def test_zero_polynomial_holds_by_convention(self):
-        report = check_slc(SubsetPoly.zero(2))
+        report = check_slc(SubsetPoly.from_weights(2, {}))
         assert isinstance(report.aggregate, Holds)
         assert all(
             v.certificate == TrivialLogConcavity("zero") for v in report.subsets.values()
@@ -461,7 +464,7 @@ class TestFullCheck:
 
     def test_tiny_weights_are_checked(self):
         # Every weight on a set holding variable 4 is below the smallest float.
-        p = SubsetPoly.product_measure(
+        p = product_measure(
             [Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1, 10**400)]
         )
         report = check_slc(p, SampleConfig(points=200))

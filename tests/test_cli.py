@@ -9,19 +9,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slcheck import (
+from slcheck import SubsetPoly
+from slcheck.calculus import m_form
+from slcheck.cli import main
+from slcheck.distfile import (
     DistributionFormatError,
-    PointWitness,
-    SubsetPoly,
-    dumps_distribution,
     load_distribution,
     loads_distribution,
     parse_subset_key,
-    save_distribution,
-    verify_point_witness,
 )
-from slcheck.cli import main
-from conftest import random_subset_poly
+from conftest import product_measure, random_subset_poly
+
+
+def document(p: SubsetPoly) -> str:
+    """p as a distribution document with index-list keys, written by json.dumps."""
+    coefficients = {
+        ",".join(str(k + 1) for k in range(p.n) if mask >> k & 1): str(c)
+        for mask, c in enumerate(p.coeffs)
+        if c
+    }
+    return json.dumps({"n": p.n, "coefficients": coefficients})
+
 
 COUNTEREXAMPLE_DOC = """
 {
@@ -63,7 +71,9 @@ class TestSubsetKeys:
         assert parse_subset_key("mask: 0", 3) == 0
 
     def test_parse_errors(self):
-        for key in ("3,1", "1,1", "4", "0", "x", "1,,2", "mask:8", "mask:-1", "mask:x"):
+        digits = "1" * 5000  # past int()'s digit limit: still a format error
+        for key in ("3,1", "1,1", "4", "0", "x", "1,,2", "mask:8", "mask:-1", "mask:x",
+                    digits, "mask:" + digits):
             with pytest.raises(DistributionFormatError):
                 parse_subset_key(key, 3)
 
@@ -77,12 +87,12 @@ class TestDistributionFiles:
     def test_counterexample_document(self, counterexample):
         p = loads_distribution(COUNTEREXAMPLE_DOC)
         assert p == counterexample
-        assert p.coeff(0b111) == 0  # unlisted subsets default to zero
+        assert p.coeffs[0b111] == 0  # unlisted subsets default to zero
 
     def test_accepts_decimal_and_integer_strings(self):
         p = loads_distribution('{"n": 1, "coefficients": {"": "0.15", "1": "2"}}')
-        assert p.coeff(0) == Fraction(3, 20)
-        assert p.coeff(1) == 2
+        assert p.coeffs[0] == Fraction(3, 20)
+        assert p.coeffs[1] == 2
 
     def test_rejects_malformed_documents(self):
         bad = [
@@ -101,6 +111,18 @@ class TestDistributionFiles:
             # json.loads alone would keep the last value: p({1}) = 1/3, or n = 3.
             '{"n": 2, "coefficients": {"1": "1/2", "1": "1/3", "": "1"}}',
             '{"n": 2, "n": 3, "coefficients": {"": "1"}}',
+            # Only the two documented fields, both required: a misspelled one
+            # would otherwise read as the zero polynomial.
+            '{"n": 3, "coeffs": {"": "1", "1": "1", "2": "5", "1,2": "1"}}',
+            '{"n": 2, "coefficients": {"": "1"}, "note": "x"}',
+            '{"n": 2}',
+            # Indices and bitmasks are ASCII decimal digits, which int() alone
+            # would widen to {10}, {3}, {3} and {1}.
+            '{"n": 16, "coefficients": {"1_0": "1"}}',
+            '{"n": 3, "coefficients": {"\\u0663": "1"}}',
+            '{"n": 3, "coefficients": {"+3": "1"}}',
+            '{"n": 3, "coefficients": {"mask:0_1": "1"}}',
+            '{"n": 3, "coefficients": {"mask:+1": "1"}}',
         ]
         for doc in bad:
             with pytest.raises(DistributionFormatError):
@@ -112,19 +134,8 @@ class TestDistributionFiles:
             n = int(rng.integers(1, 5))
             p = random_subset_poly(rng, n)
             path = tmp_path / f"rt{k}.json"
-            save_distribution(p, str(path))
+            path.write_text(document(p))
             assert load_distribution(str(path)) == p
-
-    def test_writer_output_shape(self, counterexample):
-        doc = json.loads(dumps_distribution(counterexample))
-        assert doc["n"] == 3
-        assert doc["coefficients"][""] == "2/11"
-        assert doc["coefficients"]["1,2"] == "3/22"
-        assert "mask:3" not in doc["coefficients"]
-        assert "1,2,3" not in doc["coefficients"]  # zero weight is omitted
-
-    def test_writer_emits_trailing_newline(self):
-        assert dumps_distribution(SubsetPoly.constant(1, 1)).endswith("}\n")
 
 
 class TestCheckCommand:
@@ -138,9 +149,7 @@ class TestCheckCommand:
 
     def test_nlc_holds(self, tmp_path, capsys):
         path = tmp_path / "prod.json"
-        save_distribution(
-            SubsetPoly.product_measure([Fraction(1, 2), Fraction(1, 3)]), str(path)
-        )
+        path.write_text(document(product_measure([Fraction(1, 2), Fraction(1, 3)])))
         code = main(["check", str(path), "nlc"])
         out = capsys.readouterr().out
         assert code == 0
@@ -214,7 +223,7 @@ class TestCheckCommand:
         # eigenvalue seen is -inf: the text says so, the report writes null.
         path = tmp_path / "n7.json"
         weights = {0: 4, **{1 << i: 1 for i in range(7)}, **{3 << i: 4 for i in range(6)}}
-        save_distribution(SubsetPoly.from_weights(7, weights), str(path))
+        path.write_text(document(SubsetPoly.from_weights(7, weights)))
 
         def strict(report: Path) -> dict:
             return json.loads(report.read_text(), parse_constant=pytest.fail)
@@ -236,9 +245,8 @@ class TestCheckCommand:
         capsys.readouterr()
         w = json.loads(report_path.read_text())["witness"]
         assert set(w) == {"subset", "point", "max_eigenvalue", "threshold", "vector"}
-        witness = PointWitness(0, tuple(w["point"]), w["max_eigenvalue"], w["threshold"],
-                               tuple(w["vector"]))
-        assert verify_point_witness(load_distribution(xy_file), witness)
+        assert w["subset"] == "{}"
+        assert m_form(load_distribution(xy_file), w["point"], w["vector"]) < 0
 
     def test_affine_is_sampled_by_lc_and_trivial_for_slc(self, tmp_path, capsys):
         path = tmp_path / "affine.json"
@@ -347,6 +355,14 @@ class TestErrorPaths:
             assert code == 2, box
             assert out == "" and err.count("\n") == 1, err
             assert err.startswith("error: points overflow the floats"), err
+
+    def test_misspelled_field_file(self, tmp_path, capsys):
+        # Read as the zero polynomial, this would hold on every subset and exit 0.
+        path = tmp_path / "coeffs.json"
+        path.write_text('{"n": 3, "coeffs": {"": "1", "1": "1", "2": "5", "1,2": "1"}}')
+        assert main(["check", str(path), "slc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: unknown field 'coeffs'"), err
 
     def test_negative_weight_file(self, tmp_path, capsys):
         path = tmp_path / "neg.json"

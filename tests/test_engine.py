@@ -3,8 +3,8 @@
 Five fast paths are checked on seeded random inputs with n = 1..8, zero
 weights, weights spanning about 1e-40..1e40, and the counterexample:
 
-  * every row of `derivative_table` against exact evaluation of the
-    corresponding derivative at rational points;
+  * every row of the derivative table (`calculus._superset_sums`) against
+    exact evaluation of the corresponding derivative at rational points;
   * the integer M (`m_matrix`), its dominance gaps (`DominanceCertificate.
     row_gaps`) and the decision against M built term by term in Fractions
     on exponent tuples, apart from the package's key and product loop;
@@ -27,31 +27,38 @@ import numpy as np
 import pytest
 
 from slcheck import (
-    DominanceCertificate,
     Holds,
     NoViolationFound,
-    PointWitness,
     SampleConfig,
-    SampleStats,
-    SparsePoly,
     SubsetPoly,
     Violated,
-    certify_log_concavity_dominance,
-    check_log_concavity_sampled,
     check_slc,
-    counterexample_weights,
+)
+from slcheck import checkers
+from slcheck.calculus import (
+    _float_coeffs,
+    _superset_sums,
+    block_points,
     eval_many,
     log_hessian,
     log_hessian_many,
+    m_form,
     m_matrix,
-    make_family,
+)
+from slcheck.checkers import (
+    DominanceCertificate,
+    PointWitness,
+    SampleStats,
+    certify_log_concavity_dominance,
+    check_log_concavity_sampled,
     sample_points,
     trivial_log_concavity,
-    verify_point_witness,
 )
-from slcheck import checkers
-from slcheck.calculus import block_points, derivative_table, m_form
+from slcheck.counterexample import counterexample_weights
+from slcheck.family import make_family
 from slcheck.linalg import nsd_threshold
+from slcheck.poly import SparsePoly
+from conftest import product_measure
 
 
 def oracle_poly(rng: np.random.Generator, n: int, *, zero_prob: float, wide: bool) -> SubsetPoly:
@@ -92,7 +99,7 @@ class TestDerivativeTable:
         checked = 0
         for p in oracle_cases(72, 48, max_dense_n=8):
             xs = rational_points(rng, p.n, 2)
-            table = derivative_table(p, np.array(xs, dtype=float))
+            table = _superset_sums(_float_coeffs(p), np.array(xs, dtype=float))
             assert table.shape == (1 << p.n, len(xs))
             for b in range(1 << p.n):
                 q = p.derivative_subset(b)
@@ -110,14 +117,17 @@ class TestDerivativeTable:
             p = oracle_poly(rng, n, zero_prob=0.3, wide=True)
             count = 2 * block_points(n) + 5
             pts = np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=(count, n)))
-            np.testing.assert_array_equal(eval_many(p, pts), derivative_table(p, pts)[0])
+            table = _superset_sums(_float_coeffs(p), pts)
+            np.testing.assert_array_equal(eval_many(p, pts), table[0])
             batch = log_hessian_many(p, pts)
             for k in (0, count // 2, count - 1):
                 np.testing.assert_array_equal(batch[k], log_hessian(p, tuple(pts[k])))
 
     def test_rejects_wrong_shape(self, counterexample):
-        with pytest.raises(ValueError):
-            derivative_table(counterexample, np.ones((4, 2)))
+        # Both readers check the shape of the points before building a table.
+        for reader in (eval_many, log_hessian_many):
+            with pytest.raises(ValueError, match="point array"):
+                reader(counterexample, np.ones((4, 2)))
 
 
 def reference_m(p: SubsetPoly) -> list[list[dict[tuple[int, ...], Fraction]]]:
@@ -171,7 +181,7 @@ class TestIntegerDominance:
         for _ in range(100):
             n = int(rng.integers(1, 5))
             probs = [Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)]
-            cases.append(SubsetPoly.product_measure(probs))
+            cases.append(product_measure(probs))
         outcomes = {True: 0, False: 0}
         for p in cases:
             m = reference_m(p)
@@ -302,7 +312,7 @@ class TestPointWitness:
                 if isinstance(verdict, Violated):
                     w = verdict.witness
                     q = p.derivative_subset(a)
-                    assert w.subset_mask == a and verify_point_witness(p, w), (p, a)
+                    assert w.subset_mask == a and m_form(q, w.point, w.vector) < 0, (p, a)
                     assert q.eval_exact([Fraction(c) for c in w.point]) > 0
                     witnesses += 1
                     if not cases:
@@ -323,7 +333,7 @@ class TestPointWitness:
 
     def test_m_form_rejects_what_proves_nothing(self, counterexample):
         with pytest.raises(ValueError, match="not positive"):
-            m_form(SubsetPoly.zero(2), (1.0, 1.0), (1.0, 0.0))
+            m_form(SubsetPoly.from_weights(2, {}), (1.0, 1.0), (1.0, 0.0))
         for x in ((1.0, 0.0, 1.0), (1.0, float("nan"), 1.0), (1.0, float("inf"), 1.0), (1.0, 1.0)):
             with pytest.raises(ValueError):
                 m_form(counterexample, x, (1.0, 0.0, 0.0))
@@ -376,7 +386,7 @@ class TestChunkedScan:
                 assert pts.shape[0] == count
                 # A random input, mostly violated, and a log-concave product measure.
                 mixed = oracle_poly(rng, n, zero_prob=(0.0, 0.3)[k % 2], wide=k % 2 == 1)
-                product = SubsetPoly.product_measure(
+                product = product_measure(
                     [Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)]
                 )
                 for p in (scaled(mixed, k), scaled(product, k + 1)):

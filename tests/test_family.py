@@ -8,15 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slcheck import (
-    Holds,
-    SweepConfig,
-    check_nlc,
-    emit_region_tables,
-    make_family,
-    nlc_region_exact,
-    sweep,
-)
+from slcheck import Holds, Violated, check_nlc
+from slcheck.family import SweepConfig, emit_region_tables, make_family, sweep
+
+
+def nlc_holds(b, c) -> bool:
+    return isinstance(check_nlc(make_family(b, c)), Holds)
 
 
 class TestFamilyConstruction:
@@ -25,10 +22,10 @@ class TestFamilyConstruction:
 
     def test_member_with_no_pair_weight(self):
         p = make_family(4, 0)
-        assert p.coeff(0) == Fraction(1, 4)
-        assert p.coeff(0b001) == Fraction(1, 4)
-        assert p.coeff(0b011) == 0
-        assert p.coeff(0b111) == 0
+        assert p.coeffs[0] == Fraction(1, 4)
+        assert p.coeffs[0b001] == Fraction(1, 4)
+        assert p.coeffs[0b011] == 0
+        assert p.coeffs[0b111] == 0
 
     def test_string_parameters_are_exact(self):
         assert make_family("0.05", "1/3") == make_family(Fraction(1, 20), Fraction(1, 3))
@@ -38,13 +35,13 @@ class TestFamilyConstruction:
         for _ in range(50):
             b = Fraction(int(rng.integers(0, 50)), int(rng.integers(1, 10)))
             c = Fraction(int(rng.integers(0, 50)), int(rng.integers(1, 10)))
-            assert make_family(b, c).is_distribution()
+            assert make_family(b, c).coeff_sum() == 1
 
     def test_rejects_negative_parameters(self):
         with pytest.raises(ValueError):
             make_family(-1, 2)
         with pytest.raises(ValueError, match="family parameters"):
-            nlc_region_exact(1, "-1/2")
+            make_family(1, "-1/2")
 
 
 class TestRegionLaw:
@@ -54,19 +51,16 @@ class TestRegionLaw:
         grid = [Fraction(k, 4) for k in range(0, 17)]
         for b in grid:
             for c in grid:
-                assert nlc_region_exact(b, c) == (b * b >= 4 * c)
-                assert nlc_region_exact(b, c) == isinstance(
-                    check_nlc(make_family(b, c)), Holds
-                )
+                assert nlc_holds(b, c) == (b * b >= 4 * c)
 
     def test_boundary_cells(self):
-        assert nlc_region_exact(2, 1)
-        assert not nlc_region_exact(2, "1.0625")
-        assert nlc_region_exact(3, "9/4")
-        assert not nlc_region_exact(3, "2.26")
+        assert nlc_holds(2, 1)
+        assert not nlc_holds(2, "1.0625")
+        assert nlc_holds(3, "9/4")
+        assert not nlc_holds(3, "2.26")
 
     def test_counterexample_cell_is_outside(self):
-        assert not nlc_region_exact(3, 3)
+        assert isinstance(check_nlc(make_family(3, 3)), Violated)
 
 
 def small_config(**overrides) -> SweepConfig:
@@ -106,10 +100,11 @@ class TestSweep:
         result = sweep(small_config())
         assert len(result.cells) == 9 * 5
         for cell in result.cells:
-            assert cell.nlc == nlc_region_exact(cell.b, cell.c)
+            assert cell.nlc == (cell.b * cell.b >= 4 * cell.c)
+        cells = {(cell.b, cell.c): cell for cell in result.cells}
         # (2, 1) sits exactly on the lattice boundary.
-        assert result.cell_at(2, 1).nlc
-        assert result.cell_at("7/4", 1).nlc is False
+        assert cells[2, 1].nlc
+        assert cells[Fraction(7, 4), 1].nlc is False
 
     def test_containment_on_small_grid(self):
         result = sweep(small_config())
@@ -121,11 +116,6 @@ class TestSweep:
         for cell in result.cells:
             if cell.certified:
                 assert cell.slc_no_violation
-
-    def test_missing_cell_raises(self):
-        result = sweep(small_config())
-        with pytest.raises(KeyError):
-            result.cell_at(2, "7/8")
 
     def test_deterministic_across_runs(self):
         a = sweep(small_config())
@@ -161,10 +151,10 @@ class TestRegionTables:
         ]
         for b_str, c_str in rows:
             b, c = Fraction(b_str), Fraction(c_str)
-            assert nlc_region_exact(b, c)
+            assert b * b >= 4 * c
             above = c + Fraction(1, 4)
             if above <= 1:
-                assert not nlc_region_exact(b, above)
+                assert b * b < 4 * above
         # At b = 2 the largest lattice-true c on this grid is c = 1 exactly.
         assert ["2.0", "1.0"] in rows
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slcheck import eigen_sym, nsd_threshold
+from slcheck.linalg import eigen_sym, nsd_threshold
 
 
 def random_symmetric_rational(rng: np.random.Generator, n: int) -> list[list[Fraction]]:

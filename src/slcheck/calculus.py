@@ -26,10 +26,13 @@ Both the float and the exact side work on the coefficient vector directly.
     under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
     the diagonal dominance gap of each row, on which the dominance
     certificate decides; `m_matrix` and the certificate's gaps are the same
-    integers divided by L^2 (`uncleared`).  `m_form` runs the same superset
-    sums on the integer coefficients at a float point, read as exact dyadic
-    rationals, and returns the exact sign of v^T M(x) v, which proves a
-    sampled violation.
+    integers divided by L^2 (`uncleared`).  At n <= 3, `minor_factors`
+    forms the principal minors of M, reduced to the factors whose signs
+    are not already known, on the same integers and key; the
+    principal-minor certificate decides on them.  `m_form` runs the same
+    superset sums on the integer coefficients at a float point, read as
+    exact dyadic rationals, and returns the exact sign of v^T M(x) v,
+    which proves a sampled violation.
 
 No check runs `m_matrix`: it serves the counterexample replay and the
 tests, as rows of `SparsePoly` entries that are evaluated only exactly
@@ -38,6 +41,7 @@ tests, as rows of `SparsePoly` entries that are evaluated only exactly
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -144,6 +148,16 @@ def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
 # ----- exact M matrix on integer coefficients ----------------------------------
 
 
+def _cleared_terms(p: SubsetPoly) -> list[tuple[int, int]]:
+    """The (mask, L * coefficient) pairs of p's nonzero coefficients."""
+    return [(s, c) for s, c in enumerate(p.cleared[0]) if c]
+
+
+def _derivative_terms(terms: list[tuple[int, int]], mask: int) -> list[tuple[int, int]]:
+    """The terms of the derivative over the variables in mask."""
+    return [(s ^ mask, c) for s, c in terms if s & mask == mask]
+
+
 def _cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
     """Row by row, the entries L^2 M_ij for j >= i, as integer dicts.
 
@@ -152,19 +166,15 @@ def _cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
     Row i is formed only when it is asked for.
     """
     n = p.n
-    terms = [(s, c) for s, c in enumerate(p.cleared[0]) if c]
-
-    def derivative(mask: int) -> list[tuple[int, int]]:
-        return [(s ^ mask, c) for s, c in terms if s & mask == mask]
-
-    grads = [derivative(1 << i) for i in range(n)]
+    terms = _cleared_terms(p)
+    grads = [_derivative_terms(terms, 1 << i) for i in range(n)]
     for i in range(n):
         row = []
         for j in range(i, n):
             entry: dict[int, int] = {}
             add_products(n, entry, grads[i], grads[j], 1)
             if j != i:
-                add_products(n, entry, terms, derivative(1 << i | 1 << j), -1)
+                add_products(n, entry, terms, _derivative_terms(terms, 1 << i | 1 << j), -1)
             row.append(entry)
         yield row
 
@@ -209,6 +219,58 @@ def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
             for key, v in entry.items():
                 gap[key] = gap.get(key, 0) - abs(v)
         yield gap
+
+
+MINOR_MAX_VARS = 3
+
+
+def minor_factors(p: SubsetPoly) -> Iterator[dict[int, int]]:
+    """The reduced principal-minor factors of M, times a power of L, as integer dicts.
+
+    With g_i, g_ij the derivatives of g, for each pair i < j
+
+        R_ij = 2 g_i g_j - g g_ij,   the {i, j} minor of M being g g_ij R_ij,
+
+    and at n = 3, with a_i = g_i g_jk over {i, j, k} = {1, 2, 3},
+
+        R_123 = 2 (a_1 a_2 + a_1 a_3 + a_2 a_3) - (a_1^2 + a_2^2 + a_3^2)
+                - 2 g g_12 g_13 g_23,   det M being g^2 R_123.
+
+    The 1x1 minors g_i^2 have no factor here.  A factor is formed on the
+    integers of `SubsetPoly.cleared`, so it is scaled by L^2 or L^4, and
+    keyed as `_cleared_m_rows` keys M.  That key holds it because at
+    n <= 3 each a_i and g_12 g_13 g_23 multiplies polynomials in disjoint
+    variables, so it is multi-affine.  Raises ValueError past n = 3.
+    """
+    n = p.n
+    if n > MINOR_MAX_VARS:
+        raise ValueError(f"principal-minor factors are formed for n <= {MINOR_MAX_VARS}, got {n}")
+    terms = _cleared_terms(p)
+    grads = [_derivative_terms(terms, 1 << i) for i in range(n)]
+    second = {}
+    for i, j in itertools.combinations(range(n), 2):
+        second[i, j] = _derivative_terms(terms, 1 << i | 1 << j)
+        factor: dict[int, int] = {}
+        add_products(n, factor, grads[i], grads[j], 2)
+        add_products(n, factor, terms, second[i, j], -1)
+        yield factor
+    if n < 3:
+        return
+    a = [_disjoint_product(grads[0], second[1, 2]), _disjoint_product(grads[1], second[0, 2]),
+         _disjoint_product(grads[2], second[0, 1])]
+    triple = _disjoint_product(_disjoint_product(second[0, 1], second[0, 2]), second[1, 2])
+    factor = {}
+    for i, j in itertools.combinations(range(3), 2):
+        add_products(n, factor, a[i], a[j], 2)
+    for ai in a:
+        add_products(n, factor, ai, ai, -1)
+    add_products(n, factor, terms, triple, -2)
+    yield factor
+
+
+def _disjoint_product(f: list[tuple[int, int]], h: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The terms of f h, for multi-affine f and h in disjoint sets of variables."""
+    return [(s | t, c * d) for s, c in f for t, d in h]
 
 
 def m_form(p: SubsetPoly, point: Sequence[float], v: Sequence[float]) -> int:

@@ -8,14 +8,17 @@ Three verdict shapes cover every check:
 
 Sampling can only ever falsify.  A Holds verdict always traces back to an
 exact argument: exhaustive enumeration for the lattice condition, a
-coefficient-wise diagonal dominance certificate, or membership in a class
-that is log-concave for structural reasons (zero, constant, a single
-monomial, or an affine polynomial), which `trivial_log_concavity` alone
-decides, from the nonzero coefficients.  `check_slc` takes every class;
-`check_log_concavity_sampled` takes all but the affine one.
+coefficient-wise diagonal dominance certificate, a principal-minor
+certificate (at n <= 3), or membership in a class that is log-concave for
+structural reasons (zero, constant, a single monomial, or an affine
+polynomial), which `trivial_log_concavity` alone decides, from the nonzero
+coefficients.  `check_slc` takes every class and both certificates;
+`check_log_concavity_sampled` takes all but the affine class, and neither
+certificate.
 
-The lattice scan and the dominance certificate (`calculus.m_row_gaps`)
-decide on the integer coefficients of `SubsetPoly.cleared`.  A
+The lattice scan, the dominance certificate (`calculus.m_row_gaps`) and
+the principal-minor certificate (`calculus.minor_factors`) decide on the
+integer coefficients of `SubsetPoly.cleared`.  A
 `DominanceCertificate` builds its gap polynomials from the same integer M,
 only when a caller reads them: they are the gaps the decision read.
 Sampling reads every log-Hessian from the derivative table of `calculus`
@@ -40,7 +43,14 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .calculus import log_hessian_many, m_form, m_row_gaps, uncleared
+from .calculus import (
+    MINOR_MAX_VARS,
+    log_hessian_many,
+    m_form,
+    m_row_gaps,
+    minor_factors,
+    uncleared,
+)
 from .linalg import nsd_threshold
 from .poly import SparsePoly, SubsetPoly, format_subset
 
@@ -88,15 +98,31 @@ class DominanceCertificate:
 
 
 @dataclass(frozen=True)
+class MinorCertificate:
+    """Nonnegative coefficients in every reduced principal-minor factor of M.
+
+    poly has at most three variables, and `calculus.minor_factors` forms the
+    factors R_ij and R_123.  Every principal minor of M is a product of
+    polynomials with nonnegative coefficients (g_i^2, g g_ij R_ij, g^2 R_123),
+    so it is nonnegative on the open positive orthant.  A symmetric matrix
+    whose principal minors are all nonnegative is positive semidefinite
+    (Sylvester), so M is PSD there and log g is concave.
+    """
+
+    poly: SubsetPoly
+
+
+LogConcavityCertificate = Union[TrivialLogConcavity, DominanceCertificate, MinorCertificate]
+
+
+@dataclass(frozen=True)
 class SubsetCertificates:
     """Aggregate certificate: one exact certificate per derivative subset."""
 
-    entries: tuple[tuple[int, Union[TrivialLogConcavity, DominanceCertificate]], ...]
+    entries: tuple[tuple[int, LogConcavityCertificate], ...]
 
 
-Certificate = Union[
-    ExhaustiveEnumeration, TrivialLogConcavity, DominanceCertificate, SubsetCertificates
-]
+Certificate = Union[ExhaustiveEnumeration, LogConcavityCertificate, SubsetCertificates]
 
 # ----- witnesses -------------------------------------------------------------
 
@@ -416,6 +442,26 @@ def certify_log_concavity_dominance(p: SubsetPoly) -> DominanceCertificate | Non
     return DominanceCertificate(p)
 
 
+# ----- principal-minor certificate ------------------------------------------------
+
+
+def certify_log_concavity_minors(p: SubsetPoly) -> MinorCertificate | None:
+    """Try to prove log-concavity on the positive orthant by principal minors, exactly.
+
+    Applies at n <= 3 only: past that the factors leave the monomial key.
+    Returns a certificate when g is not zero, so positive on the orthant,
+    and every factor of `calculus.minor_factors` has nonnegative
+    coefficients; None otherwise (which proves nothing).  A factor that
+    vanishes, as for a variable g does not contain, passes.
+    """
+    if p.n > MINOR_MAX_VARS or not p.nonzero_masks():
+        return None
+    for factor in minor_factors(p):
+        if any(c < 0 for c in factor.values()):
+            return None
+    return MinorCertificate(p)
+
+
 # ----- full strong log-concavity check -------------------------------------------
 
 
@@ -439,7 +485,7 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     Only square-free derivative sets matter: differentiating a multi-affine
     polynomial twice in the same variable yields zero.  Per subset the
     strategy is triviality, then the exact dominance certificate, then
-    sampling.
+    (at n <= 3) the exact principal-minor certificate, then sampling.
     """
     results: dict[int, Verdict] = {}
     for a in range(1 << p.n):
@@ -448,7 +494,7 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
         if trivial is not None:
             results[a] = Holds(trivial)
             continue
-        cert = certify_log_concavity_dominance(q)
+        cert = certify_log_concavity_dominance(q) or certify_log_concavity_minors(q)
         if cert is not None:
             results[a] = Holds(cert)
             continue

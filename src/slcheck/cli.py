@@ -22,6 +22,7 @@ from typing import Sequence
 from .checkers import (
     DominanceCertificate,
     Holds,
+    MinorCertificate,
     SampleConfig,
     SlcReport,
     TrivialLogConcavity,
@@ -162,6 +163,8 @@ def _certificate_name(cert) -> str:
         return f"trivially log-concave: {cert.kind}"
     if isinstance(cert, DominanceCertificate):
         return "diagonal dominance certificate"
+    if isinstance(cert, MinorCertificate):
+        return "principal minor certificate"
     return type(cert).__name__
 
 
@@ -263,6 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"cells: {len(result.cells)}")
     print(f"lattice condition holds: {result.count_nlc()}")
     print(f"no log-concavity violation: {result.count_slc()}")
+    print(f"exact certificates: {result.count_certified()}")
     print(
         "containment (lattice true implies no violation): "
         + ("ok" if not failures else f"FAILED at {len(failures)} cells")

@@ -8,8 +8,12 @@ full set 0, then normalizes:
 Exact analysis of the lattice condition on this family reduces to a single
 inequality, b^2 >= 4c: singleton-singleton pairs are the only incomparable
 pairs whose products are not automatically ordered.  `sweep` walks a (b, c)
-grid and records, per cell, the exact lattice verdict next to a sampled
-log-concavity verdict, which is the data behind the region tables.
+grid and records, per cell, the exact lattice verdict next to the strong
+log-concavity verdict of `check_slc`, which is the data behind the region
+tables: a cell is clean when no violation was found, and certified when
+every derivative carries an exact certificate.  On the default grid the
+dominance and principal-minor certificates between them certify exactly
+the cells with 8c <= 3b^2; the other clean cells were sampled.
 Negative parameters and invalid sweep settings are refused on conversion.
 """
 
@@ -119,13 +123,16 @@ class SweepResult:
     def count_slc(self) -> int:
         return sum(1 for cell in self.cells if cell.slc_no_violation)
 
+    def count_certified(self) -> int:
+        return sum(1 for cell in self.cells if cell.certified)
+
     def containment_failures(self) -> list[SweepCell]:
         """Cells satisfying the lattice condition but with a sampled violation."""
         return [cell for cell in self.cells if cell.nlc and not cell.slc_no_violation]
 
 
 def sweep(cfg: SweepConfig = SweepConfig()) -> SweepResult:
-    """Exact lattice flag and sampled log-concavity flag for every grid cell.
+    """Exact lattice flag, strong log-concavity flag and certified flag for every grid cell.
 
     Each cell gets its own deterministic random stream derived from the
     sweep seed and the cell's grid indices, so results are reproducible and
@@ -151,7 +158,8 @@ def emit_region_tables(result: SweepResult, out_dir: str) -> tuple[str, str, str
 
     Boundary files hold one 'b c' row per grid column: the largest c at that
     b for which the flag is true.  A b with no true cell is omitted, as the
-    header says.  Byte-identical output for identical sweeps.
+    header says.  sweep_full.csv has one row per cell with its three flags.
+    Byte-identical output for identical sweeps.
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
@@ -171,10 +179,16 @@ def emit_region_tables(result: SweepResult, out_dir: str) -> tuple[str, str, str
 
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["b", "c", "nlc", "slc_no_violation"])
+        writer.writerow(["b", "c", "nlc", "slc_no_violation", "certified"])
         for cell in result.cells:
             writer.writerow(
-                [_fmt(cell.b), _fmt(cell.c), int(cell.nlc), int(cell.slc_no_violation)]
+                [
+                    _fmt(cell.b),
+                    _fmt(cell.c),
+                    int(cell.nlc),
+                    int(cell.slc_no_violation),
+                    int(cell.certified),
+                ]
             )
     return nlc_path, slc_path, csv_path
 

@@ -5,8 +5,9 @@ with eigvalsh and takes each flagged point's top eigenvector from eigh.
 `eigen_sym` validates one symmetric matrix (dimension at most 16), hands
 it to eigvalsh and returns the eigenvalues as a tuple of floats; no code
 in the package calls it.  No
-decision rests on these floats alone.  Exact definiteness is decided by
-the dominance certificate on integer coefficients (`calculus.m_row_gaps`),
+decision rests on these floats alone.  Exact definiteness is decided on
+integer coefficients, by the dominance certificate (`calculus.m_row_gaps`)
+or, at n <= 3, the principal-minor certificate (`calculus.minor_factors`),
 and a point witness is proved by the exact sign of v^T M(x) v
 (`calculus.m_form`).
 """

@@ -203,7 +203,8 @@ ACCEPTANCE_LABELS = {
     "test_c6_default_sweep_containment_and_cross_cell": (
         "criterion 6: default sweep keeps every lattice-true cell free of "
         "sampled violations; cell (3, 3) is clean yet fails the lattice "
-        "condition, under 600 s"
+        "condition; exact certificates on exactly the 3005 cells with "
+        "8c <= 3b^2, under 600 s"
     ),
     "test_c7_finite_difference_validation": (
         "criterion 7: analytic log-Hessian matches central finite "

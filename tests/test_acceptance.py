@@ -25,6 +25,7 @@ from slcheck.checkers import (
     DominanceCertificate,
     _nlc_violating_pairs,
     certify_log_concavity_dominance,
+    certify_log_concavity_minors,
     check_log_concavity_sampled,
     trivial_log_concavity,
 )
@@ -138,6 +139,11 @@ def test_c6_default_sweep_containment_and_cross_cell():
     assert result.containment_failures() == []
     (cross,) = [cell for cell in result.cells if (cell.b, cell.c) == (3, 3)]
     assert cross.slc_no_violation and not cross.nlc
+    # Exact certificates (dominance, then principal minors) cover the cells
+    # with 8c <= 3b^2 and no other: past it M(0) has the eigenvalue 3b^2 - 8c.
+    certified = [cell for cell in result.cells if cell.certified]
+    assert all(cell.certified == (8 * cell.c <= 3 * cell.b**2) for cell in result.cells)
+    assert len(certified) == 3005
     assert time.perf_counter() - started < 600.0
 
 
@@ -177,9 +183,8 @@ def _scale_invariance_of_verdicts(cases: int) -> None:
         assert (ta is None) == (tb is None)
         if ta is not None:
             assert ta.kind == tb.kind
-        assert (certify_log_concavity_dominance(p) is None) == (
-            certify_log_concavity_dominance(q) is None
-        )
+        for certify in (certify_log_concavity_dominance, certify_log_concavity_minors):
+            assert (certify(p) is None) == (certify(q) is None)
 
         cfg = SampleConfig(points=16, seed=idx)
         va = check_log_concavity_sampled(p, cfg)

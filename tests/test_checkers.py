@@ -1,4 +1,5 @@
-"""Lattice condition, sampled log-concavity, dominance certificate, full check."""
+"""Lattice condition, sampled log-concavity, dominance and principal-minor certificates,
+full check."""
 
 from __future__ import annotations
 
@@ -22,9 +23,11 @@ from slcheck.calculus import log_hessian_many, m_form, m_matrix
 from slcheck.checkers import (
     DominanceCertificate,
     ExhaustiveEnumeration,
+    MinorCertificate,
     SubsetCertificates,
     TrivialLogConcavity,
     certify_log_concavity_dominance,
+    certify_log_concavity_minors,
     check_log_concavity_sampled,
     exit_code,
     format_fraction_pair,
@@ -399,6 +402,55 @@ class TestDominanceCertificate:
         assert confirmed >= 10
 
 
+class TestMinorCertificate:
+    def test_two_variables_iff_ad_at_most_2bc(self):
+        # det M = d g (2bc - ad + bd x + cd y + d^2 xy) for a + bx + cy + dxy.
+        rng = np.random.default_rng(45)
+        outcomes = {True: 0, False: 0}
+        for _ in range(400):
+            a, b, c, d = (int(v) * int(rng.random() > 0.2) for v in rng.integers(1, 10, size=4))
+            p = SubsetPoly.from_weights(2, {0: a, 1: b, 2: c, 3: d})
+            if not p.nonzero_masks():
+                continue
+            certified = certify_log_concavity_minors(p) is not None
+            assert certified == (a * d <= 2 * b * c), (a, b, c, d)
+            outcomes[certified] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_certified_inputs_are_not_refuted(self):
+        # Certified inputs, dominance-certified or not, show no sampled
+        # violation, and v^T M(x) v >= 0 exactly at dyadic points and vectors.
+        rng = np.random.default_rng(46)
+        certified = beyond_dominance = 0
+        for attempt in range(600):
+            n = int(rng.integers(2, 4))
+            p = random_subset_poly(rng, n, zero_prob=(0.0, 0.3)[attempt % 2])
+            if certify_log_concavity_minors(p) is None:
+                continue
+            certified += 1
+            beyond_dominance += certify_log_concavity_dominance(p) is None
+            verdict = check_log_concavity_sampled(p, SampleConfig(points=50, seed=attempt))
+            assert not isinstance(verdict, Violated), p
+            for _ in range(20):
+                point = [int(v) / 16 for v in rng.integers(1, 257, size=n)]
+                vector = [int(v) / 8 for v in rng.integers(-8, 9, size=n)]
+                assert m_form(p, point, vector) >= 0, (p, point, vector)
+        assert certified >= 100 and beyond_dominance >= 30, (certified, beyond_dominance)
+
+    def test_counterexample_and_one_plus_xy(self, counterexample):
+        assert certify_log_concavity_minors(counterexample) == MinorCertificate(counterexample)
+        # R_12 = 2 * 0 - (1 + xy) * 1: the polynomial is not log-concave.
+        assert certify_log_concavity_minors(one_plus_xy()) is None
+
+    def test_zero_rows_and_the_zero_polynomial(self):
+        # x_3 is absent: its factors vanish, and the rest decides.
+        p = SubsetPoly.from_weights(3, {0: 1, 1: 1, 2: 2, 3: 3})
+        assert certify_log_concavity_minors(p) is not None
+        assert certify_log_concavity_dominance(p) is None
+        # The zero polynomial has no logarithm to be concave.
+        assert certify_log_concavity_minors(SubsetPoly.from_weights(3, {})) is None
+
+
 class TestFullCheck:
     def test_counterexample_report(self, counterexample):
         report = check_slc(counterexample, SampleConfig(points=100))
@@ -432,31 +484,33 @@ class TestFullCheck:
         report = check_slc(counterexample, SampleConfig(points=10))
         assert set(report.subsets) == set(range(8))
 
+    # 4 + 4 e_1 + e_2 in four variables.  The top-level dominance gap picks
+    # up the negative constant 16 - 3 * 12, and past n = 3 there is no
+    # principal-minor certificate, so only sampling is available there, while
+    # every derivative is affine, constant, or zero.
+    SAMPLED_AT_TOP = {0: 4, **{1 << i: 4 for i in range(4)}, **{3 << i: 1 for i in range(3)},
+                      0b0101: 1, 0b1001: 1, 0b1010: 1}
+
     def test_aggregate_no_violation_found_merges_stats(self):
-        # 4 + 4(x+y+z) + (xy+xz+yz): the top-level dominance gap picks up the
-        # negative constant 8 - 16, so only sampling is available there, while
-        # every derivative is affine, constant, or zero.
-        p = SubsetPoly.from_weights(
-            3, {0: 4, 1: 4, 2: 4, 4: 4, 0b011: 1, 0b101: 1, 0b110: 1}
-        )
+        p = SubsetPoly.from_weights(4, self.SAMPLED_AT_TOP)
         assert certify_log_concavity_dominance(p) is None
+        assert certify_log_concavity_minors(p) is None
         report = check_slc(p, SampleConfig(points=30))
         assert isinstance(report.aggregate, NoViolationFound)
-        assert report.aggregate.stats.derivatives_tested == 8
-        assert report.aggregate.stats.points_tested == 125 + 30
+        assert report.aggregate.stats.derivatives_tested == 16
+        assert report.aggregate.stats.points_tested == 625 + 30
 
     def test_each_subset_is_classified_once(self, monkeypatch):
         # The top level is sampled; the sampler must not classify it again.
-        p = SubsetPoly.from_weights(
-            3, {0: 4, 1: 4, 2: 4, 4: 4, 0b011: 1, 0b101: 1, 0b110: 1}
-        )
+        p = SubsetPoly.from_weights(4, self.SAMPLED_AT_TOP)
         classified = []
         classify = checkers.trivial_log_concavity
         monkeypatch.setattr(
             checkers, "trivial_log_concavity", lambda q: classified.append(q) or classify(q)
         )
-        check_slc(p, SampleConfig(points=30))
-        assert len(classified) == 8
+        report = check_slc(p, SampleConfig(points=30))
+        assert isinstance(report.subsets[0], NoViolationFound)
+        assert len(classified) == 16
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError, match="weights must be nonnegative"):

@@ -179,6 +179,21 @@ class TestCheckCommand:
         assert "A = {1,2,3}: holds (trivially log-concave: zero)" in out
         assert "aggregate: HOLDS" in out
 
+    def test_slc_principal_minor_certificate(self, tmp_path, capsys):
+        # ad = 7/2 <= 2bc = 4: strongly log-concave, though dominance fails
+        # (|bc - ad| = 3/2 > b^2 = 1) and the lattice condition too (ad > bc).
+        path = tmp_path / "n2.json"
+        path.write_text('{"n": 2, "coefficients": {"": "1", "1": "1", "2": "2", "1,2": "7/2"}}')
+        report_path = tmp_path / "n2-report.json"
+        assert main(["check", str(path), "slc", "--report", str(report_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "A = {}: holds (principal minor certificate)" in out
+        assert out[-1] == "aggregate: HOLDS (every derivative subset carries an exact certificate)"
+        doc = json.loads(report_path.read_text())
+        assert doc["subsets"]["{}"]["certificate"] == "principal minor certificate"
+        assert main(["check", str(path), "nlc"]) == 1
+        capsys.readouterr()
+
     def test_slc_violated(self, xy_file, capsys):
         code = main(["check", xy_file, "slc", "--samples", "50"])
         out = capsys.readouterr().out
@@ -415,6 +430,8 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "cells: 9" in out
+        # Only the c = 0 cells meet 8c <= 3b^2 on this grid.
+        assert "exact certificates: 3" in out
         assert "containment (lattice true implies no violation): ok" in out
         for name in ("nlc_boundary.txt", "slc_boundary.txt", "sweep_full.csv"):
             assert (out_dir / name).exists()

@@ -1,6 +1,6 @@
 """The coefficient-space engine against slower, independent routes.
 
-Five fast paths are checked on seeded random inputs with n = 1..8, zero
+Six fast paths are checked on seeded random inputs with n = 1..8, zero
 weights, weights spanning about 1e-40..1e40, and the counterexample:
 
   * every row of the derivative table (`calculus._superset_sums`) against
@@ -8,6 +8,9 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
   * the integer M (`m_matrix`), its dominance gaps (`DominanceCertificate.
     row_gaps`) and the decision against M built term by term in Fractions
     on exponent tuples, apart from the package's key and product loop;
+  * the principal-minor factors (`minor_factors`) at n = 2, 3 against the
+    same factors in that ring, and against every principal minor of M,
+    which each must divide;
   * `check_slc`, whose memoized sample points serve every derivative
     subset, against a loop that draws fresh points for each derivative;
   * the integer sign of v^T M(x) v (`m_form`) against v^T M(x) v from
@@ -20,6 +23,7 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -44,9 +48,11 @@ from slcheck.calculus import (
     log_hessian_many,
     m_form,
     m_matrix,
+    minor_factors,
 )
 from slcheck.checkers import (
     DominanceCertificate,
+    MinorCertificate,
     PointWitness,
     SampleStats,
     certify_log_concavity_dominance,
@@ -130,28 +136,65 @@ class TestDerivativeTable:
                 reader(counterexample, np.ones((4, 2)))
 
 
+# The reference ring: polynomials as dicts from exponent tuples to Fractions,
+# apart from the package's monomial key and product loop.
+
+
+def tuple_terms(q: SubsetPoly) -> dict[tuple[int, ...], Fraction]:
+    return {tuple(s >> k & 1 for k in range(q.n)): c for s, c in enumerate(q.coeffs) if c}
+
+
+def tuple_add(out: dict, f: dict, h: dict, sign: int) -> dict:
+    """out += sign * f * h, one product of Fractions at a time."""
+    for e1, c1 in f.items():
+        for e2, c2 in h.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + sign * c1 * c2
+    return out
+
+
+def tuple_product(f: dict, h: dict) -> dict:
+    return {e: c for e, c in tuple_add({}, f, h, 1).items() if c}
+
+
 def reference_m(p: SubsetPoly) -> list[list[dict[tuple[int, ...], Fraction]]]:
-    """M_ij = d_i g d_j g - g d_ij g, one product of Fractions at a time, keyed
-    by exponent tuples: apart from the package's monomial key and product loop."""
+    """M_ij = d_i g d_j g - g d_ij g in the reference ring."""
     n = p.n
-
-    def terms(q: SubsetPoly) -> list[tuple[tuple[int, ...], Fraction]]:
-        return [(tuple(s >> k & 1 for k in range(n)), c) for s, c in enumerate(q.coeffs) if c]
-
-    def add(out: dict, f, h, sign: int) -> None:
-        for e1, c1 in f:
-            for e2, c2 in h:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + sign * c1 * c2
-
-    g, grads = terms(p), [terms(p.derivative(i + 1)) for i in range(n)]
+    g, grads = tuple_terms(p), [tuple_terms(p.derivative(i + 1)) for i in range(n)]
     m = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            add(m[i][j], grads[i], grads[j], 1)
+            tuple_add(m[i][j], grads[i], grads[j], 1)
             if i != j:
-                add(m[i][j], g, terms(p.derivative_subset(1 << i | 1 << j)), -1)
+                tuple_add(m[i][j], g, tuple_terms(p.derivative_subset(1 << i | 1 << j)), -1)
     return m
+
+
+def reference_minor_factors(p: SubsetPoly) -> list[dict[tuple[int, ...], Fraction]]:
+    """R_ij = 2 g_i g_j - g g_ij for each pair i < j and, at n = 3,
+    R_123 = 2 sum_{i<j} a_i a_j - sum_i a_i^2 - 2 g g_12 g_13 g_23 with
+    a_i = g_i g_jk, in the reference ring with zeros dropped."""
+    n = p.n
+    g = tuple_terms(p)
+    d = {mask: tuple_terms(p.derivative_subset(mask)) for mask in range(1 << n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    factors = []
+    for i, j in pairs:
+        r = tuple_add({}, d[1 << i], d[1 << j], 2)
+        factors.append(tuple_add(r, g, d[1 << i | 1 << j], -1))
+    if n == 3:
+        a = [tuple_product(d[1 << i], d[7 ^ 1 << i]) for i in range(3)]
+        r = {}
+        for i, j in pairs:
+            tuple_add(r, a[i], a[j], 2)
+        for ai in a:
+            tuple_add(r, ai, ai, -1)
+        factors.append(tuple_add(r, g, tuple_product(tuple_product(d[3], d[5]), d[6]), -2))
+    return [{e: c for e, c in f.items() if c} for f in factors]
+
+
+def reference_minor_certified(q: SubsetPoly) -> bool:
+    return q.n <= 3 and all(c >= 0 for f in reference_minor_factors(q) for c in f.values())
 
 
 def reference_gaps(m: list[list[dict]]) -> list[dict[tuple[int, ...], Fraction]]:
@@ -207,6 +250,60 @@ class TestIntegerDominance:
         assert gaps == DominanceCertificate(raw_counterexample).row_gaps
 
 
+def tuple_factor(n: int, factor: dict[int, int], scale: int) -> dict[tuple[int, ...], Fraction]:
+    """A factor of `minor_factors` divided by scale, in the reference ring.
+
+    The key of x^S x^T is (S | T) << n | (S & T): variable k has exponent 2
+    in S & T, 1 in the rest of S | T.
+    """
+    return {
+        tuple((key >> (n + k) & 1) + (key >> k & 1) for k in range(n)): Fraction(c, scale)
+        for key, c in factor.items()
+        if c
+    }
+
+
+def principal_minor(m: list[list[dict]], rows: tuple[int, ...]) -> dict:
+    """The determinant of M restricted to rows (and columns), by Leibniz, in the reference ring."""
+    total: dict = {}
+    for perm in itertools.permutations(rows):
+        sign = (-1) ** sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+        term = {(0,) * len(m): Fraction(1)}
+        for r, c in zip(rows, perm):
+            term = tuple_product(term, m[r][c])
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + sign * c
+    return {e: c for e, c in total.items() if c}
+
+
+class TestMinorFactors:
+    def test_factors_match_reference_and_divide_every_minor(self):
+        checked = {2: 0, 3: 0}
+        for p in oracle_cases(85, 240, max_dense_n=3):
+            if p.n not in checked:
+                continue
+            n, den = p.n, p.cleared[1]
+            m, g = reference_m(p), tuple_terms(p)
+            factors = list(minor_factors(p))
+            pairs = list(itertools.combinations(range(n), 2))
+            assert len(factors) == len(pairs) + (n == 3)
+            got = [tuple_factor(n, f, den ** (2 if k < len(pairs) else 4))
+                   for k, f in enumerate(factors)]
+            assert got == reference_minor_factors(p), p
+            for (i, j), r in zip(pairs, got):
+                gij = tuple_terms(p.derivative_subset(1 << i | 1 << j))
+                assert principal_minor(m, (i, j)) == tuple_product(tuple_product(g, gij), r), p
+            if n == 3:
+                assert principal_minor(m, (0, 1, 2)) == tuple_product(tuple_product(g, g), got[3])
+            checked[n] += 1
+        assert min(checked.values()) >= 30, checked
+
+    def test_refused_past_three_variables(self):
+        with pytest.raises(ValueError, match="n <= 3"):
+            next(minor_factors(SubsetPoly.from_weights(4, {0: 1})))
+        assert checkers.certify_log_concavity_minors(SubsetPoly.from_weights(4, {0: 1})) is None
+
+
 def reference_slc(p: SubsetPoly, cfg: SampleConfig) -> dict:
     """Each derivative on its own: fresh sample points, the reference certificate."""
     out = {}
@@ -218,6 +315,8 @@ def reference_slc(p: SubsetPoly, cfg: SampleConfig) -> dict:
             out[a] = Holds(trivial)
         elif reference_certified(q, reference_gaps(reference_m(q))):
             out[a] = "dominance"
+        elif reference_minor_certified(q):
+            out[a] = "minors"
         else:
             out[a] = check_log_concavity_sampled(q, cfg, subset_mask=a)
     return out
@@ -235,10 +334,10 @@ class TestCheckSlc:
             assert set(report.subsets) == set(want)
             for a, expected in want.items():
                 got = report.subsets[a]
-                if expected == "dominance":
-                    assert isinstance(got, Holds), (p, a)
-                    assert got.certificate == DominanceCertificate(p.derivative_subset(a))
-                    kinds.add("dominance")
+                if expected in ("dominance", "minors"):
+                    certificate = {"dominance": DominanceCertificate, "minors": MinorCertificate}
+                    assert got == Holds(certificate[expected](p.derivative_subset(a))), (p, a)
+                    kinds.add(expected)
                     continue
                 assert type(got) is type(expected), (p, a)
                 kinds.add(type(got).__name__)
@@ -248,7 +347,7 @@ class TestCheckSlc:
                     assert got.witness == expected.witness
                 else:
                     assert got.stats == expected.stats
-        assert kinds == {"Holds", "dominance", "Violated", "NoViolationFound"}
+        assert kinds == {"Holds", "dominance", "minors", "Violated", "NoViolationFound"}
 
 
 def witness_cases(seed: int, count: int):

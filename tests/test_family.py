@@ -139,9 +139,11 @@ class TestRegionTables:
         assert sum(1 for ln in nlc_lines if not ln.startswith("#")) <= 9
 
         csv_lines = Path(csv_path).read_text().splitlines()
-        assert csv_lines[0] == "b,c,nlc,slc_no_violation"
+        assert csv_lines[0] == "b,c,nlc,slc_no_violation,certified"
         assert len(csv_lines) == 1 + 9 * 5
-        assert csv_lines[1] == "0.0,0.0,1,1"
+        assert csv_lines[1] == "0.0,0.0,1,1,1"
+        # b = 7/4, c = 1: b^2 < 4c fails the lattice condition, 8c <= 3b^2 certifies.
+        assert "1.75,1.0,0,1,1" in csv_lines
 
     def test_boundary_rows_match_law(self, tmp_path: Path):
         result = sweep(small_config())

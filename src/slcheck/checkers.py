@@ -14,7 +14,10 @@ structural reasons (zero, constant, a single monomial, or an affine
 polynomial), which `trivial_log_concavity` alone decides, from the nonzero
 coefficients.  `check_slc` takes every class and both certificates;
 `check_log_concavity_sampled` takes all but the affine class, and neither
-certificate.
+certificate.  Per derivative subset `check_slc` runs triviality, then the
+diamond pre-check (`failing_diamond`), then dominance, then the minors at
+n <= 3, then sampling; a failing diamond at the origin rules both
+certificates out, so such a subset goes straight to sampling.
 
 The lattice scan, the dominance certificate (`calculus.m_row_gaps`) and
 the principal-minor certificate (`calculus.minor_factors`) decide on the
@@ -28,7 +31,8 @@ Both witnesses are proofs: a lattice witness holds its products in
 rationals, a point witness a point and vector with v^T M(x) v < 0 in
 integers (`calculus.m_form`), and neither is returned unless that holds.
 `sample_points` keeps its last result, so `check_slc` draws the points
-once for all derivative subsets.
+once for all derivative subsets, and draws each only when a scan first
+reaches it.
 """
 
 from __future__ import annotations
@@ -332,19 +336,47 @@ def grid_points(n: int) -> np.ndarray:
     return grid
 
 
-@lru_cache(maxsize=1)
-def sample_points(n: int, cfg: SampleConfig) -> np.ndarray:
-    """Deterministic point sequence: fixed grid first, then seeded log-uniform draws.
+class SamplePoints:
+    """The sampler's points in scan order: the fixed grid, then seeded log-uniform draws.
 
-    The last result is kept, read-only, so checking several derivatives of
-    one polynomial draws the points once; the grid is built once per n.
+    Holds one array of all grid + cfg.points rows, with the grid copied in
+    first; a draw is made only when a read first reaches its rows, so a scan
+    that stops early draws nothing past its last chunk.  drawn is the number
+    of rows filled so far.  Drawing the rows in pieces gives the values one
+    draw of all of them would: the generator's stream is consumed in order.
+    Reads return read-only views.
     """
-    rng = np.random.default_rng(cfg.seed)
-    lo, hi = cfg.box
-    draws = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(cfg.points, n)))
-    pts = np.vstack([grid_points(n), draws])
-    pts.flags.writeable = False
-    return pts
+
+    def __init__(self, n: int, cfg: SampleConfig) -> None:
+        grid = grid_points(n)
+        self._pts = np.empty((grid.shape[0] + cfg.points, n))
+        self._pts[: grid.shape[0]] = grid
+        self.drawn = grid.shape[0]
+        self._rng = np.random.default_rng(cfg.seed)
+        self._log_box = tuple(np.log(b) for b in cfg.box)
+
+    def __len__(self) -> int:
+        return self._pts.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        _, stop, _ = rows.indices(len(self))
+        if stop > self.drawn:
+            draws = self._pts[self.drawn : stop]
+            np.exp(self._rng.uniform(*self._log_box, size=draws.shape), out=draws)
+            self.drawn = stop
+        view = self._pts[rows]
+        view.flags.writeable = False
+        return view
+
+
+@lru_cache(maxsize=1)
+def sample_points(n: int, cfg: SampleConfig) -> SamplePoints:
+    """The points for n variables under cfg, drawn as the scan reaches them.
+
+    The last result is kept, so checking several derivatives of one
+    polynomial draws each point once; the grid is built once per n.
+    """
+    return SamplePoints(n, cfg)
 
 
 def trivial_log_concavity(p: SubsetPoly) -> TrivialLogConcavity | None:
@@ -393,7 +425,7 @@ def check_log_concavity_sampled(
     pts = sample_points(p.n, cfg)
     max_seen = -np.inf
     tested = 0
-    for rows in _scan_chunks(pts.shape[0]):
+    for rows in _scan_chunks(len(pts)):
         chunk = pts[rows]
         hessians = log_hessian_many(p, chunk)
         eigs = np.linalg.eigvalsh(hessians)[:, -1]
@@ -415,6 +447,28 @@ def check_log_concavity_sampled(
         max_eigenvalue_seen=max_seen,
     )
     return NoViolationFound(stats)
+
+
+# ----- factor-2 diamonds at the origin ------------------------------------------
+
+
+def failing_diamond(p: SubsetPoly) -> tuple[int, int] | None:
+    """The first pair i < j (0-based) whose factor-2 diamond at the origin fails.
+
+    With a = p(empty), b = p({i}), c = p({j}) and d = p({i, j}), read on the
+    integers of `SubsetPoly.cleared`, the diamond fails when a d > 2 b c.
+    The {i, j} principal minor of M at the origin is then
+    b^2 c^2 - (b c - a d)^2 = a d (2 b c - a d) < 0, so M(0) is not
+    positive semidefinite.  Either certificate makes M semidefinite on the
+    open orthant, hence at 0 by continuity, so neither can hold for p.
+    Returns None when every diamond at the origin holds (which proves
+    nothing).
+    """
+    w = p.cleared[0]
+    for i, j in itertools.combinations(range(p.n), 2):
+        if w[0] * w[1 << i | 1 << j] > 2 * w[1 << i] * w[1 << j]:
+            return i, j
+    return None
 
 
 # ----- dominance certificate ----------------------------------------------------
@@ -484,8 +538,13 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
 
     Only square-free derivative sets matter: differentiating a multi-affine
     polynomial twice in the same variable yields zero.  Per subset the
-    strategy is triviality, then the exact dominance certificate, then
-    (at n <= 3) the exact principal-minor certificate, then sampling.
+    strategy is triviality, then the diamond pre-check, then the exact
+    dominance certificate, then (at n <= 3) the exact principal-minor
+    certificate, then sampling.  A subset with a failing diamond at the
+    origin (`failing_diamond`) goes straight to sampling, since neither
+    certificate can hold for it; the verdict is the one the certificates'
+    failures would have led to.  The sample points are drawn once per call,
+    and only as far as some subset's scan reads them.
     """
     results: dict[int, Verdict] = {}
     for a in range(1 << p.n):
@@ -494,10 +553,11 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
         if trivial is not None:
             results[a] = Holds(trivial)
             continue
-        cert = certify_log_concavity_dominance(q) or certify_log_concavity_minors(q)
-        if cert is not None:
-            results[a] = Holds(cert)
-            continue
+        if failing_diamond(q) is None:
+            cert = certify_log_concavity_dominance(q) or certify_log_concavity_minors(q)
+            if cert is not None:
+                results[a] = Holds(cert)
+                continue
         results[a] = check_log_concavity_sampled(q, cfg, subset_mask=a)
     return SlcReport(subsets=results, aggregate=_aggregate(results, cfg))
 

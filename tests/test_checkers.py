@@ -184,12 +184,13 @@ class TestSampling:
 
     def test_sample_points_deterministic(self):
         cfg = SampleConfig(points=64, seed=9)
-        a = sample_points(2, cfg)
-        assert sample_points(2, cfg) is a and not a.flags.writeable
+        pts = sample_points(2, cfg)
+        assert sample_points(2, cfg) is pts and len(pts) == 25 + 64
+        a = pts[:]
+        assert not a.flags.writeable and a.shape == (25 + 64, 2)
         sample_points.cache_clear()  # memoized: draw again to test determinism
-        b = sample_points(2, cfg)
+        b = sample_points(2, cfg)[:]
         np.testing.assert_array_equal(a, b)
-        assert a.shape == (25 + 64, 2)
         lo, hi = cfg.box
         assert np.all(a > 0)
         assert np.all(a[25:] >= lo) and np.all(a[25:] <= hi)
@@ -279,7 +280,7 @@ class TestSampling:
         p = SubsetPoly.from_weights(3, {0: 1, 0b011: 1})
         cfg = SampleConfig(points=10, box=(1e160, 1e200))
         with pytest.raises(ValueError, match="overflow"):
-            log_hessian_many(p, sample_points(3, cfg))
+            log_hessian_many(p, sample_points(3, cfg)[:])
         verdict = check_log_concavity_sampled(p, cfg)
         assert isinstance(verdict, Violated)
         assert verdict.witness.point == (0.1, 0.1, 0.1)
@@ -449,6 +450,46 @@ class TestMinorCertificate:
         assert certify_log_concavity_dominance(p) is None
         # The zero polynomial has no logarithm to be concave.
         assert certify_log_concavity_minors(SubsetPoly.from_weights(3, {})) is None
+
+
+class TestDiamondPreCheck:
+    def test_sound_on_random_inputs(self):
+        # Wherever a factor-2 diamond at the origin fails, neither certificate
+        # holds, and v^T M(x) v < 0 near 0 for an integer v on the failing pair.
+        rng = np.random.default_rng(47)
+        fired = {"bc > 0": 0, "bc = 0": 0}
+        for attempt in range(150):
+            n = 2 + attempt % 5
+            p = random_subset_poly(rng, n, zero_prob=(0.0, 0.3, 0.6)[attempt % 3])
+            if attempt % 2:
+                p = p.scale(Fraction(1, 10**400))
+            for a in range(1 << n):
+                q = p.derivative_subset(a)
+                e = q.coeffs
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if e[0] * e[1 << i | 1 << j] > 2 * e[1 << i] * e[1 << j]]
+                assert checkers.failing_diamond(q) == (pairs[0] if pairs else None), q
+                if not pairs or trivial_log_concavity(q) is not None:
+                    continue
+                assert certify_log_concavity_dominance(q) is None, q
+                assert certify_log_concavity_minors(q) is None, q
+                i, j = pairs[0]
+                w = q.cleared[0]
+                b, c = w[1 << i], w[1 << j]
+                # At 0 the {i, j} block is [[b^2, bc - ad], [bc - ad, c^2]], with ad >= 1.
+                ends = (c, b) if b * c else (c * c, 1) if c else (1, b * b) if b else (1, 1)
+                v = [0.0] * n
+                v[i], v[j] = map(float, ends)
+                assert any(m_form(q, [2.0**-k] * n, v) < 0 for k in range(65)), (q, v)
+                fired["bc > 0" if b * c else "bc = 0"] += 1
+        assert min(fired.values()) >= 50, fired
+
+    def test_lattice_gap_in_one_diamond(self, counterexample):
+        # The counterexample's diamond at the empty set has ad = 12 > bc = 9
+        # but ad <= 2bc = 18; 1 + xy fails it outright.
+        assert checkers.failing_diamond(counterexample) is None
+        assert checkers.failing_diamond(one_plus_xy()) == (0, 1)
+        assert checkers.failing_diamond(SubsetPoly.from_weights(3, {0: 1, 0b110: 1})) == (1, 2)
 
 
 class TestFullCheck:

@@ -12,13 +12,15 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
     same factors in that ring, and against every principal minor of M,
     which each must divide;
   * `check_slc`, whose memoized sample points serve every derivative
-    subset, against a loop that draws fresh points for each derivative;
+    subset and whose diamond pre-check skips both certificates, against a
+    loop that draws fresh points for each derivative and tries every route;
   * the integer sign of v^T M(x) v (`m_form`) against v^T M(x) v from
     `m_matrix` in rationals, and every point witness `check_slc` issues,
     also with weights near 1e-400 and on cells of the (b, c) family;
   * the sampler's chunked scan (`check_log_concavity_sampled`) against one
     pass over all its points at once, at n = 2..7, on point counts either
-    side of each chunk edge and on witnesses planted either side of them.
+    side of each chunk edge and on witnesses planted either side of them;
+    and its points, drawn as the scan reaches them, against one draw of all.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from slcheck.checkers import (
     SampleStats,
     certify_log_concavity_dominance,
     check_log_concavity_sampled,
+    grid_points,
     sample_points,
     trivial_log_concavity,
 )
@@ -324,7 +327,9 @@ def reference_slc(p: SubsetPoly, cfg: SampleConfig) -> dict:
 
 class TestCheckSlc:
     def test_matches_per_derivative_loop(self):
-        kinds = set()
+        # The reference has no diamond pre-check: where it fires, the verdict
+        # must be the one the failing certificates led to all the same.
+        kinds, fired = set(), []
         for k, p in enumerate(oracle_cases(91, 30, max_dense_n=4)):
             if p.n == 6:
                 continue  # a 5^6-point grid per sampled derivative; n = 7, 8 have none
@@ -347,7 +352,12 @@ class TestCheckSlc:
                     assert got.witness == expected.witness
                 else:
                     assert got.stats == expected.stats
+                q = p.derivative_subset(a)
+                if trivial_log_concavity(q) is None and checkers.failing_diamond(q):
+                    assert got == expected, (p, a)
+                    fired.append(type(got).__name__)
         assert kinds == {"Holds", "dominance", "minors", "Violated", "NoViolationFound"}
+        assert len(fired) >= 20 and set(fired) == {"Violated", "NoViolationFound"}, fired
 
 
 def witness_cases(seed: int, count: int):
@@ -472,6 +482,14 @@ def scaled(p: SubsetPoly, k: int) -> SubsetPoly:
     return p.scale((1, Fraction(1, 10**30), Fraction(1, 10**400))[k % 3])
 
 
+def drawn_at_once(n: int, cfg: SampleConfig) -> np.ndarray:
+    """The sampler's points as one draw of all of them, after the grid."""
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = cfg.box
+    draws = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(cfg.points, n)))
+    return np.vstack([grid_points(n), draws])
+
+
 class TestChunkedScan:
     def test_matches_one_pass_on_sample_points(self):
         rng = np.random.default_rng(111)
@@ -481,7 +499,7 @@ class TestChunkedScan:
             counts = [c for c in SCAN_COUNTS if c >= grid] or [grid + 3]
             for k, count in enumerate(counts):
                 cfg = SampleConfig(points=count - grid, seed=k)
-                pts = sample_points(n, cfg)
+                pts = drawn_at_once(n, cfg)
                 assert pts.shape[0] == count
                 # A random input, mostly violated, and a log-concave product measure.
                 mixed = oracle_poly(rng, n, zero_prob=(0.0, 0.3)[k % 2], wide=k % 2 == 1)
@@ -492,11 +510,43 @@ class TestChunkedScan:
                     if len(p.nonzero_masks()) <= 1:
                         continue
                     want, _ = reference_scan(p, pts, cfg)
+                    sample_points.cache_clear()  # the scan draws its points afresh
                     assert check_log_concavity_sampled(p, cfg) == want, (p, count)
                     outcomes.add((n, count, type(want).__name__))
         for name in ("NoViolationFound", "Violated"):
             assert {(7, 1, name), (7, 1089, name)} <= outcomes, outcomes
         assert (7, 0, "NoViolationFound") in outcomes
+
+    def test_draws_only_what_the_scan_reads(self):
+        # Each chunk the scan reads holds the rows of one draw of every point,
+        # drawn no further than that chunk, read-only.
+        for n in range(2, 9):
+            grid = grid_points(n).shape[0]
+            for seed in (0, 9, (0, 3, 4)):
+                for count in SCAN_COUNTS:
+                    cfg = SampleConfig(points=count, seed=seed)
+                    want = drawn_at_once(n, cfg)
+                    sample_points.cache_clear()
+                    pts = sample_points(n, cfg)
+                    assert len(pts) == want.shape[0] and pts.drawn == grid
+                    for rows in checkers._scan_chunks(len(pts)):
+                        chunk = pts[rows]
+                        assert pts.drawn == max(grid, min(rows.stop, len(pts)))
+                        assert not chunk.flags.writeable
+                        assert chunk.tobytes() == want[rows].tobytes(), (n, seed, count, rows)
+
+    def test_violation_in_the_probe_draws_nothing(self):
+        # 1 + x1 x2 fails at the first grid point; a violated sweep cell too.
+        # Past n = 2 the 5^n grid covers the 64-point probe.
+        for n in range(2, 7):
+            p = SubsetPoly.from_weights(n, {0: 1, 0b11: 1})
+            sample_points.cache_clear()
+            verdict = check_log_concavity_sampled(p)
+            assert verdict.witness.point == (0.1,) * n
+            assert sample_points(n, SampleConfig()).drawn == max(5**n, 64)
+        sample_points.cache_clear()
+        assert isinstance(check_slc(make_family(1, 3)).aggregate, Violated)
+        assert sample_points(3, SampleConfig()).drawn == 125
 
     def test_matches_one_pass_on_planted_witnesses(self, monkeypatch):
         # g = (1 + x1 x2) (1 + x3) ... (1 + xn) has a NSD log-Hessian exactly

@@ -150,7 +150,8 @@ def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _cleared_terms(p: SubsetPoly) -> list[tuple[int, int]]:
     """The (mask, L * coefficient) pairs of p's nonzero coefficients."""
-    return [(s, c) for s, c in enumerate(p.cleared[0]) if c]
+    w = p.cleared[0]
+    return [(s, w[s]) for s in p.nonzero_masks()]
 
 
 def _derivative_terms(terms: list[tuple[int, int]], mask: int) -> list[tuple[int, int]]:

@@ -19,14 +19,18 @@ diamond pre-check (`failing_diamond`), then dominance, then the minors at
 n <= 3, then sampling; a failing diamond at the origin rules both
 certificates out, so such a subset goes straight to sampling.
 
-The lattice scan, the dominance certificate (`calculus.m_row_gaps`) and
-the principal-minor certificate (`calculus.minor_factors`) decide on the
-integer coefficients of `SubsetPoly.cleared`.  A
+The lattice scan, the diamond pre-check, the dominance certificate
+(`calculus.m_row_gaps`) and the principal-minor certificate
+(`calculus.minor_factors`) decide on the integer coefficients of
+`SubsetPoly.cleared`, and triviality on `SubsetPoly.nonzero_masks`; a
+derivative subset carries both from p (`SubsetPoly.derivative_subset`).  A
 `DominanceCertificate` builds its gap polynomials from the same integer M,
 only when a caller reads them: they are the gaps the decision read.
 Sampling reads every log-Hessian from the derivative table of `calculus`
 and only flags points, confirming each from the scan's own Hessian and
-threshold.  `SampleConfig` validates itself when built.
+threshold; a polynomial whose diamond fails at the origin has its grid
+point nearest the origin scanned on its own first.  `SampleConfig`
+validates itself when built.
 Both witnesses are proofs: a lattice witness holds its products in
 rationals, a point witness a point and vector with v^T M(x) v < 0 in
 integers (`calculus.m_form`), and neither is returned unless that holds.
@@ -279,7 +283,10 @@ GRID_MAX_VARS = 6
 # Points per batched log-Hessian and eigvalsh call in the sampler; bounds
 # the (points, n, n) arrays one call holds.  The scan first probes
 # SAMPLE_PROBE points on their own, since a failing input usually fails
-# within them, and only then goes on a full chunk at a time.
+# within them, and only then goes on a full chunk at a time.  An input
+# whose factor-2 diamond fails at the origin (`failing_diamond`) mostly
+# fails at the grid point nearest it, (0.1, ..., 0.1), so while the grid
+# leads the scan the probe starts with that point alone.
 SAMPLE_PROBE = 64
 SAMPLE_CHUNK = 1024
 
@@ -341,18 +348,24 @@ class SamplePoints:
 
     Holds one array of all grid + cfg.points rows, with the grid copied in
     first; a draw is made only when a read first reaches its rows, so a scan
-    that stops early draws nothing past its last chunk.  drawn is the number
-    of rows filled so far.  Drawing the rows in pieces gives the values one
-    draw of all of them would: the generator's stream is consumed in order.
-    Reads return read-only views.
+    that stops early draws nothing past its last chunk, and the generator
+    is made at the first draw, so a scan that reads only the grid makes
+    none.  drawn is the number of rows filled so far.  Drawing the rows in
+    pieces gives the values one draw of all of them would: the generator's
+    stream is consumed in order.  Reads return read-only views.  Raises
+    ValueError when the array cannot be allocated.
     """
 
     def __init__(self, n: int, cfg: SampleConfig) -> None:
         grid = grid_points(n)
-        self._pts = np.empty((grid.shape[0] + cfg.points, n))
+        try:
+            self._pts = np.empty((grid.shape[0] + cfg.points, n))
+        except MemoryError as exc:  # a count too large to hold is refused like a bad one
+            raise ValueError(f"cannot hold {cfg.points} sample points: {exc}") from None
         self._pts[: grid.shape[0]] = grid
         self.drawn = grid.shape[0]
-        self._rng = np.random.default_rng(cfg.seed)
+        self._seed = cfg.seed
+        self._rng: np.random.Generator | None = None
         self._log_box = tuple(np.log(b) for b in cfg.box)
 
     def __len__(self) -> int:
@@ -361,6 +374,8 @@ class SamplePoints:
     def __getitem__(self, rows: slice) -> np.ndarray:
         _, stop, _ = rows.indices(len(self))
         if stop > self.drawn:
+            if self._rng is None:
+                self._rng = np.random.default_rng(self._seed)
             draws = self._pts[self.drawn : stop]
             np.exp(self._rng.uniform(*self._log_box, size=draws.shape), out=draws)
             self.drawn = stop
@@ -393,12 +408,18 @@ def trivial_log_concavity(p: SubsetPoly) -> TrivialLogConcavity | None:
     return None
 
 
-def _scan_chunks(count: int) -> Iterator[slice]:
-    """The sampler's chunks of count points: SAMPLE_PROBE first, then SAMPLE_CHUNK each."""
-    start, size = 0, SAMPLE_PROBE
+def _scan_chunks(count: int, head: bool) -> Iterator[slice]:
+    """The sampler's chunks of count points: SAMPLE_PROBE first, then SAMPLE_CHUNK each.
+
+    With head, the probe's first point comes on its own: 1, SAMPLE_PROBE - 1, ...
+    """
+    sizes = itertools.chain((1, SAMPLE_PROBE - 1) if head else (SAMPLE_PROBE,),
+                            itertools.repeat(SAMPLE_CHUNK))
+    start = 0
     while start < count:
-        yield slice(start, start + size)
-        start, size = start + size, SAMPLE_CHUNK
+        stop = start + next(sizes)
+        yield slice(start, stop)
+        start = stop
 
 
 def check_log_concavity_sampled(
@@ -414,18 +435,20 @@ def check_log_concavity_sampled(
     produce Holds here; an affine polynomial is sampled like any other.
     The scan order (grid, then seeded draws) is deterministic, and the
     first confirmed failure wins.  Points go through in the chunks of
-    `_scan_chunks`; every value a point yields is computed for that point
-    alone, so the chunks decide only how much is computed past the first
-    failure.  subset_mask only labels the witness; the polynomial passed in
-    is checked as is.
+    `_scan_chunks`, with the one-point head while the grid leads the scan
+    and p fails a diamond at the origin (`failing_diamond`); every value a
+    point yields is computed for that point alone, so the chunks decide
+    only how much is computed past the first failure.  subset_mask only
+    labels the witness; the polynomial passed in is checked as is.
     """
     if len(p.nonzero_masks()) <= 1:
         return Holds(trivial_log_concavity(p))
 
     pts = sample_points(p.n, cfg)
+    head = p.n <= GRID_MAX_VARS and failing_diamond(p) is not None
     max_seen = -np.inf
     tested = 0
-    for rows in _scan_chunks(len(pts)):
+    for rows in _scan_chunks(len(pts), head):
         chunk = pts[rows]
         hessians = log_hessian_many(p, chunk)
         eigs = np.linalg.eigvalsh(hessians)[:, -1]

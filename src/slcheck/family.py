@@ -43,12 +43,12 @@ def make_family(b: RationalLike, c: RationalLike) -> SubsetPoly:
     b, c = as_fraction(b), as_fraction(c)
     if b < 0 or c < 0:
         raise ValueError(f"family parameters must be nonnegative, got ({b}, {c})")
-    weights = {0: Fraction(4)}
-    for k in range(3):
-        weights[1 << k] = b
-    for mask in (0b011, 0b101, 0b110):
-        weights[mask] = c
-    return SubsetPoly.from_weights(3, weights).normalize()
+    bd, cd = b.denominator, c.denominator
+    # 4, b and c over their common denominator bd * cd, then each over the sum.
+    empty, single, pair = 4 * bd * cd, b.numerator * cd, c.numerator * bd
+    total = empty + 3 * single + 3 * pair
+    empty, single, pair = (Fraction(x, total) for x in (empty, single, pair))
+    return SubsetPoly(3, (empty, single, single, pair, single, pair, pair, Fraction(0)))
 
 
 # ----- grid sweep -------------------------------------------------------------

@@ -114,7 +114,11 @@ class SubsetPoly:
     # ----- structure ----------------------------------------------------
 
     def nonzero_masks(self) -> tuple[int, ...]:
-        return tuple(m for m, c in enumerate(self.coeffs) if c != 0)
+        return self._nonzero_masks
+
+    @cached_property
+    def _nonzero_masks(self) -> tuple[int, ...]:
+        return tuple(m for m, c in enumerate(self.coeffs) if c)
 
     def coeff_sum(self) -> Fraction:
         return sum(self.coeffs, _ZERO)
@@ -155,14 +159,33 @@ class SubsetPoly:
         return self.derivative_subset(1 << (var - 1))
 
     def derivative_subset(self, mask: int) -> SubsetPoly:
-        """Iterated derivative over a set of distinct variables given as a bitmask."""
+        """Iterated derivative over a set of distinct variables given as a bitmask.
+
+        A slice of this polynomial's coefficients, built without validating
+        them again.  It carries its nonzero masks and its `cleared` form:
+        with (w, L) this polynomial's and w'[s] = w[s | mask] for s without
+        mask, the lcm of its denominators is L / gcd(L, w'...), and its
+        integers are w' over the same gcd.
+        """
         if not 0 <= mask < (1 << self.n):
             raise ValueError(f"derivative mask {mask} out of range for n={self.n}")
+        w, den = self.cleared
         coeffs = [_ZERO] * (1 << self.n)
-        for s in range(1 << self.n):
-            if not s & mask:
-                coeffs[s] = self.coeffs[s | mask]
-        return SubsetPoly(self.n, tuple(coeffs))
+        ints = [0] * (1 << self.n)
+        masks = []  # in order: s -> s ^ mask is increasing on the s that contain mask
+        for s in self.nonzero_masks():
+            if s & mask == mask:
+                coeffs[s ^ mask] = self.coeffs[s]
+                ints[s ^ mask] = w[s]
+                masks.append(s ^ mask)
+        g = math.gcd(den, *ints)
+        if g > 1:
+            ints, den = [c // g for c in ints], den // g
+        q = object.__new__(SubsetPoly)
+        # The fields, and the two cached properties as if already computed.
+        q.__dict__.update(n=self.n, coeffs=tuple(coeffs), cleared=(tuple(ints), den),
+                          _nonzero_masks=tuple(masks))
+        return q
 
     # ----- rescaling ------------------------------------------------------
 

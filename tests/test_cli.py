@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -301,6 +302,26 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main(["check", "file.json", "bogus"]) == 2
         capsys.readouterr()
+
+    def test_unallocatable_sample_count(self, xy_file, capsys, monkeypatch):
+        # A --samples value whose point array cannot be allocated is refused
+        # like a bad value, not reported as a violation.  numpy's failure to
+        # allocate is simulated, so nothing large is ever asked for.
+        empty = np.empty
+
+        def refuse_large(shape, *args, **kwargs):
+            if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 10**9:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_large)
+        for prop in ("lc", "slc"):
+            code = main(["check", xy_file, prop, "--samples", str(10**12)])
+            out, err = capsys.readouterr()
+            assert code == 2, prop
+            assert out == "" and err.startswith(f"error: cannot hold {10**12} sample points")
+            assert err.count("\n") == 1
+        assert main(["check", xy_file, "lc", "--samples", "10"]) == 1  # violated, as unpatched
 
     def test_bad_sweep_step(self, capsys):
         code = main(["sweep", "--step", "0", "--out", "unused"])

@@ -19,7 +19,8 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
     also with weights near 1e-400 and on cells of the (b, c) family;
   * the sampler's chunked scan (`check_log_concavity_sampled`) against one
     pass over all its points at once, at n = 2..7, on point counts either
-    side of each chunk edge and on witnesses planted either side of them;
+    side of each chunk edge and on witnesses planted either side of them,
+    for inputs with and without a failing diamond (the one-point head);
     and its points, drawn as the scan reaches them, against one draw of all.
 """
 
@@ -472,14 +473,37 @@ def reference_scan(p: SubsetPoly, pts: np.ndarray, cfg: SampleConfig):
     return NoViolationFound(stats), None
 
 
-# Either side of the edges of the sampler's chunks: 0, 64, 1088, 2112, ...
-SCAN_COUNTS = (0, 1, 63, 64, 65, 1088, 1089)
-WITNESS_AT = (0, 30, 63, 64, 1087, 1088, 1100)
+# Either side of the edges of the sampler's chunks: 0, 64, 1088, 2112, ...,
+# and 1 where a diamond-failing input gets the one-point head.
+SCAN_COUNTS = (0, 1, 2, 63, 64, 65, 1088, 1089)
+WITNESS_AT = (0, 1, 30, 63, 64, 1087, 1088, 1100)
 
 
 def scaled(p: SubsetPoly, k: int) -> SubsetPoly:
     """p as is, or times 1e-30 or 1e-400, by k % 3."""
     return p.scale((1, Fraction(1, 10**30), Fraction(1, 10**400))[k % 3])
+
+
+def planted_inputs(n: int) -> dict[str, SubsetPoly]:
+    """Inputs whose log-Hessian is NSD exactly where x1 x2 >= 1.
+
+    "failing" is g = (1 + x1 x2) (1 + x3) ... (1 + xn), whose {1, 2} diamond
+    fails at the origin; "clean", from n = 3, is x_n times the same product
+    over x1 ... x_(n-1), whose diamonds all hold (p(empty) = 0), and which
+    adds only -1 / x_n^2 to the log-Hessian.
+    """
+    last = 1 << (n - 1)
+    inputs = {"failing": {mask: 1 for mask in range(1 << n) if mask & 3 in (0, 3)}}
+    if n >= 3:
+        inputs["clean"] = {mask: 1 for mask in range(1 << n) if mask & 3 in (0, 3) and mask & last}
+    return {name: SubsetPoly.from_weights(n, weights) for name, weights in inputs.items()}
+
+
+def chunk_sizes(count: int, head: bool) -> list[int]:
+    """The sizes the sampler's chunks must have over count points."""
+    edges = [0, 1] if head else [0]
+    edges += range(64, count + 1024, 1024)
+    return [min(b, count) - a for a, b in zip(edges, edges[1:]) if a < count]
 
 
 def drawn_at_once(n: int, cfg: SampleConfig) -> np.ndarray:
@@ -518,32 +542,34 @@ class TestChunkedScan:
         assert (7, 0, "NoViolationFound") in outcomes
 
     def test_draws_only_what_the_scan_reads(self):
-        # Each chunk the scan reads holds the rows of one draw of every point,
-        # drawn no further than that chunk, read-only.
+        # Each chunk the scan reads, with or without the one-point head, holds
+        # the rows of one draw of every point, drawn no further than that
+        # chunk, read-only.
         for n in range(2, 9):
             grid = grid_points(n).shape[0]
-            for seed in (0, 9, (0, 3, 4)):
-                for count in SCAN_COUNTS:
-                    cfg = SampleConfig(points=count, seed=seed)
-                    want = drawn_at_once(n, cfg)
-                    sample_points.cache_clear()
-                    pts = sample_points(n, cfg)
-                    assert len(pts) == want.shape[0] and pts.drawn == grid
-                    for rows in checkers._scan_chunks(len(pts)):
-                        chunk = pts[rows]
-                        assert pts.drawn == max(grid, min(rows.stop, len(pts)))
-                        assert not chunk.flags.writeable
-                        assert chunk.tobytes() == want[rows].tobytes(), (n, seed, count, rows)
+            seeds = (0, 9, (0, 3, 4))
+            for seed, count, head in itertools.product(seeds, SCAN_COUNTS, (False, True)):
+                cfg = SampleConfig(points=count, seed=seed)
+                want = drawn_at_once(n, cfg)
+                sample_points.cache_clear()
+                pts = sample_points(n, cfg)
+                assert len(pts) == want.shape[0] and pts.drawn == grid
+                for rows in checkers._scan_chunks(len(pts), head):
+                    chunk = pts[rows]
+                    assert pts.drawn == max(grid, min(rows.stop, len(pts)))
+                    assert not chunk.flags.writeable
+                    assert chunk.tobytes() == want[rows].tobytes(), (n, seed, count, rows)
 
     def test_violation_in_the_probe_draws_nothing(self):
         # 1 + x1 x2 fails at the first grid point; a violated sweep cell too.
-        # Past n = 2 the 5^n grid covers the 64-point probe.
+        # Both fail a diamond at the origin, so the scan reads that point on
+        # its own and stops there, before any draw.
         for n in range(2, 7):
             p = SubsetPoly.from_weights(n, {0: 1, 0b11: 1})
             sample_points.cache_clear()
             verdict = check_log_concavity_sampled(p)
             assert verdict.witness.point == (0.1,) * n
-            assert sample_points(n, SampleConfig()).drawn == max(5**n, 64)
+            assert sample_points(n, SampleConfig()).drawn == 5**n
         sample_points.cache_clear()
         assert isinstance(check_slc(make_family(1, 3)).aggregate, Violated)
         assert sample_points(3, SampleConfig()).drawn == 125
@@ -557,16 +583,70 @@ class TestChunkedScan:
             return np.exp(rng.uniform(np.log(lo), np.log(hi), size=(count, n)))
 
         for n in range(2, 8):
-            weights = {mask: 1 for mask in range(1 << n) if mask & 3 in (0, 3)}
-            for k, at in enumerate(WITNESS_AT):
-                p = scaled(SubsetPoly.from_weights(n, weights), k + n)
-                pts = np.vstack([
-                    draw(at, n, 1.5, 10.0),
-                    draw(1, n, 0.05, 0.7),
-                    draw(int(rng.integers(0, 70)), n, 0.05, 10.0),
-                ])
-                cfg = SampleConfig(seed=k)
-                want, index = reference_scan(p, pts, cfg)
-                assert index == at, (n, at, index)
-                monkeypatch.setattr(checkers, "sample_points", lambda n, cfg: pts)
-                assert check_log_concavity_sampled(p, cfg) == want, (n, at)
+            for name, planted in planted_inputs(n).items():
+                assert (checkers.failing_diamond(planted) is None) == (name == "clean")
+                for k, at in enumerate(WITNESS_AT):
+                    p = scaled(planted, k + n)
+                    pts = np.vstack([
+                        draw(at, n, 1.5, 10.0),
+                        draw(1, n, 0.05, 0.7),
+                        draw(int(rng.integers(0, 70)), n, 0.05, 10.0),
+                    ])
+                    cfg = SampleConfig(seed=k)
+                    want, index = reference_scan(p, pts, cfg)
+                    assert index == at, (n, name, at, index)
+                    monkeypatch.setattr(checkers, "sample_points", lambda n, cfg: pts)
+                    assert check_log_concavity_sampled(p, cfg) == want, (n, name, at)
+
+    def test_one_point_head_only_while_the_grid_leads(self, monkeypatch):
+        # Over points where both planted inputs hold, the scan reads every
+        # point: a diamond-failing input in chunks of 1, 63, 1024, ... up to
+        # n = GRID_MAX_VARS and of 64, 1024, ... past it (no grid leads the
+        # scan there), a diamond-clean input always in 64, 1024, ...
+        rng = np.random.default_rng(113)
+        sizes = []
+
+        def spy(p, points):
+            sizes.append(points.shape[0])
+            return log_hessian_many(p, points)
+
+        monkeypatch.setattr(checkers, "log_hessian_many", spy)
+        for n in range(2, 8):
+            for name, planted in planted_inputs(n).items():
+                for k, count in enumerate(SCAN_COUNTS):
+                    p = scaled(planted, k)
+                    pts = np.exp(rng.uniform(np.log(1.5), np.log(10.0), size=(count, n)))
+                    cfg = SampleConfig(seed=k)
+                    want, index = reference_scan(p, pts, cfg)
+                    assert index is None
+                    monkeypatch.setattr(checkers, "sample_points", lambda n, cfg: pts)
+                    sizes.clear()
+                    assert check_log_concavity_sampled(p, cfg) == want, (n, name, count)
+                    head = name == "failing" and n <= checkers.GRID_MAX_VARS
+                    assert sizes == chunk_sizes(count, head), (n, name, count, sizes)
+        assert chunk_sizes(1089, True) == [1, 63, 1024, 1]
+        assert chunk_sizes(1089, False) == [64, 1024, 1]
+
+    def test_a_scan_of_the_grid_alone_makes_no_generator(self, monkeypatch, counterexample):
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            made.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        for n in range(2, 7):  # 1 + x1 x2 fails at grid point 0
+            sample_points.cache_clear()
+            verdict = check_log_concavity_sampled(SubsetPoly.from_weights(n, {0: 1, 0b11: 1}))
+            assert isinstance(verdict, Violated)
+        sample_points.cache_clear()
+        assert isinstance(check_slc(make_family(1, 3)).aggregate, Violated)
+        sample_points.cache_clear()  # every grid point, and no draw
+        verdict = check_log_concavity_sampled(counterexample, SampleConfig(points=0))
+        assert verdict.stats.points_tested == 125
+        assert made == []
+        # A scan that draws makes one generator, however many chunks it draws in.
+        sample_points.cache_clear()
+        verdict = check_log_concavity_sampled(counterexample, SampleConfig(points=2000, seed=5))
+        assert verdict.stats.points_tested == 2125 and made == [5]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slcheck import Holds, Violated, check_nlc
+from slcheck import Holds, SubsetPoly, Violated, check_nlc
 from slcheck.family import SweepConfig, emit_region_tables, make_family, sweep
 
 
@@ -37,11 +37,25 @@ class TestFamilyConstruction:
             c = Fraction(int(rng.integers(0, 50)), int(rng.integers(1, 10)))
             assert make_family(b, c).coeff_sum() == 1
 
+    def test_matches_normalized_weights_on_the_default_grid(self):
+        # make_family forms its weights over 4 + 3b + 3c in one step; at every
+        # default cell that must be the normalized weights, Fractions and integers.
+        cfg = SweepConfig()
+        for b in cfg.grid_b():
+            for c in cfg.grid_c():
+                got = make_family(b, c)
+                weights = {0: 4, 0b001: b, 0b010: b, 0b100: b, 0b011: c, 0b101: c, 0b110: c}
+                want = SubsetPoly.from_weights(3, weights).normalize()
+                assert got.coeffs == want.coeffs and got.cleared == want.cleared, (b, c)
+        assert len(cfg.grid_b()) * len(cfg.grid_c()) == 6561
+
     def test_rejects_negative_parameters(self):
         with pytest.raises(ValueError):
             make_family(-1, 2)
         with pytest.raises(ValueError, match="family parameters"):
             make_family(1, "-1/2")
+        with pytest.raises(ValueError, match="family parameters"):
+            make_family(Fraction(-1, 10**400), 0)
 
 
 class TestRegionLaw:

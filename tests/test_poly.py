@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +157,45 @@ class TestDerivatives:
                 if a >> (var - 1) & 1:
                     q = q.derivative(var)
             assert q == p.derivative_subset(a)
+
+    def test_derivatives_carry_their_own_integers(self):
+        # A derivative carries cleared and nonzero_masks from its parent; they
+        # must be what its own Fraction coefficients give, also for a
+        # derivative of a derivative.
+        rng = np.random.default_rng(16)
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+        kinds = {"zero": 0, "reduced": 0}
+        for k in range(96):
+            n = 1 + k % 8
+            weights = {}
+            for mask in range(1 << n):
+                if rng.random() < (0.0, 0.3, 0.8)[k % 3]:
+                    continue
+                # Coprime denominators: L drops a prime with each weight a derivative drops.
+                den = primes[mask % len(primes)] if k % 4 == 2 else int(rng.integers(1, 9))
+                weights[mask] = Fraction(int(rng.integers(1, 10)), den)
+            p = SubsetPoly.from_weights(n, weights)
+            if k % 4 == 1:
+                p = p.scale(Fraction(1, 10**400))
+            elif k % 4 == 3 and weights:
+                p = p.normalize()
+            masks = range(1 << n) if n <= 5 else rng.integers(0, 1 << n, 24)
+            for a in map(int, masks):
+                q = p.derivative_subset(a)
+                r = q.derivative_subset(int(rng.integers(0, 1 << n)) & ~a)
+                for d in (q, r):
+                    den = math.lcm(*(c.denominator for c in d.coeffs))
+                    assert d.cleared == (
+                        tuple(c.numerator * (den // c.denominator) for c in d.coeffs), den
+                    ), (p, a)
+                    assert d.nonzero_masks() == tuple(m for m, c in enumerate(d.coeffs) if c != 0)
+                    assert d == SubsetPoly(n, d.coeffs)
+                    kinds["zero"] += not d.nonzero_masks()
+                    kinds["reduced"] += den < p.cleared[1]
+            for a in (-1, 1 << n):
+                with pytest.raises(ValueError, match="out of range"):
+                    p.derivative_subset(a)
+        assert min(kinds.values()) >= 200, kinds
 
     def test_index_out_of_range(self):
         p = SubsetPoly.from_weights(2, {})

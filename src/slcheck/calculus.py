@@ -26,12 +26,12 @@ Both the float and the exact side work on the coefficient vector directly.
     under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
     the diagonal dominance gap of each row, on which the dominance
     certificate decides; `m_matrix` and the certificate's gaps are the same
-    integers divided by L^2 (`uncleared`).  At n <= 3, `minor_factors`
-    forms the principal minors of M, reduced to the factors whose signs
-    are not already known, on the same integers and key; the
-    principal-minor certificate decides on them.  `m_form` runs the same
-    superset sums on the integer coefficients at a float point, read as
-    exact dyadic rationals, and returns the exact sign of v^T M(x) v,
+    integers divided by L^2 (`uncleared`).  `m_coefficient_matrices`
+    groups the same integers by monomial into one symmetric integer matrix
+    M_a per key, M(x) = sum_a x^a M_a / L^2, and `is_psd` decides each
+    exactly for the coefficient-matrix certificate.  `m_form` runs the
+    same superset sums on the integer coefficients at a float point, read
+    as exact dyadic rationals, and returns the exact sign of v^T M(x) v,
     which proves a sampled violation.
 
 No check runs `m_matrix`: it serves the counterexample replay and the
@@ -41,8 +41,8 @@ tests, as rows of `SparsePoly` entries that are evaluated only exactly
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -222,56 +222,54 @@ def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
         yield gap
 
 
-MINOR_MAX_VARS = 3
+def m_coefficient_matrices(p: SubsetPoly) -> dict[int, list[list[int]]]:
+    """L^2 M grouped by monomial: M(x) = sum over keys a of x^a M_a / L^2.
 
-
-def minor_factors(p: SubsetPoly) -> Iterator[dict[int, int]]:
-    """The reduced principal-minor factors of M, times a power of L, as integer dicts.
-
-    With g_i, g_ij the derivatives of g, for each pair i < j
-
-        R_ij = 2 g_i g_j - g g_ij,   the {i, j} minor of M being g g_ij R_ij,
-
-    and at n = 3, with a_i = g_i g_jk over {i, j, k} = {1, 2, 3},
-
-        R_123 = 2 (a_1 a_2 + a_1 a_3 + a_2 a_3) - (a_1^2 + a_2^2 + a_3^2)
-                - 2 g g_12 g_13 g_23,   det M being g^2 R_123.
-
-    The 1x1 minors g_i^2 have no factor here.  A factor is formed on the
-    integers of `SubsetPoly.cleared`, so it is scaled by L^2 or L^4, and
-    keyed as `_cleared_m_rows` keys M.  That key holds it because at
-    n <= 3 each a_i and g_12 g_13 g_23 multiplies polynomials in disjoint
-    variables, so it is multi-affine.  Raises ValueError past n = 3.
+    M_a is the symmetric n x n integer matrix of the coefficients of x^a in
+    the entries of `_cleared_m_rows`, keyed by `SparsePoly`'s monomial key.
+    A key appears when some entry has a nonzero coefficient there.
     """
-    n = p.n
-    if n > MINOR_MAX_VARS:
-        raise ValueError(f"principal-minor factors are formed for n <= {MINOR_MAX_VARS}, got {n}")
-    terms = _cleared_terms(p)
-    grads = [_derivative_terms(terms, 1 << i) for i in range(n)]
-    second = {}
-    for i, j in itertools.combinations(range(n), 2):
-        second[i, j] = _derivative_terms(terms, 1 << i | 1 << j)
-        factor: dict[int, int] = {}
-        add_products(n, factor, grads[i], grads[j], 2)
-        add_products(n, factor, terms, second[i, j], -1)
-        yield factor
-    if n < 3:
-        return
-    a = [_disjoint_product(grads[0], second[1, 2]), _disjoint_product(grads[1], second[0, 2]),
-         _disjoint_product(grads[2], second[0, 1])]
-    triple = _disjoint_product(_disjoint_product(second[0, 1], second[0, 2]), second[1, 2])
-    factor = {}
-    for i, j in itertools.combinations(range(3), 2):
-        add_products(n, factor, a[i], a[j], 2)
-    for ai in a:
-        add_products(n, factor, ai, ai, -1)
-    add_products(n, factor, terms, triple, -2)
-    yield factor
+    mats: dict[int, list[list[int]]] = defaultdict(lambda: [[0] * p.n for _ in range(p.n)])
+    for i, upper in enumerate(_cleared_m_rows(p)):
+        for j, entry in enumerate(upper, i):
+            for key, c in entry.items():
+                if c:
+                    mats[key][i][j] = mats[key][j][i] = c
+    return mats
 
 
-def _disjoint_product(f: list[tuple[int, int]], h: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The terms of f h, for multi-affine f and h in disjoint sets of variables."""
-    return [(s | t, c * d) for s, c in f for t, d in h]
+def is_psd(a: Sequence[Sequence[int]]) -> bool:
+    """Whether a symmetric integer matrix is positive semidefinite, exactly.
+
+    A weakly diagonally dominant matrix with nonnegative diagonal is PSD
+    (Gershgorin), as most coefficient matrices of M are.  Any other goes
+    through a fraction-free symmetric elimination (Bareiss) with diagonal
+    pivoting: each step pivots on the largest remaining diagonal entry d
+    and replaces each remaining entry by (d a_ij - a_ik a_kj) / d', d' the
+    previous pivot.  The division is exact, each entry then being a minor
+    of the input (Sylvester's identity), and the remaining block is a
+    positive multiple of a Schur complement, PSD exactly when the input is.
+    A negative diagonal entry refutes; when the largest is 0, the block is
+    PSD only if it is all zero.
+    """
+    if all(2 * row[i] >= sum(map(abs, row)) for i, row in enumerate(a)):
+        return True
+    a = [list(row) for row in a]
+    rest = list(range(len(a)))
+    prev = 1
+    while rest:
+        diag = [a[i][i] for i in rest]
+        if min(diag) < 0:
+            return False
+        d = max(diag)
+        if d == 0:
+            return all(a[i][j] == 0 for i in rest for j in rest)
+        k = rest.pop(diag.index(d))
+        for i in rest:
+            for j in rest:
+                a[i][j] = (d * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = d
+    return True
 
 
 def m_form(p: SubsetPoly, point: Sequence[float], v: Sequence[float]) -> int:

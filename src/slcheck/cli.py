@@ -20,9 +20,9 @@ import sys
 from typing import Sequence
 
 from .checkers import (
+    CoefficientCertificate,
     DominanceCertificate,
     Holds,
-    MinorCertificate,
     SampleConfig,
     SlcReport,
     TrivialLogConcavity,
@@ -163,8 +163,8 @@ def _certificate_name(cert) -> str:
         return f"trivially log-concave: {cert.kind}"
     if isinstance(cert, DominanceCertificate):
         return "diagonal dominance certificate"
-    if isinstance(cert, MinorCertificate):
-        return "principal minor certificate"
+    if isinstance(cert, CoefficientCertificate):
+        return "coefficient matrix certificate"
     return type(cert).__name__
 
 

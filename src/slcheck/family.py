@@ -12,7 +12,7 @@ grid and records, per cell, the exact lattice verdict next to the strong
 log-concavity verdict of `check_slc`, which is the data behind the region
 tables: a cell is clean when no violation was found, and certified when
 every derivative carries an exact certificate.  On the default grid the
-dominance and principal-minor certificates between them certify exactly
+dominance and coefficient-matrix certificates between them certify exactly
 the cells with 8c <= 3b^2; the other clean cells were sampled.
 Negative parameters and invalid sweep settings are refused on conversion.
 """

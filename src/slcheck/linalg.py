@@ -7,7 +7,7 @@ it to eigvalsh and returns the eigenvalues as a tuple of floats; no code
 in the package calls it.  No
 decision rests on these floats alone.  Exact definiteness is decided on
 integer coefficients, by the dominance certificate (`calculus.m_row_gaps`)
-or, at n <= 3, the principal-minor certificate (`calculus.minor_factors`),
+or, at n <= 3, the coefficient-matrix certificate (`calculus.is_psd`),
 and a point witness is proved by the exact sign of v^T M(x) v
 (`calculus.m_form`).
 """

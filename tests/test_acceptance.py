@@ -25,7 +25,7 @@ from slcheck.checkers import (
     DominanceCertificate,
     _nlc_violating_pairs,
     certify_log_concavity_dominance,
-    certify_log_concavity_minors,
+    certify_log_concavity_coefficients,
     check_log_concavity_sampled,
     trivial_log_concavity,
 )
@@ -139,7 +139,7 @@ def test_c6_default_sweep_containment_and_cross_cell():
     assert result.containment_failures() == []
     (cross,) = [cell for cell in result.cells if (cell.b, cell.c) == (3, 3)]
     assert cross.slc_no_violation and not cross.nlc
-    # Exact certificates (dominance, then principal minors) cover the cells
+    # Exact certificates (dominance, then coefficient matrices) cover the cells
     # with 8c <= 3b^2 and no other: past it M(0) has the eigenvalue 3b^2 - 8c.
     certified = [cell for cell in result.cells if cell.certified]
     assert all(cell.certified == (8 * cell.c <= 3 * cell.b**2) for cell in result.cells)
@@ -183,7 +183,7 @@ def _scale_invariance_of_verdicts(cases: int) -> None:
         assert (ta is None) == (tb is None)
         if ta is not None:
             assert ta.kind == tb.kind
-        for certify in (certify_log_concavity_dominance, certify_log_concavity_minors):
+        for certify in (certify_log_concavity_dominance, certify_log_concavity_coefficients):
             assert (certify(p) is None) == (certify(q) is None)
 
         cfg = SampleConfig(points=16, seed=idx)

@@ -1,4 +1,4 @@
-"""Lattice condition, sampled log-concavity, dominance and principal-minor certificates,
+"""Lattice condition, sampled log-concavity, dominance and coefficient-matrix certificates,
 full check."""
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from slcheck import (
 from slcheck import checkers
 from slcheck.calculus import log_hessian_many, m_form, m_matrix
 from slcheck.checkers import (
+    CoefficientCertificate,
     DominanceCertificate,
     ExhaustiveEnumeration,
-    MinorCertificate,
     SubsetCertificates,
     TrivialLogConcavity,
     certify_log_concavity_dominance,
-    certify_log_concavity_minors,
+    certify_log_concavity_coefficients,
     check_log_concavity_sampled,
     exit_code,
     format_fraction_pair,
@@ -403,9 +403,11 @@ class TestDominanceCertificate:
         assert confirmed >= 10
 
 
-class TestMinorCertificate:
+class TestCoefficientCertificate:
     def test_two_variables_iff_ad_at_most_2bc(self):
-        # det M = d g (2bc - ad + bd x + cd y + d^2 xy) for a + bx + cy + dxy.
+        # For a + bx + cy + dxy, M_12 = bc - ad is constant: M(0) is
+        # [[b^2, bc - ad], [bc - ad, c^2]], PSD iff ad <= 2bc, and every other
+        # coefficient matrix is diagonal and nonnegative.
         rng = np.random.default_rng(45)
         outcomes = {True: 0, False: 0}
         for _ in range(400):
@@ -413,7 +415,7 @@ class TestMinorCertificate:
             p = SubsetPoly.from_weights(2, {0: a, 1: b, 2: c, 3: d})
             if not p.nonzero_masks():
                 continue
-            certified = certify_log_concavity_minors(p) is not None
+            certified = certify_log_concavity_coefficients(p) is not None
             assert certified == (a * d <= 2 * b * c), (a, b, c, d)
             outcomes[certified] += 1
         assert min(outcomes.values()) >= 100, outcomes
@@ -426,7 +428,7 @@ class TestMinorCertificate:
         for attempt in range(600):
             n = int(rng.integers(2, 4))
             p = random_subset_poly(rng, n, zero_prob=(0.0, 0.3)[attempt % 2])
-            if certify_log_concavity_minors(p) is None:
+            if certify_log_concavity_coefficients(p) is None:
                 continue
             certified += 1
             beyond_dominance += certify_log_concavity_dominance(p) is None
@@ -439,17 +441,19 @@ class TestMinorCertificate:
         assert certified >= 100 and beyond_dominance >= 30, (certified, beyond_dominance)
 
     def test_counterexample_and_one_plus_xy(self, counterexample):
-        assert certify_log_concavity_minors(counterexample) == MinorCertificate(counterexample)
-        # R_12 = 2 * 0 - (1 + xy) * 1: the polynomial is not log-concave.
-        assert certify_log_concavity_minors(one_plus_xy()) is None
+        assert certify_log_concavity_coefficients(counterexample) == CoefficientCertificate(
+            counterexample
+        )
+        # M(0) = [[0, -1], [-1, 0]] is not PSD: the polynomial is not log-concave.
+        assert certify_log_concavity_coefficients(one_plus_xy()) is None
 
     def test_zero_rows_and_the_zero_polynomial(self):
-        # x_3 is absent: its factors vanish, and the rest decides.
+        # x_3 is absent: its row and column vanish in every M_a, and the rest decides.
         p = SubsetPoly.from_weights(3, {0: 1, 1: 1, 2: 2, 3: 3})
-        assert certify_log_concavity_minors(p) is not None
+        assert certify_log_concavity_coefficients(p) is not None
         assert certify_log_concavity_dominance(p) is None
         # The zero polynomial has no logarithm to be concave.
-        assert certify_log_concavity_minors(SubsetPoly.from_weights(3, {})) is None
+        assert certify_log_concavity_coefficients(SubsetPoly.from_weights(3, {})) is None
 
 
 class TestDiamondPreCheck:
@@ -472,7 +476,7 @@ class TestDiamondPreCheck:
                 if not pairs or trivial_log_concavity(q) is not None:
                     continue
                 assert certify_log_concavity_dominance(q) is None, q
-                assert certify_log_concavity_minors(q) is None, q
+                assert certify_log_concavity_coefficients(q) is None, q
                 i, j = pairs[0]
                 w = q.cleared[0]
                 b, c = w[1 << i], w[1 << j]
@@ -526,8 +530,8 @@ class TestFullCheck:
         assert set(report.subsets) == set(range(8))
 
     # 4 + 4 e_1 + e_2 in four variables.  The top-level dominance gap picks
-    # up the negative constant 16 - 3 * 12, and past n = 3 there is no
-    # principal-minor certificate, so only sampling is available there, while
+    # up the negative constant 16 - 3 * 12, and past n = 3 the coefficient
+    # matrices are not tried, so only sampling is available there, while
     # every derivative is affine, constant, or zero.
     SAMPLED_AT_TOP = {0: 4, **{1 << i: 4 for i in range(4)}, **{3 << i: 1 for i in range(3)},
                       0b0101: 1, 0b1001: 1, 0b1010: 1}
@@ -535,7 +539,7 @@ class TestFullCheck:
     def test_aggregate_no_violation_found_merges_stats(self):
         p = SubsetPoly.from_weights(4, self.SAMPLED_AT_TOP)
         assert certify_log_concavity_dominance(p) is None
-        assert certify_log_concavity_minors(p) is None
+        assert certify_log_concavity_coefficients(p) is None
         report = check_slc(p, SampleConfig(points=30))
         assert isinstance(report.aggregate, NoViolationFound)
         assert report.aggregate.stats.derivatives_tested == 16

@@ -180,7 +180,7 @@ class TestCheckCommand:
         assert "A = {1,2,3}: holds (trivially log-concave: zero)" in out
         assert "aggregate: HOLDS" in out
 
-    def test_slc_principal_minor_certificate(self, tmp_path, capsys):
+    def test_slc_coefficient_matrix_certificate(self, tmp_path, capsys):
         # ad = 7/2 <= 2bc = 4: strongly log-concave, though dominance fails
         # (|bc - ad| = 3/2 > b^2 = 1) and the lattice condition too (ad > bc).
         path = tmp_path / "n2.json"
@@ -188,10 +188,10 @@ class TestCheckCommand:
         report_path = tmp_path / "n2-report.json"
         assert main(["check", str(path), "slc", "--report", str(report_path)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert "A = {}: holds (principal minor certificate)" in out
+        assert "A = {}: holds (coefficient matrix certificate)" in out
         assert out[-1] == "aggregate: HOLDS (every derivative subset carries an exact certificate)"
         doc = json.loads(report_path.read_text())
-        assert doc["subsets"]["{}"]["certificate"] == "principal minor certificate"
+        assert doc["subsets"]["{}"]["certificate"] == "coefficient matrix certificate"
         assert main(["check", str(path), "nlc"]) == 1
         capsys.readouterr()
 

@@ -8,9 +8,11 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
   * the integer M (`m_matrix`), its dominance gaps (`DominanceCertificate.
     row_gaps`) and the decision against M built term by term in Fractions
     on exponent tuples, apart from the package's key and product loop;
-  * the principal-minor factors (`minor_factors`) at n = 2, 3 against the
-    same factors in that ring, and against every principal minor of M,
-    which each must divide;
+  * the coefficient matrices of M (`m_coefficient_matrices`), summed over
+    their monomials at rational points, against `m_matrix`; the integer PSD
+    test (`is_psd`) against every principal minor in Fractions; and the
+    coefficient-matrix certificate at n = 2, 3 against the principal-minor
+    factors of M built in that ring;
   * `check_slc`, whose memoized sample points serve every derivative
     subset and whose diamond pre-check skips both certificates, against a
     loop that draws fresh points for each derivative and tries every route;
@@ -49,15 +51,17 @@ from slcheck.calculus import (
     eval_many,
     log_hessian,
     log_hessian_many,
+    is_psd,
+    m_coefficient_matrices,
     m_form,
     m_matrix,
-    minor_factors,
 )
 from slcheck.checkers import (
+    CoefficientCertificate,
     DominanceCertificate,
-    MinorCertificate,
     PointWitness,
     SampleStats,
+    certify_log_concavity_coefficients,
     certify_log_concavity_dominance,
     check_log_concavity_sampled,
     grid_points,
@@ -254,58 +258,121 @@ class TestIntegerDominance:
         assert gaps == DominanceCertificate(raw_counterexample).row_gaps
 
 
-def tuple_factor(n: int, factor: dict[int, int], scale: int) -> dict[tuple[int, ...], Fraction]:
-    """A factor of `minor_factors` divided by scale, in the reference ring.
-
-    The key of x^S x^T is (S | T) << n | (S & T): variable k has exponent 2
-    in S & T, 1 in the rest of S | T.
-    """
-    return {
-        tuple((key >> (n + k) & 1) + (key >> k & 1) for k in range(n)): Fraction(c, scale)
-        for key, c in factor.items()
-        if c
-    }
+def key_power(n: int, key: int, x) -> Fraction:
+    """x^S x^T at a rational point, for the key (S | T) << n | (S & T): variable k
+    has exponent 2 in S & T, 1 in the rest of S | T."""
+    return math.prod((x[k] ** ((key >> (n + k) & 1) + (key >> k & 1)) for k in range(n)),
+                     start=Fraction(1))
 
 
-def principal_minor(m: list[list[dict]], rows: tuple[int, ...]) -> dict:
-    """The determinant of M restricted to rows (and columns), by Leibniz, in the reference ring."""
-    total: dict = {}
-    for perm in itertools.permutations(rows):
-        sign = (-1) ** sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
-        term = {(0,) * len(m): Fraction(1)}
-        for r, c in zip(rows, perm):
-            term = tuple_product(term, m[r][c])
-        for e, c in term.items():
-            total[e] = total.get(e, 0) + sign * c
-    return {e: c for e, c in total.items() if c}
-
-
-class TestMinorFactors:
-    def test_factors_match_reference_and_divide_every_minor(self):
-        checked = {2: 0, 3: 0}
-        for p in oracle_cases(85, 240, max_dense_n=3):
-            if p.n not in checked:
+class TestCoefficientMatrices:
+    def test_matrices_sum_to_m_matrix(self):
+        # sum_a x^a M_a / L^2 = M(x), entry by entry, exactly at rational points.
+        rng = np.random.default_rng(86)
+        checked = 0
+        for p in oracle_cases(87, 200, max_dense_n=5):
+            if p.n > 5:
                 continue
-            n, den = p.n, p.cleared[1]
-            m, g = reference_m(p), tuple_terms(p)
-            factors = list(minor_factors(p))
-            pairs = list(itertools.combinations(range(n), 2))
-            assert len(factors) == len(pairs) + (n == 3)
-            got = [tuple_factor(n, f, den ** (2 if k < len(pairs) else 4))
-                   for k, f in enumerate(factors)]
-            assert got == reference_minor_factors(p), p
-            for (i, j), r in zip(pairs, got):
-                gij = tuple_terms(p.derivative_subset(1 << i | 1 << j))
-                assert principal_minor(m, (i, j)) == tuple_product(tuple_product(g, gij), r), p
-            if n == 3:
-                assert principal_minor(m, (0, 1, 2)) == tuple_product(tuple_product(g, g), got[3])
-            checked[n] += 1
-        assert min(checked.values()) >= 30, checked
+            mats = m_coefficient_matrices(p)
+            for mat in mats.values():
+                assert any(any(row) for row in mat), p
+                assert all(mat[i][j] == mat[j][i] for i in range(p.n) for j in range(p.n)), p
+            m, scale = m_matrix(p), p.cleared[1] ** 2
+            for x in rational_points(rng, p.n, 2):
+                powers = {key: key_power(p.n, key, x) for key in mats}
+                for i in range(p.n):
+                    for j in range(p.n):
+                        got = sum((powers[key] * mat[i][j] for key, mat in mats.items()),
+                                  start=Fraction(0))
+                        assert got / scale == m[i][j].eval_exact(x), (p, x, i, j)
+            checked += 1
+        assert checked >= 120, checked
 
-    def test_refused_past_three_variables(self):
-        with pytest.raises(ValueError, match="n <= 3"):
-            next(minor_factors(SubsetPoly.from_weights(4, {0: 1})))
-        assert checkers.certify_log_concavity_minors(SubsetPoly.from_weights(4, {0: 1})) is None
+    def test_certificate_fires_where_the_minors_do(self):
+        # At n = 2, 3 the coefficient matrices certify exactly the subsets whose
+        # principal-minor factors have nonnegative coefficients.
+        rng = np.random.default_rng(88)
+        outcomes = {True: 0, False: 0}
+        for k in range(400):
+            n = 2 + k % 2
+            p = oracle_poly(rng, n, zero_prob=(0.0, 0.3, 0.5)[k % 3], wide=k % 4 == 1)
+            if k % 5 == 4:
+                p = p.scale(Fraction(1, 10**400))
+            for a in range(1 << n):
+                q = p.derivative_subset(a)
+                if not q.nonzero_masks():
+                    continue
+                certified = certify_log_concavity_coefficients(q) is not None
+                assert certified == reference_minor_certified(q), q
+                outcomes[certified] += 1
+        assert min(outcomes.values()) >= 300, outcomes
+
+    def test_not_tried_past_three_variables(self):
+        # Every coefficient matrix of this n = 4 product measure is PSD (M is
+        # diagonal), yet the certificate is tried only up to n = 3.
+        p = product_measure([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)])
+        assert all(is_psd(mat) for mat in m_coefficient_matrices(p).values())
+        assert certify_log_concavity_coefficients(p) is None
+
+
+def fraction_det(rows: list[list[Fraction]]) -> Fraction:
+    """The determinant by Gaussian elimination in Fractions."""
+    a = [list(row) for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            a[r] = [v - f * w for v, w in zip(a[r], a[k])]
+    return det
+
+
+def minors_nonnegative(a: list[list[int]]) -> bool:
+    """Every principal minor >= 0: the PSD criterion for a symmetric matrix."""
+    n = len(a)
+    return all(
+        fraction_det([[Fraction(a[i][j]) for j in rows] for i in rows]) >= 0
+        for size in range(1, n + 1)
+        for rows in itertools.combinations(range(n), size)
+    )
+
+
+class TestIntegerPsd:
+    def test_matches_every_principal_minor(self):
+        # B B^T has rank at most r, so PSD and singular for r < n; one entry
+        # pair or diagonal entry moved by a small integer perturbs it either way.
+        rng = np.random.default_rng(89)
+        cases = [[[0] * n for _ in range(n)] for n in range(1, 7)]
+        cases += [[[0, 1], [1, 0]], [[0, -2], [-2, 5]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+                  [[4, 0, 0], [0, 0, 0], [0, 0, -1]]]
+        for n in range(1, 7):
+            for r in range(n + 1):
+                for _ in range(12):
+                    b = rng.integers(-4, 5, size=(n, r))
+                    a = (b @ b.T).astype(int).tolist()
+                    cases.append(a)
+                    i, j = (int(v) for v in rng.integers(0, n, size=2))
+                    perturbed = [row[:] for row in a]
+                    delta = int(rng.choice([-2, -1, 1, 2]))
+                    perturbed[i][j] += delta
+                    if i != j:
+                        perturbed[j][i] += delta
+                    cases.append(perturbed)
+        outcomes = {True: 0, False: 0}
+        for a in cases:
+            before = [row[:] for row in a]
+            got = is_psd(a)
+            assert a == before
+            assert got == minors_nonnegative(a), a
+            outcomes[got] += 1
+        assert not is_psd([[0, 1], [1, 0]]) and all(is_psd(a) for a in cases[:6])
+        assert min(outcomes.values()) >= 150, outcomes
 
 
 def reference_slc(p: SubsetPoly, cfg: SampleConfig) -> dict:
@@ -320,7 +387,7 @@ def reference_slc(p: SubsetPoly, cfg: SampleConfig) -> dict:
         elif reference_certified(q, reference_gaps(reference_m(q))):
             out[a] = "dominance"
         elif reference_minor_certified(q):
-            out[a] = "minors"
+            out[a] = "coefficients"
         else:
             out[a] = check_log_concavity_sampled(q, cfg, subset_mask=a)
     return out
@@ -340,8 +407,9 @@ class TestCheckSlc:
             assert set(report.subsets) == set(want)
             for a, expected in want.items():
                 got = report.subsets[a]
-                if expected in ("dominance", "minors"):
-                    certificate = {"dominance": DominanceCertificate, "minors": MinorCertificate}
+                if expected in ("dominance", "coefficients"):
+                    certificate = {"dominance": DominanceCertificate,
+                                   "coefficients": CoefficientCertificate}
                     assert got == Holds(certificate[expected](p.derivative_subset(a))), (p, a)
                     kinds.add(expected)
                     continue
@@ -357,7 +425,7 @@ class TestCheckSlc:
                 if trivial_log_concavity(q) is None and checkers.failing_diamond(q):
                     assert got == expected, (p, a)
                     fired.append(type(got).__name__)
-        assert kinds == {"Holds", "dominance", "minors", "Violated", "NoViolationFound"}
+        assert kinds == {"Holds", "dominance", "coefficients", "Violated", "NoViolationFound"}
         assert len(fired) >= 20 and set(fired) == {"Violated", "NoViolationFound"}, fired
 
 

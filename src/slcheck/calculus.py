@@ -21,7 +21,7 @@ Both the float and the exact side work on the coefficient vector directly.
     only float evaluator: `eval_many` and `log_hessian_many` only read it,
     the latter on coefficients rescaled by a power of two (see
     `_log_coeffs`), and `log_hessian` is `log_hessian_many` at one point.
-  * Exact: `_cleared_m_rows` forms M once, times L^2, from products of the
+  * Exact: `cleared_m_rows` forms M once, times L^2, from products of the
     integer coefficients of `SubsetPoly.cleared` (`poly.add_products`,
     under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
     the diagonal dominance gap of each row, on which the dominance
@@ -29,7 +29,9 @@ Both the float and the exact side work on the coefficient vector directly.
     integers divided by L^2 (`uncleared`).  `m_coefficient_matrices`
     groups the same integers by monomial into one symmetric integer matrix
     M_a per key, M(x) = sum_a x^a M_a / L^2, and `is_psd` decides each
-    exactly for the coefficient-matrix certificate.  `m_form` runs the
+    exactly for the coefficient-matrix certificate.  Both take M's rows
+    already formed when a caller holds them, as `check_slc` does where it
+    may try both certificates, so M is formed once.  `m_form` runs the
     same superset sums on the integer coefficients at a float point, read
     as exact dyadic rationals, and returns the exact sign of v^T M(x) v,
     which proves a sampled violation.
@@ -159,7 +161,11 @@ def _derivative_terms(terms: list[tuple[int, int]], mask: int) -> list[tuple[int
     return [(s ^ mask, c) for s, c in terms if s & mask == mask]
 
 
-def _cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
+# The rows of `cleared_m_rows`, once formed.
+Rows = Sequence[list[dict[int, int]]]
+
+
+def cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
     """Row by row, the entries L^2 M_ij for j >= i, as integer dicts.
 
     L clears the denominators of p (`SubsetPoly.cleared`), so M
@@ -181,7 +187,7 @@ def _cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
 
 
 def uncleared(p: SubsetPoly, cleared: Mapping[int, int]) -> SparsePoly:
-    """An entry of `_cleared_m_rows` or a gap of `m_row_gaps`, divided by L^2."""
+    """An entry of `cleared_m_rows` or a gap of `m_row_gaps`, divided by L^2."""
     scale = p.cleared[1] ** 2
     return SparsePoly(p.n, {key: Fraction(c, scale) for key, c in cleared.items() if c})
 
@@ -193,27 +199,29 @@ def m_matrix(p: SubsetPoly) -> tuple[tuple[SparsePoly, ...], ...]:
     Positive semidefiniteness of this matrix at a positive point is
     equivalent to negative semidefiniteness of the log-Hessian there.
     Diagonal entries reduce to squared first derivatives.  The entries are
-    those of `_cleared_m_rows`, which the dominance decision reads, divided
+    those of `cleared_m_rows`, which the dominance decision reads, divided
     by L^2.
     """
     rows: list[list[SparsePoly]] = [[None] * p.n for _ in range(p.n)]  # type: ignore[list-item]
-    for i, upper in enumerate(_cleared_m_rows(p)):
+    for i, upper in enumerate(cleared_m_rows(p)):
         for j, entry in enumerate(upper, i):
             rows[i][j] = rows[j][i] = uncleared(p, entry)
     return tuple(tuple(row) for row in rows)
 
 
-def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
+def m_row_gaps(p: SubsetPoly, rows: Rows | None = None) -> Iterator[dict[int, int]]:
     """Row by row, the diagonal dominance gap of M in integer coefficients.
 
     Yields for each i the coefficients of L^2 (M_ii - sum_{j != i} |M_ij|),
     with |.| taken coefficient-wise after like terms are combined, under
-    `SparsePoly`'s monomial key.  Each M_ij is formed when row min(i, j)
-    needs it and dropped after row max(i, j), so a caller that stops at the
-    first failing row pays for that row only.
+    `SparsePoly`'s monomial key.  Unless rows (those of `cleared_m_rows(p)`,
+    read and left as they are) are passed in, each M_ij is formed when row
+    min(i, j) needs it and dropped after row max(i, j), so a caller that
+    stops at the first failing row pays for that row only.
     """
     pending: dict[tuple[int, int], dict[int, int]] = {}
-    for i, (gap, *upper) in enumerate(_cleared_m_rows(p)):
+    for i, (diagonal, *upper) in enumerate(cleared_m_rows(p) if rows is None else rows):
+        gap = dict(diagonal)
         for j, entry in enumerate(upper, i + 1):
             pending[(i, j)] = entry
         for entry in [pending.pop((j, i)) for j in range(i)] + upper:
@@ -222,15 +230,16 @@ def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
         yield gap
 
 
-def m_coefficient_matrices(p: SubsetPoly) -> dict[int, list[list[int]]]:
+def m_coefficient_matrices(p: SubsetPoly, rows: Rows | None = None) -> dict[int, list[list[int]]]:
     """L^2 M grouped by monomial: M(x) = sum over keys a of x^a M_a / L^2.
 
     M_a is the symmetric n x n integer matrix of the coefficients of x^a in
-    the entries of `_cleared_m_rows`, keyed by `SparsePoly`'s monomial key.
-    A key appears when some entry has a nonzero coefficient there.
+    the entries of `cleared_m_rows`, keyed by `SparsePoly`'s monomial key,
+    or of rows when a caller passes them in already formed.  A key appears
+    when some entry has a nonzero coefficient there.
     """
     mats: dict[int, list[list[int]]] = defaultdict(lambda: [[0] * p.n for _ in range(p.n)])
-    for i, upper in enumerate(_cleared_m_rows(p)):
+    for i, upper in enumerate(cleared_m_rows(p) if rows is None else rows):
         for j, entry in enumerate(upper, i):
             for key, c in entry.items():
                 if c:

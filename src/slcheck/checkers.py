@@ -27,10 +27,13 @@ derivative subset carries both from p (`SubsetPoly.derivative_subset`).  A
 `DominanceCertificate` builds its gap polynomials from the same integer M,
 only when a caller reads them: they are the gaps the decision read.
 Sampling reads every log-Hessian from the derivative table of `calculus`
-and only flags points, confirming each from the scan's own Hessian and
-threshold; a polynomial whose diamond fails at the origin has its grid
-point nearest the origin scanned on its own first.  `SampleConfig`
-validates itself when built.
+and only flags points: an LDL^T screen of s I - H just under the threshold
+(`linalg.nsd_screen`) clears most of them with no eigen solve, eigvalsh
+decides the rest, and each flagged point is confirmed from the scan's own
+Hessian and threshold.  A sampled verdict reports the screen's smallest
+pivot, its closest margin to the threshold.  A polynomial whose diamond
+fails at the origin has its grid point nearest the origin scanned on its
+own first.  `SampleConfig` validates itself when built.
 Both witnesses are proofs: a lattice witness holds its products in
 rationals, a point witness a point and vector with v^T M(x) v < 0 in
 integers (`calculus.m_form`), and neither is returned unless that holds.
@@ -52,6 +55,8 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 from .calculus import (
+    Rows,
+    cleared_m_rows,
     is_psd,
     log_hessian_many,
     m_coefficient_matrices,
@@ -59,7 +64,7 @@ from .calculus import (
     m_row_gaps,
     uncleared,
 )
-from .linalg import nsd_threshold
+from .linalg import nsd_screen
 from .poly import SparsePoly, SubsetPoly, format_subset
 
 # ----- certificates ---------------------------------------------------------
@@ -184,11 +189,18 @@ def format_fraction_pair(lhs: Fraction, rhs: Fraction) -> str:
 
 @dataclass(frozen=True)
 class SampleStats:
+    """What a sampled verdict read.
+
+    min_margin is the smallest pivot of s I - H the screen met
+    (`linalg.nsd_screen`): positive when every point cleared it, inf when no
+    point was tested; an aggregate takes the least over its subsets.
+    """
+
     points_tested: int
     derivatives_tested: int
     tolerance: float
     seed: object
-    max_eigenvalue_seen: float
+    min_margin: float
 
 
 @dataclass(frozen=True)
@@ -275,7 +287,7 @@ GRID_VALUES = (0.1, 0.5, 1.0, 2.0, 10.0)
 # the random sample, so it is only included for small n.
 GRID_MAX_VARS = 6
 
-# Points per batched log-Hessian and eigvalsh call in the sampler; bounds
+# Points per batched log-Hessian and screen call in the sampler; bounds
 # the (points, n, n) arrays one call holds.  The scan first probes
 # SAMPLE_PROBE points on their own, since a failing input usually fails
 # within them, and only then goes on a full chunk at a time.  An input
@@ -433,36 +445,44 @@ def check_log_concavity_sampled(
     `_scan_chunks`, with the one-point head while the grid leads the scan
     and p fails a diamond at the origin (`failing_diamond`); every value a
     point yields is computed for that point alone, so the chunks decide
-    only how much is computed past the first failure.  subset_mask only
-    labels the witness; the polynomial passed in is checked as is.
+    only how much is computed past the first failure.  A point is flagged
+    when eigvalsh puts its top eigenvalue over the threshold, and eigvalsh
+    runs only on the points `nsd_screen` does not clear, which it proves it
+    would not flag.  min_margin is the smallest pivot the screen met over
+    every tested point (inf when none was).  subset_mask only labels the
+    witness; the polynomial passed in is checked as is.
     """
     if len(p.nonzero_masks()) <= 1:
         return Holds(trivial_log_concavity(p))
 
     pts = sample_points(p.n, cfg)
     head = p.n <= GRID_MAX_VARS and failing_diamond(p) is not None
-    max_seen = -np.inf
+    margin = math.inf
     tested = 0
     for rows in _scan_chunks(len(pts), head):
         chunk = pts[rows]
         hessians = log_hessian_many(p, chunk)
-        eigs = np.linalg.eigvalsh(hessians)[:, -1]
-        thresholds = nsd_threshold(hessians, cfg.tolerance)
-        max_seen = max(max_seen, float(eigs.max()))
-        for k in np.flatnonzero(eigs > thresholds):
-            eigenvalues, vectors = np.linalg.eigh(hessians[k])
-            top, threshold = float(eigenvalues[-1]), float(thresholds[k])
-            point = tuple(float(v) for v in chunk[k])
-            vector = tuple(float(c) for c in vectors[:, -1])
-            if top > threshold and m_form(p, point, vector) < 0:
-                return Violated(PointWitness(subset_mask, point, top, threshold, vector))
+        thresholds, pivots = nsd_screen(hessians, cfg.tolerance)
+        least = float(pivots.min())
+        if not least > 0.0:  # a pivot <= 0 or NaN: eigvalsh decides those points
+            least = float(np.nanmin(pivots))
+            candidates = np.flatnonzero(~(pivots.min(axis=1) > 0.0))
+            eigs = np.linalg.eigvalsh(hessians[candidates])[:, -1]
+            for k in candidates[eigs > thresholds[candidates]]:
+                eigenvalues, vectors = np.linalg.eigh(hessians[k])
+                top, threshold = float(eigenvalues[-1]), float(thresholds[k])
+                point = tuple(float(v) for v in chunk[k])
+                vector = tuple(float(c) for c in vectors[:, -1])
+                if top > threshold and m_form(p, point, vector) < 0:
+                    return Violated(PointWitness(subset_mask, point, top, threshold, vector))
+        margin = min(margin, least)
         tested += chunk.shape[0]
     stats = SampleStats(
         points_tested=tested,
         derivatives_tested=1,
         tolerance=cfg.tolerance,
         seed=cfg.seed,
-        max_eigenvalue_seen=max_seen,
+        min_margin=margin,
     )
     return NoViolationFound(stats)
 
@@ -492,7 +512,9 @@ def failing_diamond(p: SubsetPoly) -> tuple[int, int] | None:
 # ----- dominance certificate ----------------------------------------------------
 
 
-def certify_log_concavity_dominance(p: SubsetPoly) -> DominanceCertificate | None:
+def certify_log_concavity_dominance(
+    p: SubsetPoly, rows: Rows | None = None
+) -> DominanceCertificate | None:
     """Try to prove log-concavity on the whole positive orthant, exactly.
 
     Forms M = grad g grad g^T - g D2g and, per row, the gap polynomial
@@ -505,10 +527,11 @@ def certify_log_concavity_dominance(p: SubsetPoly) -> DominanceCertificate | Non
     definite; so the log-Hessian is negative definite there.  (M_ii is a
     square of nonnegative coefficients, so its own coefficients are never
     negative.)  The gaps are taken in integer coefficients, row by row, and
-    the first failing row ends the attempt.  Returns None when this
-    sufficient condition does not apply (which proves nothing).
+    the first failing row ends the attempt; rows, when passed, are M's
+    integer rows already formed (`calculus.cleared_m_rows`).  Returns None
+    when this sufficient condition does not apply (which proves nothing).
     """
-    for gap in m_row_gaps(p):
+    for gap in m_row_gaps(p, rows):
         if not (all(c >= 0 for c in gap.values()) and any(c > 0 for c in gap.values())):
             return None
     return DominanceCertificate(p)
@@ -522,19 +545,22 @@ def certify_log_concavity_dominance(p: SubsetPoly) -> DominanceCertificate | Non
 COEFFICIENT_MAX_VARS = 3
 
 
-def certify_log_concavity_coefficients(p: SubsetPoly) -> CoefficientCertificate | None:
+def certify_log_concavity_coefficients(
+    p: SubsetPoly, rows: Rows | None = None
+) -> CoefficientCertificate | None:
     """Try to prove log-concavity on the positive orthant by coefficient matrices, exactly.
 
     Tests by `calculus.is_psd` each integer M_a of L^2 M(x) = sum_a x^a M_a
     (`calculus.m_coefficient_matrices`).  If each M_a is PSD, then so is
     M(x) on the open orthant, where every x^a > 0, and g > 0 unless g is
     zero; so the log-Hessian -M / g^2 is NSD there: the degree-0 matrix
-    Polya certificate (Scherer-Hol, Math. Program. 107, 2006).  Returns
-    None otherwise, or past COEFFICIENT_MAX_VARS (which proves nothing).
+    Polya certificate (Scherer-Hol, Math. Program. 107, 2006).  rows, when
+    passed, are M's integer rows already formed.  Returns None otherwise,
+    or past COEFFICIENT_MAX_VARS (which proves nothing).
     """
     if p.n > COEFFICIENT_MAX_VARS or not p.nonzero_masks():
         return None
-    if all(is_psd(m) for m in m_coefficient_matrices(p).values()):
+    if all(is_psd(m) for m in m_coefficient_matrices(p, rows).values()):
         return CoefficientCertificate(p)
     return None
 
@@ -577,7 +603,11 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
             results[a] = Holds(trivial)
             continue
         if failing_diamond(q) is None:
-            cert = certify_log_concavity_dominance(q) or certify_log_concavity_coefficients(q)
+            # Up to COEFFICIENT_MAX_VARS a failed dominance test goes on to the
+            # coefficient test, and either reads every row of M: form them once.
+            rows = list(cleared_m_rows(q)) if q.n <= COEFFICIENT_MAX_VARS else None
+            cert = (certify_log_concavity_dominance(q, rows)
+                    or certify_log_concavity_coefficients(q, rows))
             if cert is not None:
                 results[a] = Holds(cert)
                 continue
@@ -596,15 +626,15 @@ def _aggregate(results: Mapping[int, Verdict], cfg: SampleConfig) -> Verdict:
     points = sum(
         v.stats.points_tested for v in results.values() if isinstance(v, NoViolationFound)
     )
-    max_seen = max(
-        (v.stats.max_eigenvalue_seen for v in results.values() if isinstance(v, NoViolationFound)),
-        default=-np.inf,
+    margin = min(
+        (v.stats.min_margin for v in results.values() if isinstance(v, NoViolationFound)),
+        default=math.inf,
     )
     stats = SampleStats(
         points_tested=points,
         derivatives_tested=len(results),
         tolerance=cfg.tolerance,
         seed=cfg.seed,
-        max_eigenvalue_seen=max_seen,
+        min_margin=margin,
     )
     return NoViolationFound(stats)

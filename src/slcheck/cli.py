@@ -153,7 +153,7 @@ def _render_verdict(v: Verdict) -> list[str]:
     s = v.stats
     return [
         "verdict: NO VIOLATION FOUND",
-        f"points tested: {s.points_tested}, max eigenvalue seen: {s.max_eigenvalue_seen:.3e}, "
+        f"points tested: {s.points_tested}, closest margin: {s.min_margin:.3e}, "
         f"tolerance: {s.tolerance!r}, seed: {s.seed}",
     ]
 
@@ -180,7 +180,7 @@ def _render_slc(slc: SlcReport) -> list[str]:
         else:
             lines.append(
                 f"{label}: no violation in {v.stats.points_tested} points "
-                f"(max eigenvalue {v.stats.max_eigenvalue_seen:.3e})"
+                f"(closest margin {v.stats.min_margin:.3e})"
             )
     agg = slc.aggregate
     if isinstance(agg, Holds):
@@ -217,7 +217,7 @@ def _jsonable_verdict(v: Verdict) -> dict:
             }
         return {"verdict": "violated", "witness": witness}
     s = v.stats
-    seen = s.max_eigenvalue_seen  # -inf when no point was tested, which JSON cannot hold
+    margin = s.min_margin  # inf when no point was tested, which JSON cannot hold
     return {
         "verdict": "no_violation_found",
         "stats": {
@@ -225,7 +225,7 @@ def _jsonable_verdict(v: Verdict) -> dict:
             "derivatives_tested": s.derivatives_tested,
             "tolerance": s.tolerance,
             "seed": str(s.seed),
-            "max_eigenvalue_seen": seen if math.isfinite(seen) else None,
+            "min_margin": margin if math.isfinite(margin) else None,
         },
     }
 

@@ -271,7 +271,7 @@ class TestSampling:
         verdict = check_log_concavity_sampled(p, SampleConfig(points=0))
         assert isinstance(verdict, NoViolationFound)
         assert verdict.stats.points_tested == 0
-        assert verdict.stats.max_eigenvalue_seen == -math.inf
+        assert verdict.stats.min_margin == math.inf
 
     def test_violation_in_the_probe_wins_over_a_later_overflow(self):
         # 1 + x1 x2 fails at the first grid point, (0.1, 0.1, 0.1); the draws
@@ -292,7 +292,7 @@ class TestSampling:
         assert isinstance(verdict, NoViolationFound)
         assert verdict.stats.points_tested == 125 + 500
         assert verdict.stats.derivatives_tested == 1
-        assert verdict.stats.max_eigenvalue_seen <= 0.0
+        assert verdict.stats.min_margin > 0.0
 
     def test_trivial_short_circuits(self):
         assert check_log_concavity_sampled(SubsetPoly.from_weights(2, {})) == Holds(

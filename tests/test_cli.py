@@ -235,8 +235,8 @@ class TestCheckCommand:
         assert doc["subsets"]["{}"]["certificate"] == "diagonal dominance certificate"
 
     def test_report_without_points_is_strict_json(self, tmp_path, capsys):
-        # No grid past n = 6, so --samples 0 tests no point and the largest
-        # eigenvalue seen is -inf: the text says so, the report writes null.
+        # No grid past n = 6, so --samples 0 tests no point and the closest
+        # margin is inf: the text says so, the report writes null.
         path = tmp_path / "n7.json"
         weights = {0: 4, **{1 << i: 1 for i in range(7)}, **{3 << i: 4 for i in range(6)}}
         path.write_text(document(SubsetPoly.from_weights(7, weights)))
@@ -246,14 +246,14 @@ class TestCheckCommand:
 
         assert main(["check", str(path), "lc", "--samples", "0", "--report",
                      str(tmp_path / "lc.json")]) == 0
-        assert "max eigenvalue seen: -inf" in capsys.readouterr().out
-        assert strict(tmp_path / "lc.json")["stats"]["max_eigenvalue_seen"] is None
+        assert "closest margin: inf" in capsys.readouterr().out
+        assert strict(tmp_path / "lc.json")["stats"]["min_margin"] is None
         assert main(["check", str(path), "slc", "--samples", "0", "--report",
                      str(tmp_path / "slc.json")]) == 0
         capsys.readouterr()
         doc = strict(tmp_path / "slc.json")
-        assert doc["aggregate"]["stats"]["max_eigenvalue_seen"] is None
-        assert doc["subsets"]["{}"]["stats"]["max_eigenvalue_seen"] is None
+        assert doc["aggregate"]["stats"]["min_margin"] is None
+        assert doc["subsets"]["{}"]["stats"]["min_margin"] is None
 
     def test_point_witness_report_reverifies(self, xy_file, tmp_path, capsys):
         report_path = tmp_path / "lc.json"

@@ -23,7 +23,9 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
     pass over all its points at once, at n = 2..7, on point counts either
     side of each chunk edge and on witnesses planted either side of them,
     for inputs with and without a failing diamond (the one-point head);
-    and its points, drawn as the scan reaches them, against one draw of all.
+    and its points, drawn as the scan reaches them, against one draw of all;
+    and, at tolerances 0, 1e-9 and 1e-3 and with dead variables, its
+    eigen-free screen (`nsd_screen`) against that one pass of eigvalsh.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from slcheck.checkers import (
 )
 from slcheck.counterexample import counterexample_weights
 from slcheck.family import make_family
-from slcheck.linalg import nsd_threshold
+from slcheck.linalg import nsd_screen, nsd_threshold
 from slcheck.poly import SparsePoly
 from conftest import product_measure
 
@@ -524,9 +526,11 @@ def reference_scan(p: SubsetPoly, pts: np.ndarray, cfg: SampleConfig):
     the first flagged point whose float re-check and exact sign both hold.
 
     Returns the verdict and the index of its witness (None if there is none).
+    A NoViolationFound verdict carries the smallest pivot of `nsd_screen`
+    over every point, the margin the sampler reports.
     """
     if pts.shape[0] == 0:
-        return NoViolationFound(SampleStats(0, 1, cfg.tolerance, cfg.seed, -math.inf)), None
+        return NoViolationFound(SampleStats(0, 1, cfg.tolerance, cfg.seed, math.inf)), None
     hessians = log_hessian_many(p, pts)
     tops = np.linalg.eigvalsh(hessians)[:, -1]
     thresholds = nsd_threshold(hessians, cfg.tolerance)
@@ -537,7 +541,8 @@ def reference_scan(p: SubsetPoly, pts: np.ndarray, cfg: SampleConfig):
         vector = tuple(float(c) for c in vectors[:, -1])
         if top > threshold and m_form(p, point, vector) < 0:
             return Violated(PointWitness(0, point, top, threshold, vector)), int(k)
-    stats = SampleStats(pts.shape[0], 1, cfg.tolerance, cfg.seed, float(tops.max()))
+    margin = float(np.nanmin(nsd_screen(hessians, cfg.tolerance)[1]))
+    stats = SampleStats(pts.shape[0], 1, cfg.tolerance, cfg.seed, margin)
     return NoViolationFound(stats), None
 
 
@@ -718,3 +723,30 @@ class TestChunkedScan:
         sample_points.cache_clear()
         verdict = check_log_concavity_sampled(counterexample, SampleConfig(points=2000, seed=5))
         assert verdict.stats.points_tested == 2125 and made == [5]
+
+
+def with_dead_variable(p: SubsetPoly) -> SubsetPoly:
+    """p with one more variable, on which it does not depend: a zero log-Hessian row."""
+    return SubsetPoly.from_weights(p.n + 1, dict(enumerate(p.coeffs)))
+
+
+class TestScreenedScan:
+    def test_matches_one_pass_of_eigvalsh_at_every_tolerance(self):
+        # The scan runs eigvalsh only where the screen's factorization fails;
+        # the one pass runs it everywhere.  Verdicts and witnesses must agree.
+        rng = np.random.default_rng(173)
+        outcomes = set()
+        for n, tol in itertools.product((2, 3, 4, 5, 7), (0.0, 1e-9, 1e-3)):
+            cfg = SampleConfig(points=300, seed=n, tolerance=tol)
+            mixed = oracle_poly(rng, n, zero_prob=0.3, wide=n % 2 == 1)
+            product = product_measure([Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)])
+            planted = planted_inputs(n)["failing"]
+            for k, p in enumerate((mixed, product, planted)):
+                for q in (scaled(p, k + n), with_dead_variable(p)):
+                    if len(q.nonzero_masks()) <= 1:
+                        continue
+                    want, _ = reference_scan(q, drawn_at_once(q.n, cfg), cfg)
+                    sample_points.cache_clear()
+                    assert check_log_concavity_sampled(q, cfg) == want, (q, tol)
+                    outcomes.add((tol, type(want).__name__))
+        assert len(outcomes) == 6, outcomes

@@ -1,4 +1,5 @@
-"""The validated eigen solve and the NSD threshold, against exact rational identities."""
+"""The validated eigen solve and the NSD threshold, against exact rational identities;
+the sampler's LDL^T screen against eigvalsh."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slcheck.linalg import eigen_sym, nsd_threshold
+from slcheck.linalg import SCREEN_GUARD, eigen_sym, nsd_screen, nsd_threshold
 
 
 def random_symmetric_rational(rng: np.random.Generator, n: int) -> list[list[Fraction]]:
@@ -98,3 +99,68 @@ class TestThreshold:
     def test_stack_gets_one_threshold_per_matrix(self):
         stack = [[[0.0, 0.0], [0.0, 0.0]], [[3.0, -4.0], [-4.0, 1.0]], [[1.0, -7.5], [-7.5, 2.0]]]
         np.testing.assert_array_equal(nsd_threshold(stack, 1.0), [1.0, 5.0, 8.5])
+
+
+def spectral_stack(rng: np.random.Generator, n: int, count: int, tol: float, scale: float):
+    """count symmetric n x n matrices of each of four kinds, entries about scale:
+    NSD; indefinite; NSD with exact zero rows and columns (dead variables);
+    and NSD but for a top eigenvalue planted at t (1 - 1e-6) or t (1 + 1e-6),
+    t their own `nsd_threshold` (a fixed point, reached in a few passes).
+    """
+    q = np.linalg.qr(rng.standard_normal((4 * count, n, n)))[0]
+    values = -rng.uniform(0.1, 1.0, (4 * count, n)) * scale
+    values[count : 2 * count] = rng.standard_normal((count, n)) * scale
+
+    def build() -> np.ndarray:
+        return (q * values[:, None, :]) @ q.transpose(0, 2, 1)
+
+    planted = slice(3 * count, 4 * count)
+    factor = 1.0 + 1e-6 * rng.choice((-1.0, 1.0), count)
+    for _ in range(4):
+        values[planted, -1] = nsd_threshold(build()[planted], tol) * factor
+    stack = build()
+    dead = rng.random((count, n)) < 0.3
+    block = stack[2 * count : 3 * count]
+    block[dead] = 0.0
+    block.transpose(0, 2, 1)[dead] = 0.0
+    return stack
+
+
+class TestScreen:
+    def test_candidates_hold_every_point_eigvalsh_flags(self):
+        rng = np.random.default_rng(171)
+        flagged_total = cleared_total = 0
+        cases = itertools.product(range(1, 17), (0.0, 1e-9, 1e-3), (1e-150, 1.0, 1e150))
+        for n, tol, scale in cases:
+            stack = spectral_stack(rng, n, 16, tol, scale)
+            thresholds, pivots = nsd_screen(stack, tol)
+            np.testing.assert_array_equal(thresholds, nsd_threshold(stack, tol))
+            tops = np.linalg.eigvalsh(stack)[:, -1]
+            flagged = tops > thresholds
+            candidates = ~(pivots.min(axis=1) > 0.0)
+            assert not np.any(flagged & ~candidates), (n, tol, scale)
+            # The screen is not "flag everything": a top eigenvalue well under
+            # the shift s is cleared, and its smallest pivot bounds s - top.
+            big = nsd_threshold(stack, 1.0)
+            guard = np.maximum(thresholds / 2, SCREEN_GUARD * np.finfo(float).eps * big)
+            shift = thresholds - guard
+            clear = tops < shift - 1e-6 * big
+            assert not np.any(candidates & clear), (n, tol, scale)
+            assert np.all(pivots[clear].min(axis=1) >= (shift - tops)[clear] - 1e-9 * big[clear])
+            flagged_total += flagged.sum()
+            cleared_total += clear.sum()
+        assert flagged_total > 2500 and cleared_total > 2500, (flagged_total, cleared_total)
+
+    def test_planted_tops_fall_either_side_of_the_threshold(self):
+        # At tolerance 1e-3 a relative 1e-6 is far above rounding, so eigvalsh
+        # flags exactly the tops planted above t, and the screen takes them all.
+        rng = np.random.default_rng(172)
+        for n in range(1, 17):
+            count = 16
+            stack = spectral_stack(rng, n, count, 1e-3, 1.0)[3 * count :]
+            thresholds, pivots = nsd_screen(stack, 1e-3)
+            tops = np.linalg.eigvalsh(stack)[:, -1]
+            above = np.abs(tops / thresholds - 1.0 - 1e-6) < 1e-8
+            below = np.abs(tops / thresholds - 1.0 + 1e-6) < 1e-8
+            assert np.all(above | below) and above.any() and below.any(), n
+            assert np.all(~(pivots.min(axis=1) > 0.0)[above]), n

@@ -61,11 +61,12 @@ class TestLatticeCondition:
         assert "S = {1}, T = {2}" in w.describe()
 
     def test_counterexample_violation_count(self, counterexample):
-        # Every unordered pair of distinct singletons violates; ordered, that
-        # is 6 pairs, and no larger pair does because p({1,2,3}) = 0.
+        # Every unordered pair of distinct singletons violates; with S < T, that
+        # is 3 pairs, and no larger pair does because p({1,2,3}) = 0.
         pairs = list(checkers._nlc_violating_pairs(counterexample))
-        assert pairs == [(s, t) for s, t, _, _ in brute_nlc_violations(counterexample)]
-        assert len(pairs) == 6
+        expected = brute_nlc_violations(counterexample)
+        assert pairs == [(s, t) for s, t, _, _ in expected if s < t]
+        assert len(pairs) == 3
         assert all(s.bit_count() == 1 and t.bit_count() == 1 for s, t in pairs)
         w = check_nlc(counterexample).witness
         assert pairs[0] == (w.s_mask, w.t_mask)
@@ -100,7 +101,11 @@ class TestLatticeCondition:
     def test_matches_brute_force_oracle(self):
         def agrees(p: SubsetPoly) -> list:
             expected = brute_nlc_violations(p)
-            assert list(checkers._nlc_violating_pairs(p)) == [(s, t) for s, t, _, _ in expected]
+            pairs = list(checkers._nlc_violating_pairs(p))
+            assert pairs == [(s, t) for s, t, _, _ in expected if s < t]
+            # The scan's pairs and their mirrors are every violating ordered pair.
+            mirrored = {*pairs, *((t, s) for s, t in pairs)}
+            assert mirrored == {(s, t) for s, t, _, _ in expected}
             verdict = check_nlc(p)
             if expected:
                 assert isinstance(verdict, Violated)
@@ -113,7 +118,6 @@ class TestLatticeCondition:
         rng = np.random.default_rng(41)
         for _ in range(200):
             agrees(random_subset_poly(rng, int(rng.integers(1, 5))))
-        # n = 5..7: at n = 7 the S rows span several scan blocks.
         for n in (5, 6, 7):
             agrees(random_subset_poly(rng, n, zero_prob=0.6))
             qs = [Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)]

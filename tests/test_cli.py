@@ -279,6 +279,19 @@ class TestCheckCommand:
         capsys.readouterr()
         assert code == 0
 
+    def test_negative_zero_tolerance_reads_as_zero(self, xy_file, counterexample_file,
+                                                   tmp_path, capsys):
+        # -0.0 passes the range check, but must not echo as "-0.0" or "-0.000000e+00":
+        # in a violated point's threshold, or in the sampling stats of a clean run.
+        for path, prop in ((xy_file, "lc"), (xy_file, "slc"), (counterexample_file, "lc")):
+            runs = []
+            for tol in ("0", "-0.0"):
+                report = tmp_path / "report.json"
+                argv = ["check", path, prop, "--samples", "10", "--tolerance", tol]
+                code = main([*argv, "--report", str(report)])
+                runs.append((code, capsys.readouterr().out, report.read_bytes()))
+            assert runs[0] == runs[1], (path, prop)
+
 
 class TestErrorPaths:
     def test_malformed_file(self, tmp_path, capsys):

@@ -14,13 +14,16 @@ is positive semidefinite at x, since M evaluated at x equals -g(x)^2 H(x).
 
 Both the float and the exact side work on the coefficient vector directly.
 
-  * Float: the derivative table (`_superset_sums`) holds every iterated
-    derivative d^B g(x) = sum_{S >= B} p(S) x^(S \\ B) at a block of
-    points, built by n superset-sum (Yates) stages.  g, its gradient and
-    its Hessian are rows 0, {i} and {i, j} of that one table.  It is the
-    only float evaluator: `eval_many` and `log_hessian_many` only read it,
-    the latter on coefficients rescaled by a power of two (see
-    `_log_coeffs`), and `log_hessian` is `log_hessian_many` at one point.
+  * Float: the derivative table (`_superset_sums`) holds each iterated
+    derivative d^B g(x) = sum_{S >= B} p(S) x^(S \\ B) that can be nonzero
+    at a block of points, built by n superset-sum (Yates) stages: its rows
+    are the down-closure of the support (`_Plan`), all 2^n subsets when
+    the full set has a weight.  g, its gradient and its Hessian are rows 0,
+    {i} and {i, j} of that one table, a zero row where the derivative
+    vanishes.  It is the only float evaluator: `eval_many` and
+    `log_hessian_many` only read it, the latter on coefficients rescaled by
+    a power of two (see `_log_coeffs`), and `log_hessian` is
+    `log_hessian_many` at one point.
   * Exact: `cleared_m_rows` forms M once, times L^2, from products of the
     integer coefficients of `SubsetPoly.cleared` (`poly.add_products`,
     under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
@@ -45,24 +48,86 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .poly import SparsePoly, SubsetPoly, add_products
 
-# A derivative table has 2**n rows, one per derivative subset, and a column
-# per point; points are taken in blocks that keep it near this many float64
+# A derivative table has a row per derivative subset that can be nonzero (see
+# `_Plan`; all 2**n of them when the full set has a weight) and a column per
+# point; points are taken in blocks that keep it near TABLE_CELLS float64
 # cells (256 KiB), so memory stays flat in the number of points.  A block
-# holds at least MIN_BLOCK_POINTS points (so the table outgrows the budget
-# past n = 11, up to 8 MiB at n = 16): with fewer, each Yates stage costs
-# more in loop overhead than in arithmetic.
+# holds at least MIN_BLOCK_POINTS points (so a table of more than 2**11 rows
+# outgrows the budget, up to 8 MiB at 2**16 rows): with fewer, each Yates
+# stage costs more in loop overhead than in arithmetic.
 TABLE_CELLS = 1 << 15
 MIN_BLOCK_POINTS = 16
+# The supports whose table plans `_plan` keeps.  A plan holds two row
+# indices per stage update, up to 8.5 MiB at n = 16 (about one block's
+# table); the cells of a sweep share a few.
+PLAN_CACHE = 16
 
 
 # ----- the derivative table --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The rows of a support's derivative table and the stages that fill them.
+
+    d^B g is identically zero unless B lies inside some nonzero mask, so
+    the table keeps only that down-closure of the support.  When the full
+    set has a weight that is every subset: kept is None, row B is mask B,
+    and the stages run over strided halves of the table.  Otherwise the
+    kept masks fill the rows in increasing order (mask 0 first, when any is
+    kept), one zero row follows for every other subset, and stage k is
+    (k, dst, src): src the rows of the kept masks that hold bit k, dst the
+    rows of the same masks without it, which the closure keeps too.  A
+    variable that no kept mask holds has no stage.  grad and pairs give
+    the rows of {i} and {i, j} (the row of {i} on the diagonal); block is
+    the points per block.
+    """
+
+    kept: np.ndarray | None
+    stages: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    grad: np.ndarray
+    pairs: np.ndarray
+    rows: int
+
+    @property
+    def block(self) -> int:
+        return max(MIN_BLOCK_POINTS, TABLE_CELLS // self.rows)
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(n: int, masks: tuple[int, ...]) -> _Plan:
+    """The table plan of the nonzero masks (in increasing order) of an n-variable polynomial."""
+    bits = 1 << np.arange(n)
+    pairs = bits[:, None] | bits[None, :]
+    if masks and masks[-1] == (1 << n) - 1:
+        return _Plan(None, (), bits, pairs, 1 << n)
+    closed = np.zeros(1 << n, dtype=bool)
+    closed[list(masks)] = True
+    for k in range(n):  # B is in the down-closure when B | bit k is
+        halves = closed.reshape(-1, 2, 1 << k)
+        halves[:, 0] |= halves[:, 1]
+    kept = np.flatnonzero(closed)
+    row = np.full(1 << n, len(kept))
+    row[kept] = np.arange(len(kept))
+    stages = []
+    for k in range(n):
+        src = kept[kept >> k & 1 == 1]
+        if len(src):
+            stages.append((k, row[src ^ 1 << k], row[src]))
+    return _Plan(kept, tuple(stages), row[bits], row[pairs], len(kept) + 1)
+
+
+def _table_plan(p: SubsetPoly) -> _Plan:
+    return _plan(p.n, p.nonzero_masks())
 
 
 def _point_array(p: SubsetPoly, points) -> np.ndarray:
@@ -72,7 +137,7 @@ def _point_array(p: SubsetPoly, points) -> np.ndarray:
     return pts
 
 
-def _superset_sums(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _superset_sums(coeffs: np.ndarray, pts: np.ndarray, plan: _Plan) -> np.ndarray:
     """The derivative table of the float coefficient vector at the rows of pts.
 
     Stage k adds x_k times each row holding variable k to the row without
@@ -80,12 +145,26 @@ def _superset_sums(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     variables outside B were multiplied in at their stage, and the rows of
     B never changed at the stages of its own variables.  So row 0 is g, row
     {i} the partial derivative in x_(i+1), row {i, j} a mixed second one.
+
+    A plan that keeps fewer than 2**n rows skips only updates from rows
+    outside the down-closure, which hold +0.0: at finite points each would
+    add x_k * 0.0 = +0.0 to a nonnegative row, so every kept row comes out
+    bit for bit as in the full table.
     """
     m, n = pts.shape
-    table = np.repeat(coeffs[:, None], m, axis=1)
-    for k in range(n):
-        halves = table.reshape(-1, 2, 1 << k, m)
-        halves[:, 0] += pts[:, k] * halves[:, 1]
+    if plan.kept is None:
+        table = np.repeat(coeffs[:, None], m, axis=1)
+        for k in range(n):
+            halves = table.reshape(-1, 2, 1 << k, m)
+            halves[:, 0] += pts[:, k] * halves[:, 1]
+        return table
+    table = np.zeros((plan.rows, m))
+    table[:-1] = coeffs[plan.kept, None]
+    for k, dst, src in plan.stages:
+        update = table.take(src, axis=0)
+        update *= pts[:, k]
+        update += table.take(dst, axis=0)
+        table[dst] = update
     return table
 
 
@@ -106,22 +185,17 @@ def _log_coeffs(p: SubsetPoly) -> np.ndarray:
     return _float_coeffs(p, den.bit_length() - max(w).bit_length())
 
 
-def block_points(n: int) -> int:
-    """Points per derivative-table block at n variables."""
-    return max(MIN_BLOCK_POINTS, TABLE_CELLS >> n)
-
-
-def _blocks(n: int, count: int) -> list[slice]:
-    """Consecutive row ranges of a point array, block_points(n) rows each.
+def _blocks(plan: _Plan, count: int) -> list[slice]:
+    """Consecutive row ranges of a point array, plan.block rows each.
 
     Callers pass each block's table straight to its consumer, so that no
     more than one table is alive at a time.
     """
-    step = block_points(n)
+    step = plan.block
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _log_hessians(table: np.ndarray, plan: _Plan, out: np.ndarray) -> np.ndarray:
     """Write (g D2g - grad g grad g^T) / g^2 at the m points of a table into out.
 
     out has shape (m, n, n).  Raises ValueError unless g > 0 at every point,
@@ -131,15 +205,13 @@ def _log_hessians(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     if np.any(table[0] <= 0.0):
         raise ValueError("polynomial is not positive at every sample point")
     n = out.shape[1]
-    bits = 1 << np.arange(n)  # rows {i} of the gradient; {i, j} of the Hessian
-    pairs = bits[:, None] | bits[None, :]
     g = table[0][:, None, None]
     g2 = g * g
     if not np.isfinite(g2).all():
         raise ValueError("points overflow the floats: g^2 is not finite")
-    grad = table[bits].T
-    out[:] = table[pairs].transpose(2, 0, 1)
-    # The pair mask of (i, i) is the row of d_i g; D2g has zero diagonal.
+    grad = table[plan.grad].T
+    out[:] = table[plan.pairs].transpose(2, 0, 1)
+    # The pair row of (i, i) is the row of d_i g; D2g has zero diagonal.
     out[:, np.arange(n), np.arange(n)] = 0.0
     out *= g
     out -= grad[:, :, None] * grad[:, None, :]
@@ -322,9 +394,10 @@ def eval_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
     """Evaluate g_p at every row of an (N, n) float array."""
     pts = _point_array(p, points)
     coeffs = _float_coeffs(p)
+    plan = _table_plan(p)
     out = np.empty(pts.shape[0], dtype=float)
-    for rows in _blocks(p.n, pts.shape[0]):
-        out[rows] = _superset_sums(coeffs, pts[rows])[0]
+    for rows in _blocks(plan, pts.shape[0]):
+        out[rows] = _superset_sums(coeffs, pts[rows], plan)[0]
     return out
 
 
@@ -337,10 +410,13 @@ def log_hessian_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
     if np.any(pts <= 0.0) or not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite and strictly positive")
     coeffs = _log_coeffs(p)
+    plan = _table_plan(p)
     out = np.empty((pts.shape[0], p.n, p.n), dtype=float)
     with np.errstate(all="ignore"):
-        for rows in _blocks(p.n, pts.shape[0]):
-            if not np.isfinite(_log_hessians(_superset_sums(coeffs, pts[rows]), out[rows])).all():
+        for rows in _blocks(plan, pts.shape[0]):
+            if not np.isfinite(
+                _log_hessians(_superset_sums(coeffs, pts[rows], plan), plan, out[rows])
+            ).all():
                 raise ValueError("points overflow the floats: a log-Hessian is not finite")
     return out
 

@@ -140,6 +140,42 @@ def matrix_close(a: np.ndarray, b: np.ndarray, rel: float) -> bool:
     return float(np.max(np.abs(a - b))) <= rel * (1.0 + float(np.max(np.abs(b))))
 
 
+# ----- the full derivative table ----------------------------------------------
+
+
+def reference_table(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """All 2^n rows d^B g at the rows of pts, by n Yates stages over the whole table.
+
+    Stage k adds x_k times each row holding variable k to the row without
+    it, on every row, whether or not it can be nonzero.
+    """
+    m, n = pts.shape
+    table = np.repeat(coeffs[:, None], m, axis=1)
+    for k in range(n):
+        halves = table.reshape(-1, 2, 1 << k, m)
+        halves[:, 0] += pts[:, k] * halves[:, 1]
+    return table
+
+
+def reference_log_hessians(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(g D2g - grad g grad g^T) / g^2 from rows 0, {i} and {i, j} of reference_table.
+
+    The same float operations in the same order as the package's reader,
+    so the two agree bit for bit wherever g^2 is finite and positive.
+    """
+    n = pts.shape[1]
+    table = reference_table(coeffs, pts)
+    bits = 1 << np.arange(n)
+    g = table[0][:, None, None]
+    grad = table[bits].T
+    out = table[bits[:, None] | bits[None, :]].transpose(2, 0, 1).copy()
+    out[:, np.arange(n), np.arange(n)] = 0.0
+    out *= g
+    out -= grad[:, :, None] * grad[:, None, :]
+    out /= g * g
+    return out
+
+
 # ----- brute force lattice condition -----------------------------------------
 
 

@@ -3,8 +3,13 @@
 Six fast paths are checked on seeded random inputs with n = 1..8, zero
 weights, weights spanning about 1e-40..1e40, and the counterexample:
 
-  * every row of the derivative table (`calculus._superset_sums`) against
-    exact evaluation of the corresponding derivative at rational points;
+  * every row of the full 2^n-row derivative table (`conftest.
+    reference_table`) against exact evaluation of the corresponding
+    derivative at rational points, and the package's table over the
+    down-closure of the support (`calculus._superset_sums`), its readers
+    and their blocks against that full table bit for bit, also on rank and
+    matroid supports at n = 8..16, derivatives with dead variables, weights
+    near 1e-400 and the zero polynomial;
   * the integer M (`m_matrix`), its dominance gaps (`DominanceCertificate.
     row_gaps`) and the decision against M built term by term in Fractions
     on exponent tuples, apart from the package's key and product loop;
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,9 +53,11 @@ from slcheck import (
 )
 from slcheck import checkers
 from slcheck.calculus import (
+    TABLE_CELLS,
     _float_coeffs,
+    _log_coeffs,
     _superset_sums,
-    block_points,
+    _table_plan,
     eval_many,
     log_hessian,
     log_hessian_many,
@@ -74,7 +82,7 @@ from slcheck.counterexample import counterexample_weights
 from slcheck.family import make_family
 from slcheck.linalg import nsd_screen, nsd_threshold
 from slcheck.poly import SparsePoly
-from conftest import product_measure
+from conftest import product_measure, reference_log_hessians, reference_table
 
 
 def oracle_poly(rng: np.random.Generator, n: int, *, zero_prob: float, wide: bool) -> SubsetPoly:
@@ -109,13 +117,80 @@ def rational_points(rng: np.random.Generator, n: int, count: int) -> list[tuple[
     ]
 
 
+def rank_poly(rng: np.random.Generator, n: int, k: int) -> SubsetPoly:
+    """The k-subsets under a random external field: a uniform-rank support."""
+    field = [int(rng.integers(1, 5)) for _ in range(n)]
+    return SubsetPoly.from_weights(n, {
+        s: math.prod(field[i] for i in range(n) if s >> i & 1)
+        for s in range(1 << n) if s.bit_count() == k
+    })
+
+
+def matroid_poly(rng: np.random.Generator, n: int) -> SubsetPoly:
+    """Spanning trees of a cycle plus chords (i, i + 2), one edge per variable.
+
+    The cycle has max(3, (n + 3) // 2) vertices; a random external field
+    weighs each tree, so the support is the bases of a graphic matroid.
+    """
+    vertices = max(3, (n + 3) // 2)
+    edges = [(i, (i + 1) % vertices) for i in range(vertices)]
+    edges += [(i, (i + 2) % vertices) for i in range(n - vertices)]
+    field = [int(rng.integers(1, 5)) for _ in range(n)]
+    weights = {}
+    for tree in itertools.combinations(range(n), vertices - 1):
+        root = list(range(vertices))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for e in tree:
+            a, b = find(edges[e][0]), find(edges[e][1])
+            if a == b:
+                break
+            root[a] = b
+        else:
+            weights[sum(1 << e for e in tree)] = math.prod(field[e] for e in tree)
+    return SubsetPoly.from_weights(n, weights)
+
+
+def table_cases(seed: int):
+    """Inputs on both sides of the full-table choice, some with dead variables.
+
+    oracle_cases (dense at n <= 5, sparse beyond; weights near 1e-40..1e40),
+    rank and matroid supports at n = 8..16 and derivatives of them over one
+    or two variables, weights near 1e-400 on every set holding the last
+    variable or on every set, and zero polynomials.
+    """
+    rng = np.random.default_rng(seed)
+    yield from oracle_cases(seed + 1, 40, max_dense_n=5)
+    for n in range(8, 17):
+        p = rank_poly(rng, n, 2 + n % 4) if n % 2 else matroid_poly(rng, n)
+        yield p
+        yield p.derivative_subset(1 << int(rng.integers(n)))
+        yield p.derivative_subset(0b101 << int(rng.integers(n - 2)))
+    tiny = Fraction(1, 10**400)
+    for n in (3, 6, 9):
+        p = oracle_poly(rng, n, zero_prob=0.3, wide=True)
+        last = 1 << (n - 1)
+        yield SubsetPoly(n, tuple(c * tiny if m & last else c for m, c in enumerate(p.coeffs)))
+        yield rank_poly(rng, n, 2).scale(tiny)
+    for n in (1, 3, 12):
+        yield SubsetPoly.from_weights(n, {})
+
+
+def log_points(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    return np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=(count, n)))
+
+
 class TestDerivativeTable:
     def test_every_row_matches_exact_evaluation(self):
         rng = np.random.default_rng(71)
         checked = 0
         for p in oracle_cases(72, 48, max_dense_n=8):
             xs = rational_points(rng, p.n, 2)
-            table = _superset_sums(_float_coeffs(p), np.array(xs, dtype=float))
+            table = reference_table(_float_coeffs(p), np.array(xs, dtype=float))
             assert table.shape == (1 << p.n, len(xs))
             for b in range(1 << p.n):
                 q = p.derivative_subset(b)
@@ -127,17 +202,83 @@ class TestDerivativeTable:
                     checked += 1
         assert checked > 5000
 
+    def test_matches_full_table_bit_for_bit(self):
+        # The table keeps the down-closure of the support (all of it when the
+        # full set has a weight) and one zero row; each kept row, each row the
+        # readers take, and each reader's result equals the full table's.
+        rng = np.random.default_rng(75)
+        layouts = {"full": 0, "closure": 0}
+        for p in table_cases(76):
+            n = p.n
+            pts = log_points(rng, n, 3)
+            plan = _table_plan(p)
+            # B is in the down-closure when some nonzero S >= B: row B of the
+            # full table at x = 1 on the support's indicator counts those S.
+            support = np.array([c != 0 for c in p.coeffs], dtype=float)
+            closure = np.flatnonzero(reference_table(support, np.ones((1, n)))[:, 0])
+            bits = 1 << np.arange(n)
+            for coeffs in (_float_coeffs(p), _log_coeffs(p)):
+                want = reference_table(coeffs, pts)
+                got = _superset_sums(coeffs, pts, plan)
+                if len(closure) == 1 << n:
+                    assert plan.kept is None
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    np.testing.assert_array_equal(plan.kept, closure)
+                    np.testing.assert_array_equal(got[:-1], want[closure])
+                    assert not got[-1].any() and not np.delete(want, closure, axis=0).any()
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[plan.grad], want[bits])
+                np.testing.assert_array_equal(got[plan.pairs], want[bits[:, None] | bits[None, :]])
+            want_g = reference_table(_float_coeffs(p), pts)[0]
+            np.testing.assert_array_equal(eval_many(p, pts), want_g)
+            if p.nonzero_masks():
+                with np.errstate(all="ignore"):
+                    want_h = reference_log_hessians(_log_coeffs(p), pts)
+                np.testing.assert_array_equal(log_hessian_many(p, pts), want_h)
+            else:
+                assert not want_g.any()
+                with pytest.raises(ValueError, match="not positive"):
+                    log_hessian_many(p, pts)
+            layouts["full" if plan.kept is None else "closure"] += 1
+        assert min(layouts.values()) >= 20, layouts
+
     def test_blocked_readers_agree_with_one_table(self):
         rng = np.random.default_rng(73)
-        for n in (3, 8, 12):
-            p = oracle_poly(rng, n, zero_prob=0.3, wide=True)
-            count = 2 * block_points(n) + 5
-            pts = np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=(count, n)))
-            table = _superset_sums(_float_coeffs(p), pts)
+        inputs = [oracle_poly(rng, n, zero_prob=0.3, wide=True) for n in (3, 8, 12)]
+        # A closure of 79 rows: blocks of 409 points, not TABLE_CELLS >> 12.
+        sparse = rank_poly(rng, 12, 2)
+        assert _table_plan(sparse).block == TABLE_CELLS // 80 != TABLE_CELLS >> 12
+        for p in inputs + [sparse]:
+            count = 2 * _table_plan(p).block + 5
+            pts = log_points(rng, p.n, count)
+            table = reference_table(_float_coeffs(p), pts)
             np.testing.assert_array_equal(eval_many(p, pts), table[0])
             batch = log_hessian_many(p, pts)
             for k in (0, count // 2, count - 1):
                 np.testing.assert_array_equal(batch[k], log_hessian(p, tuple(pts[k])))
+
+    def test_one_block_table_alive_at_a_time(self):
+        # One table with its stage and reader temporaries stays under 2.3
+        # tables at n = 12; a second table alive would add a whole one.  The
+        # sparse input's 1587 rows (1586 kept and the zero row) make its table outweigh the temporaries.
+        rng = np.random.default_rng(74)
+        dense = oracle_poly(rng, 12, zero_prob=0.0, wide=False)
+        sparse = rank_poly(rng, 12, 5)
+        for p, rows in ((dense, 1 << 12), (sparse, 1587)):
+            plan = _table_plan(p)
+            assert plan.rows == rows
+            pts = log_points(rng, 12, 3 * plan.block)
+            log_hessian_many(p, pts)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = log_hessian_many(p, pts)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            table = plan.rows * plan.block * 8
+            assert peak - out.nbytes < 2.3 * table, (rows, peak - out.nbytes, table)
 
     def test_rejects_wrong_shape(self, counterexample):
         # Both readers check the shape of the points before building a table.

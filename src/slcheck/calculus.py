@@ -127,7 +127,7 @@ def _plan(n: int, masks: tuple[int, ...]) -> _Plan:
 
 
 def _table_plan(p: SubsetPoly) -> _Plan:
-    return _plan(p.n, p.nonzero_masks())
+    return _plan(p.n, p.nonzero_masks)
 
 
 def _point_array(p: SubsetPoly, points) -> np.ndarray:
@@ -225,7 +225,7 @@ def _log_hessians(table: np.ndarray, plan: _Plan, out: np.ndarray) -> np.ndarray
 def _cleared_terms(p: SubsetPoly) -> list[tuple[int, int]]:
     """The (mask, L * coefficient) pairs of p's nonzero coefficients."""
     w = p.cleared[0]
-    return [(s, w[s]) for s in p.nonzero_masks()]
+    return [(s, w[s]) for s in p.nonzero_masks]
 
 
 def _derivative_terms(terms: list[tuple[int, int]], mask: int) -> list[tuple[int, int]]:

@@ -22,8 +22,8 @@ both certificates out, so such a subset goes straight to sampling.
 The lattice scan, the diamond pre-check, the dominance certificate
 (`calculus.m_row_gaps`) and the coefficient-matrix certificate
 (`calculus.m_coefficient_matrices`) decide on the integer coefficients of
-`SubsetPoly.cleared`, and triviality on `SubsetPoly.nonzero_masks`; a
-derivative subset carries both from p (`SubsetPoly.derivative_subset`).  A
+`SubsetPoly.cleared`, the one form a polynomial stores (a derivative
+subset's is a slice of p's), and triviality on their nonzero masks.  A
 `DominanceCertificate` builds its gap polynomials from the same integer M,
 only when a caller reads them: they are the gaps the decision read.
 Sampling reads every log-Hessian from the derivative table of `calculus`
@@ -267,8 +267,9 @@ def _nlc_witness(p: SubsetPoly, s: int, t: int) -> NlcWitness:
     Raises AssertionError unless those products violate the condition, so
     the integer scan and the returned witness cannot disagree.
     """
-    c = p.coeffs
-    witness = NlcWitness(s, t, c[s] * c[t], c[s | t] * c[s & t])
+    w, den = p.cleared
+    a, b, c, d = (Fraction(w[m], den) for m in (s, t, s | t, s & t))
+    witness = NlcWitness(s, t, a * b, c * d)
     if not witness.lhs < witness.rhs:
         raise AssertionError(f"witness failed re-verification: {witness}")
     return witness
@@ -300,8 +301,9 @@ class SampleConfig:
     points log-uniform samples are drawn from box[0]..box[1] per coordinate,
     on top of a fixed deterministic grid.  tolerance is relative: at each
     point the largest log-Hessian eigenvalue may not exceed
-    tolerance * (1 + max |H entry|).  seed must be one numpy accepts, and
-    hashable, since sample_points is memoized on the configuration.
+    tolerance * (1 + max |H entry|).  seed is None, a nonnegative integer
+    (numpy's too) or a nonempty tuple of them: seeds numpy accepts that
+    hash, as sample_points is memoized on the configuration.
     Construction stores box as two floats, points as an int and tolerance
     as a float whose zero is +0.0, and refuses an invalid configuration.
     """
@@ -325,11 +327,13 @@ class SampleConfig:
         if not 0.0 <= self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
         object.__setattr__(self, "tolerance", abs(float(self.tolerance)))
+        entries = self.seed if isinstance(self.seed, tuple) else (self.seed,)
         try:
-            np.random.SeedSequence(self.seed)
-            hash(self.seed)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad seed {self.seed!r}: {exc}") from None
+            ok = self.seed is None or entries and min(map(operator.index, entries)) >= 0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"bad seed {self.seed!r}: not None, an int >= 0 or a tuple of them")
 
 
 @lru_cache(maxsize=None)
@@ -399,7 +403,7 @@ def sample_points(n: int, cfg: SampleConfig) -> SamplePoints:
 
 def trivial_log_concavity(p: SubsetPoly) -> TrivialLogConcavity | None:
     """Exact structural reasons making log g concave wherever g > 0."""
-    masks = p.nonzero_masks()
+    masks = p.nonzero_masks
     if not masks:
         return TrivialLogConcavity("zero")
     if masks == (0,):
@@ -448,7 +452,7 @@ def check_log_concavity_sampled(
     every tested point (inf when none was).  subset_mask only labels the
     witness; the polynomial passed in is checked as is.
     """
-    if len(p.nonzero_masks()) <= 1:
+    if len(p.nonzero_masks) <= 1:
         return Holds(trivial_log_concavity(p))
 
     pts = sample_points(p.n, cfg)
@@ -554,7 +558,7 @@ def certify_log_concavity_coefficients(
     passed, are M's integer rows already formed.  Returns None otherwise,
     or past COEFFICIENT_MAX_VARS (which proves nothing).
     """
-    if p.n > COEFFICIENT_MAX_VARS or not p.nonzero_masks():
+    if p.n > COEFFICIENT_MAX_VARS or not p.nonzero_masks:
         return None
     if all(is_psd(m) for m in m_coefficient_matrices(p, rows).values()):
         return CoefficientCertificate(p)

@@ -122,7 +122,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
     )
     lines = [
-        f"input: {args.file} (n = {p.n}, {len(p.nonzero_masks())} nonzero weights, "
+        f"input: {args.file} (n = {p.n}, {len(p.nonzero_masks)} nonzero weights, "
         f"sum = {p.coeff_sum()})",
         f"property: {args.property}",
     ]

@@ -44,11 +44,10 @@ def make_family(b: RationalLike, c: RationalLike) -> SubsetPoly:
     if b < 0 or c < 0:
         raise ValueError(f"family parameters must be nonnegative, got ({b}, {c})")
     bd, cd = b.denominator, c.denominator
-    # 4, b and c over their common denominator bd * cd, then each over the sum.
+    # 4, b and c over their common denominator bd * cd, all over the sum.
     empty, single, pair = 4 * bd * cd, b.numerator * cd, c.numerator * bd
     total = empty + 3 * single + 3 * pair
-    empty, single, pair = (Fraction(x, total) for x in (empty, single, pair))
-    return SubsetPoly(3, (empty, single, single, pair, single, pair, pair, Fraction(0)))
+    return SubsetPoly(3, ((empty, single, single, pair, single, pair, pair, 0), total))
 
 
 # ----- grid sweep -------------------------------------------------------------

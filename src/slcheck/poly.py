@@ -6,13 +6,15 @@ its generating polynomial
     g_p(x_1, ..., x_n) = sum over S of p(S) * prod_{i in S} x_i,
 
 a polynomial that is affine in each variable separately.  Coefficients live
-in a dense tuple of 2**n `fractions.Fraction` values indexed by subset
-bitmask, where bit k of the mask stands for variable k+1, and once over one
-common denominator as integers (`SubsetPoly.cleared`).  All algebra and
-evaluation here is exact; float values of g and its derivatives come only
-from the derivative table of `calculus`.  `eval_exact` (at rational points,
-on both classes below) is read by no code in the package: it is the tests'
-exact reference.
+in one form only, a dense tuple of 2**n Python integers over one common
+denominator (`SubsetPoly.cleared`), indexed by subset bitmask, where bit k
+of the mask stands for variable k+1.  Every constructor builds that form
+through the one dataclass constructor, which reduces it; the `Fraction`
+values (`SubsetPoly.coeffs`) are derived on demand, for printing and
+`eval_exact`.  All algebra and evaluation here is exact; float values of g
+and its derivatives come only from the derivative table of `calculus`.
+`eval_exact` (at rational points, on both classes below) is read by no code
+in the package: it is the tests' exact reference.
 
 `SparsePoly` is a plain exact value (built, scaled by a rational, compared,
 evaluated, printed) of degree at most 2 in each variable under one integer
@@ -24,6 +26,7 @@ the integers of `calculus`.  Only this module builds or decodes keys.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -75,53 +78,75 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(i) for i in indices_from_mask(mask)) + "}"
 
 
+def _check_vars(n: int) -> None:
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"number of variables must be in 1..{MAX_VARS}, got {n}")
+
+
 @dataclass(frozen=True)
 class SubsetPoly:
     """Multi-affine polynomial with nonnegative exact rational coefficients.
 
-    coeffs[mask] is the coefficient of prod_{bit k set in mask} x_{k+1}.
-    Construction refuses a negative one.  Instances are immutable; every
-    operation returns a new polynomial.
+    cleared = (w, L): w[mask] / L is the coefficient of prod_{bit k set in
+    mask} x_{k+1}, w Python ints and L > 0.  Construction refuses anything
+    else, or a negative w, and divides out gcd(L, *w): L is then the lcm of
+    the denominators, equal polynomials are equal values, and products of k
+    coefficients, scaled by L**k, compare alike on w.  Instances are
+    immutable; every operation returns a new polynomial.
     """
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    cleared: tuple[tuple[int, ...], int]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VARS:
-            raise ValueError(f"number of variables must be in 1..{MAX_VARS}, got {self.n}")
-        if len(self.coeffs) != 1 << self.n:
-            raise ValueError(
-                f"need {1 << self.n} coefficients for n={self.n}, got {len(self.coeffs)}"
-            )
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
-            raise TypeError("coefficients must be Fraction; use SubsetPoly.from_weights")
-        if any(c.numerator < 0 for c in self.coeffs):
+        _check_vars(self.n)
+        w, den = self.cleared
+        w = tuple(w)
+        if len(w) != 1 << self.n:
+            raise ValueError(f"need {1 << self.n} coefficients for n={self.n}, got {len(w)}")
+        if {type(den), *map(type, w)} != {int}:
+            raise TypeError("cleared must hold Python ints; use SubsetPoly.from_weights")
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        if min(w) < 0:
             raise ValueError("weights must be nonnegative")
+        g = math.gcd(den, *w)
+        if g > 1:
+            w, den = tuple(c // g for c in w), den // g
+        object.__setattr__(self, "cleared", (w, den))
 
     # ----- constructors -------------------------------------------------
 
     @staticmethod
     def from_weights(n: int, weights: Mapping[int, RationalLike]) -> SubsetPoly:
         """Build from a mask -> rational mapping; missing subsets get 0."""
-        coeffs = [_ZERO] * (1 << n)
+        _check_vars(n)
+        fracs = {}
         for mask, value in weights.items():
             if not 0 <= mask < (1 << n):
                 raise ValueError(f"subset mask {mask} out of range for n={n}")
-            coeffs[mask] = as_fraction(value)
-        return SubsetPoly(n, tuple(coeffs))
+            fracs[mask] = as_fraction(value)
+        den = math.lcm(*(f.denominator for f in fracs.values()))
+        w = [0] * (1 << n)
+        for mask, f in fracs.items():
+            w[mask] = f.numerator * (den // f.denominator)
+        return SubsetPoly(n, (tuple(w), den))
 
     # ----- structure ----------------------------------------------------
 
-    def nonzero_masks(self) -> tuple[int, ...]:
-        return self._nonzero_masks
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, w[mask] / L."""
+        w, den = self.cleared
+        return tuple(Fraction(c, den) for c in w)
 
     @cached_property
-    def _nonzero_masks(self) -> tuple[int, ...]:
-        return tuple(m for m, c in enumerate(self.coeffs) if c)
+    def nonzero_masks(self) -> tuple[int, ...]:
+        return tuple(itertools.compress(range(1 << self.n), self.cleared[0]))
 
     def coeff_sum(self) -> Fraction:
-        return sum(self.coeffs, _ZERO)
+        w, den = self.cleared
+        return Fraction(sum(w), den)
 
     # ----- evaluation ---------------------------------------------------
 
@@ -131,17 +156,10 @@ class SubsetPoly:
             raise ValueError(f"point has {len(point)} coordinates, polynomial has {self.n} variables")
         coords = [as_fraction(v) for v in point]
         total = _ZERO
-        for mask, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = c
-            m = mask
-            k = 0
-            while m:
-                if m & 1:
-                    term *= coords[k]
-                m >>= 1
-                k += 1
+        for mask in self.nonzero_masks:
+            term = self.coeffs[mask]
+            for i in indices_from_mask(mask):
+                term *= coords[i - 1]
             total += term
         return total
 
@@ -161,31 +179,17 @@ class SubsetPoly:
     def derivative_subset(self, mask: int) -> SubsetPoly:
         """Iterated derivative over a set of distinct variables given as a bitmask.
 
-        A slice of this polynomial's coefficients, built without validating
-        them again.  It carries its nonzero masks and its `cleared` form:
-        with (w, L) this polynomial's and w'[s] = w[s | mask] for s without
-        mask, the lcm of its denominators is L / gcd(L, w'...), and its
-        integers are w' over the same gcd.
+        A slice of this polynomial's integers over the same L: w'[s] =
+        w[s | mask] for s without mask, and 0 for s with it.
         """
         if not 0 <= mask < (1 << self.n):
             raise ValueError(f"derivative mask {mask} out of range for n={self.n}")
         w, den = self.cleared
-        coeffs = [_ZERO] * (1 << self.n)
-        ints = [0] * (1 << self.n)
-        masks = []  # in order: s -> s ^ mask is increasing on the s that contain mask
-        for s in self.nonzero_masks():
+        ints = [0] * len(w)
+        for s in self.nonzero_masks:
             if s & mask == mask:
-                coeffs[s ^ mask] = self.coeffs[s]
                 ints[s ^ mask] = w[s]
-                masks.append(s ^ mask)
-        g = math.gcd(den, *ints)
-        if g > 1:
-            ints, den = [c // g for c in ints], den // g
-        q = object.__new__(SubsetPoly)
-        # The fields, and the two cached properties as if already computed.
-        q.__dict__.update(n=self.n, coeffs=tuple(coeffs), cleared=(tuple(ints), den),
-                          _nonzero_masks=tuple(masks))
-        return q
+        return SubsetPoly(self.n, (tuple(ints), den))
 
     # ----- rescaling ------------------------------------------------------
 
@@ -193,17 +197,8 @@ class SubsetPoly:
         f = as_fraction(factor)
         if f <= 0:
             raise ValueError(f"scale factor must be positive, got {f}")
-        return SubsetPoly(self.n, tuple(c * f for c in self.coeffs))
-
-    @cached_property
-    def cleared(self) -> tuple[tuple[int, ...], int]:
-        """(w, L): L is the lcm of the denominators, w[s] = L * coeffs[s]; formed once.
-
-        L > 0, so a product of k coefficients scales by L**k: comparisons
-        between products of equal length, and their signs, are unchanged.
-        """
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
+        w, den = self.cleared
+        return SubsetPoly(self.n, (tuple(c * f.numerator for c in w), den * f.denominator))
 
     def normalize(self) -> SubsetPoly:
         """Rescale so the coefficients sum to one."""
@@ -251,8 +246,7 @@ class SparsePoly:
     @staticmethod
     def make(n: int, terms: Mapping[tuple[int, ...], RationalLike]) -> SparsePoly:
         """Build from integer exponent tuples of length n, each exponent in 0..2."""
-        if not 1 <= n <= MAX_VARS:
-            raise ValueError(f"number of variables must be in 1..{MAX_VARS}, got {n}")
+        _check_vars(n)
         canon: dict[int, Fraction] = {}
         for exps, value in terms.items():
             try:

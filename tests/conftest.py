@@ -34,7 +34,7 @@ def random_subset_poly(
             if rng.random() >= zero_prob:
                 weights[mask] = random_fraction(rng, max_num=max_num)
         p = SubsetPoly.from_weights(n, weights)
-        if p.nonzero_masks():
+        if p.nonzero_masks:
             return p
 
 
@@ -60,7 +60,7 @@ def product_measure(probs: list[RationalLike]) -> SubsetPoly:
         for k, q in enumerate(qs):
             c *= q if mask >> k & 1 else 1 - q
         coeffs.append(c)
-    return SubsetPoly(len(qs), tuple(coeffs))
+    return SubsetPoly.from_weights(len(qs), dict(enumerate(coeffs)))
 
 
 def permute(p: SubsetPoly, images: tuple[int, ...]) -> SubsetPoly:
@@ -68,7 +68,7 @@ def permute(p: SubsetPoly, images: tuple[int, ...]) -> SubsetPoly:
     coeffs = [Fraction(0)] * (1 << p.n)
     for mask, c in enumerate(p.coeffs):
         coeffs[sum(1 << (images[k] - 1) for k in range(p.n) if mask >> k & 1)] = c
-    return SubsetPoly(p.n, tuple(coeffs))
+    return SubsetPoly.from_weights(p.n, dict(enumerate(coeffs)))
 
 
 def exact_point(point) -> list[Fraction]:

@@ -96,7 +96,7 @@ class TestLatticeCondition:
     def test_rejects_negative_weights(self):
         # A signed polynomial cannot be built, so no checker is handed one.
         with pytest.raises(ValueError, match="weights must be nonnegative"):
-            SubsetPoly(2, (Fraction(1), Fraction(-1), Fraction(0), Fraction(0)))
+            SubsetPoly.from_weights(2, {0: Fraction(1), 1: Fraction(-1)})
 
     def test_matches_brute_force_oracle(self):
         def agrees(p: SubsetPoly) -> list:
@@ -417,7 +417,7 @@ class TestCoefficientCertificate:
         for _ in range(400):
             a, b, c, d = (int(v) * int(rng.random() > 0.2) for v in rng.integers(1, 10, size=4))
             p = SubsetPoly.from_weights(2, {0: a, 1: b, 2: c, 3: d})
-            if not p.nonzero_masks():
+            if not p.nonzero_masks:
                 continue
             certified = certify_log_concavity_coefficients(p) is not None
             assert certified == (a * d <= 2 * b * c), (a, b, c, d)

@@ -174,7 +174,9 @@ def table_cases(seed: int):
     for n in (3, 6, 9):
         p = oracle_poly(rng, n, zero_prob=0.3, wide=True)
         last = 1 << (n - 1)
-        yield SubsetPoly(n, tuple(c * tiny if m & last else c for m, c in enumerate(p.coeffs)))
+        yield SubsetPoly.from_weights(
+            n, {m: c * tiny if m & last else c for m, c in enumerate(p.coeffs)}
+        )
         yield rank_poly(rng, n, 2).scale(tiny)
     for n in (1, 3, 12):
         yield SubsetPoly.from_weights(n, {})
@@ -232,7 +234,7 @@ class TestDerivativeTable:
                 np.testing.assert_array_equal(got[plan.pairs], want[bits[:, None] | bits[None, :]])
             want_g = reference_table(_float_coeffs(p), pts)[0]
             np.testing.assert_array_equal(eval_many(p, pts), want_g)
-            if p.nonzero_masks():
+            if p.nonzero_masks:
                 with np.errstate(all="ignore"):
                     want_h = reference_log_hessians(_log_coeffs(p), pts)
                 np.testing.assert_array_equal(log_hessian_many(p, pts), want_h)
@@ -363,7 +365,7 @@ def reference_gaps(m: list[list[dict]]) -> list[dict[tuple[int, ...], Fraction]]
 
 def reference_certified(p: SubsetPoly, gaps: list[dict]) -> bool:
     """The reference decision; M_ii never has a negative coefficient."""
-    return bool(p.nonzero_masks()) and all(
+    return bool(p.nonzero_masks) and all(
         all(c >= 0 for c in g.values()) and any(c > 0 for c in g.values()) for g in gaps
     )
 
@@ -443,7 +445,7 @@ class TestCoefficientMatrices:
                 p = p.scale(Fraction(1, 10**400))
             for a in range(1 << n):
                 q = p.derivative_subset(a)
-                if not q.nonzero_masks():
+                if not q.nonzero_masks:
                     continue
                 certified = certify_log_concavity_coefficients(q) is not None
                 assert certified == reference_minor_certified(q), q
@@ -590,7 +592,9 @@ def witness_cases(seed: int, count: int):
         if k % 4 == 2:
             tiny = Fraction(1, 10**400)
             last = 1 << (n - 1)
-            p = SubsetPoly(n, tuple(c * tiny if m & last else c for m, c in enumerate(p.coeffs)))
+            p = SubsetPoly.from_weights(
+                n, {m: c * tiny if m & last else c for m, c in enumerate(p.coeffs)}
+            )
         yield p
 
 
@@ -639,7 +643,7 @@ class TestPointWitness:
                     if not cases:
                         cases.append((q, w.point, [w.vector] + crossing_vectors(q, w.point)))
             q = p.derivative_subset(int(rng.integers(0, 1 << p.n)))
-            if q.nonzero_masks():
+            if q.nonzero_masks:
                 x = tuple(float(c) for c in np.exp(rng.uniform(np.log(0.01), np.log(100.0), p.n)))
                 e1 = (1.0,) + (0.0,) * (p.n - 1)
                 vectors = [tuple(rng.standard_normal(p.n)), e1] + crossing_vectors(q, x)
@@ -745,7 +749,7 @@ class TestChunkedScan:
                     [Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)]
                 )
                 for p in (scaled(mixed, k), scaled(product, k + 1)):
-                    if len(p.nonzero_masks()) <= 1:
+                    if len(p.nonzero_masks) <= 1:
                         continue
                     want, _ = reference_scan(p, pts, cfg)
                     sample_points.cache_clear()  # the scan draws its points afresh
@@ -884,7 +888,7 @@ class TestScreenedScan:
             planted = planted_inputs(n)["failing"]
             for k, p in enumerate((mixed, product, planted)):
                 for q in (scaled(p, k + n), with_dead_variable(p)):
-                    if len(q.nonzero_masks()) <= 1:
+                    if len(q.nonzero_masks) <= 1:
                         continue
                     want, _ = reference_scan(q, drawn_at_once(q.n, cfg), cfg)
                     sample_points.cache_clear()

@@ -11,6 +11,7 @@ import pytest
 from slcheck import SubsetPoly
 from slcheck.calculus import eval_many, log_hessian
 from slcheck.checkers import trivial_log_concavity
+from slcheck.family import make_family
 from slcheck.poly import SparsePoly, as_fraction, sparse_from_subset
 from conftest import (
     exact_point,
@@ -39,6 +40,9 @@ class TestConstruction:
             SubsetPoly.from_weights(17, {})
         with pytest.raises(ValueError):
             SubsetPoly.from_weights(0, {})
+        # Refused before anything is allocated for 2**n subsets.
+        with pytest.raises(ValueError):
+            SubsetPoly.from_weights(200, {})
 
     def test_floats_rejected_as_weights(self):
         with pytest.raises(TypeError):
@@ -91,18 +95,18 @@ class TestCounterexampleValues:
 
     def test_second_derivative_is_constant(self, counterexample):
         d12 = counterexample.derivative(1).derivative(2)
-        assert d12.nonzero_masks() == (0,)
+        assert d12.nonzero_masks == (0,)
         assert d12.coeffs[0] == Fraction(3, 22)
 
     def test_repeated_derivative_vanishes(self, counterexample):
-        assert counterexample.derivative(1).derivative(1).nonzero_masks() == ()
+        assert counterexample.derivative(1).derivative(1).nonzero_masks == ()
 
     def test_derivative_subset_pairs_and_triple(self, counterexample):
         p = counterexample
         assert p.derivative_subset(0) == p
         d12 = p.derivative_subset(0b011)
-        assert d12.nonzero_masks() == (0,) and d12.coeffs[0] == Fraction(3, 22)
-        assert p.derivative_subset(0b111).nonzero_masks() == ()
+        assert d12.nonzero_masks == (0,) and d12.coeffs[0] == Fraction(3, 22)
+        assert p.derivative_subset(0b111).nonzero_masks == ()
 
     def test_normalization_of_raw_weights(self, raw_counterexample, counterexample):
         assert raw_counterexample.coeff_sum() == 22
@@ -159,11 +163,23 @@ class TestDerivatives:
             assert q == p.derivative_subset(a)
 
     def test_derivatives_carry_their_own_integers(self):
-        # A derivative carries cleared and nonzero_masks from its parent; they
-        # must be what its own Fraction coefficients give, also for a
-        # derivative of a derivative.
+        # Every constructor gives the one canonical form: Python ints w over
+        # L > 0 with gcd(L, *w) = 1, which are the Fraction coefficients over
+        # their lcm, and the value from_weights builds from the Fractions it
+        # derives (a slice of p's for a derivative, also of a derivative).
+        def check(d, fractions):
+            w, den = d.cleared
+            assert {type(den), *map(type, w)} == {int} and math.gcd(den, *w) == 1, d
+            lcm = math.lcm(*(c.denominator for c in d.coeffs))
+            assert d.cleared == (
+                tuple(c.numerator * (lcm // c.denominator) for c in d.coeffs), lcm
+            ), d
+            assert d.nonzero_masks == tuple(m for m, c in enumerate(d.coeffs) if c != 0)
+            assert d == SubsetPoly.from_weights(d.n, dict(enumerate(fractions)))
+
         rng = np.random.default_rng(16)
         primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+        tiny = Fraction(1, 10**400)
         kinds = {"zero": 0, "reduced": 0}
         for k in range(96):
             n = 1 + k % 8
@@ -175,27 +191,50 @@ class TestDerivatives:
                 den = primes[mask % len(primes)] if k % 4 == 2 else int(rng.integers(1, 9))
                 weights[mask] = Fraction(int(rng.integers(1, 10)), den)
             p = SubsetPoly.from_weights(n, weights)
+            check(p, [weights.get(m, 0) for m in range(1 << n)])
             if k % 4 == 1:
-                p = p.scale(Fraction(1, 10**400))
+                fractions = [c * tiny for c in p.coeffs]
+                p = p.scale(tiny)
+                check(p, fractions)
             elif k % 4 == 3 and weights:
+                fractions = [c / sum(p.coeffs) for c in p.coeffs]
                 p = p.normalize()
+                check(p, fractions)
             masks = range(1 << n) if n <= 5 else rng.integers(0, 1 << n, 24)
             for a in map(int, masks):
                 q = p.derivative_subset(a)
-                r = q.derivative_subset(int(rng.integers(0, 1 << n)) & ~a)
-                for d in (q, r):
-                    den = math.lcm(*(c.denominator for c in d.coeffs))
-                    assert d.cleared == (
-                        tuple(c.numerator * (den // c.denominator) for c in d.coeffs), den
-                    ), (p, a)
-                    assert d.nonzero_masks() == tuple(m for m, c in enumerate(d.coeffs) if c != 0)
-                    assert d == SubsetPoly(n, d.coeffs)
-                    kinds["zero"] += not d.nonzero_masks()
-                    kinds["reduced"] += den < p.cleared[1]
+                b = int(rng.integers(0, 1 << n)) & ~a
+                for d, m in ((q, a), (q.derivative_subset(b), a | b)):
+                    check(d, [0 if s & m else p.coeffs[s | m] for s in range(1 << n)])
+                    kinds["zero"] += not d.nonzero_masks
+                    kinds["reduced"] += d.cleared[1] < p.cleared[1]
             for a in (-1, 1 << n):
                 with pytest.raises(ValueError, match="out of range"):
                     p.derivative_subset(a)
         assert min(kinds.values()) >= 200, kinds
+
+        for n in (1, 4, 8):
+            zero = SubsetPoly.from_weights(n, {})
+            for d in (zero, zero.scale(tiny), zero.scale(7), zero.derivative_subset(1)):
+                check(d, [0] * (1 << n))
+                assert d.cleared == ((0,) * (1 << n), 1)
+        for b, c in [(0, 0), (Fraction(3, 20), 4), ("7/3", "5/6"), (2, 1), (tiny, 0)]:
+            b, c = as_fraction(b), as_fraction(c)
+            total = 4 + 3 * b + 3 * c
+            check(make_family(b, c), [x / total for x in (4, b, b, c, b, c, c, 0)])
+
+        refused = [
+            (((1, 0.5), 2), TypeError),  # a float entry
+            (((1, Fraction(1)), 2), TypeError),
+            (((1, 1), 2.0), TypeError),
+            (((1, -1), 2), ValueError),  # a negative entry
+            (((1, 1), 0), ValueError),  # L <= 0
+            (((1, 1), -2), ValueError),
+            (((1, 1, 1), 2), ValueError),  # the wrong length
+        ]
+        for cleared, error in refused:
+            with pytest.raises(error):
+                SubsetPoly(1, cleared)
 
     def test_index_out_of_range(self):
         p = SubsetPoly.from_weights(2, {})

@@ -32,12 +32,13 @@ Both the float and the exact side work on the coefficient vector directly.
     integers divided by L^2 (`uncleared`).  `m_coefficient_matrices`
     groups the same integers by monomial into one symmetric integer matrix
     M_a per key, M(x) = sum_a x^a M_a / L^2, and `is_psd` decides each
-    exactly for the coefficient-matrix certificate.  Both take M's rows
-    already formed when a caller holds them, as `check_slc` does where it
-    may try both certificates, so M is formed once.  `m_form` runs the
-    same superset sums on the integer coefficients at a float point, read
-    as exact dyadic rationals, and returns the exact sign of v^T M(x) v,
-    which proves a sampled violation.
+    exactly for the coefficient-matrix certificate.  M's rows come full
+    and symmetric, M_ij and M_ji one dict formed once, and each row only
+    when a reader asks for it: `check_slc` hands both certificates one
+    stream of them (`itertools.tee`), so M is formed at most once per
+    derivative.  `m_form` runs the same superset sums on the integer
+    coefficients at a float point, read as exact dyadic rationals, and
+    returns the exact sign of v^T M(x) v, which proves a sampled violation.
 
 No check runs `m_matrix`: it serves the counterexample replay and the
 tests, as rows of `SparsePoly` entries that are evaluated only exactly
@@ -51,7 +52,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -233,28 +234,32 @@ def _derivative_terms(terms: list[tuple[int, int]], mask: int) -> list[tuple[int
     return [(s ^ mask, c) for s, c in terms if s & mask == mask]
 
 
-# The rows of `cleared_m_rows`, once formed.
-Rows = Sequence[list[dict[int, int]]]
+# M's rows, as `cleared_m_rows` yields them.
+Rows = Iterable[list[dict[int, int]]]
 
 
 def cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
-    """Row by row, the entries L^2 M_ij for j >= i, as integer dicts.
+    """Row by row, the entries L^2 M_ij, as integer dicts.
 
     L clears the denominators of p (`SubsetPoly.cleared`), so M
     scales by L^2, and each dict is keyed by `SparsePoly`'s monomial key.
-    Row i is formed only when it is asked for.
+    Row i is formed only when it is asked for, and is full: its entry j < i
+    is the dict that row j built, so M_ij and M_ji are one object, formed
+    once.
     """
     n = p.n
     terms = _cleared_terms(p)
     grads = [_derivative_terms(terms, 1 << i) for i in range(n)]
+    rows: list[list[dict[int, int]]] = []
     for i in range(n):
-        row = []
+        row = [rows[j][i] for j in range(i)]
         for j in range(i, n):
             entry: dict[int, int] = {}
             add_products(n, entry, grads[i], grads[j], 1)
             if j != i:
                 add_products(n, entry, terms, _derivative_terms(terms, 1 << i | 1 << j), -1)
             row.append(entry)
+        rows.append(row)
         yield row
 
 
@@ -267,18 +272,13 @@ def uncleared(p: SubsetPoly, cleared: Mapping[int, int]) -> SparsePoly:
 def m_matrix(p: SubsetPoly) -> tuple[tuple[SparsePoly, ...], ...]:
     """The polynomial matrix grad g grad g^T - g * D2g, exactly, as rows.
 
-    Entry (i, j) is m[i][j], one object at both (i, j) and (j, i).
-    Positive semidefiniteness of this matrix at a positive point is
-    equivalent to negative semidefiniteness of the log-Hessian there.
-    Diagonal entries reduce to squared first derivatives.  The entries are
-    those of `cleared_m_rows`, which the dominance decision reads, divided
-    by L^2.
+    Entry (i, j) is m[i][j], equal to m[j][i].  Positive semidefiniteness
+    of this matrix at a positive point is equivalent to negative
+    semidefiniteness of the log-Hessian there.  Diagonal entries reduce to
+    squared first derivatives.  The entries are those of `cleared_m_rows`,
+    which the dominance decision reads, divided by L^2.
     """
-    rows: list[list[SparsePoly]] = [[None] * p.n for _ in range(p.n)]  # type: ignore[list-item]
-    for i, upper in enumerate(cleared_m_rows(p)):
-        for j, entry in enumerate(upper, i):
-            rows[i][j] = rows[j][i] = uncleared(p, entry)
-    return tuple(tuple(row) for row in rows)
+    return tuple(tuple(uncleared(p, entry) for entry in row) for row in cleared_m_rows(p))
 
 
 def m_row_gaps(p: SubsetPoly, rows: Rows | None = None) -> Iterator[dict[int, int]]:
@@ -286,19 +286,16 @@ def m_row_gaps(p: SubsetPoly, rows: Rows | None = None) -> Iterator[dict[int, in
 
     Yields for each i the coefficients of L^2 (M_ii - sum_{j != i} |M_ij|),
     with |.| taken coefficient-wise after like terms are combined, under
-    `SparsePoly`'s monomial key.  Unless rows (those of `cleared_m_rows(p)`,
-    read and left as they are) are passed in, each M_ij is formed when row
-    min(i, j) needs it and dropped after row max(i, j), so a caller that
-    stops at the first failing row pays for that row only.
+    `SparsePoly`'s monomial key.  Reads the rows of `cleared_m_rows(p)`, or
+    rows when a caller passes an iterator over them, one at a time, so a
+    caller that stops at the first failing row pays for that row only.
     """
-    pending: dict[tuple[int, int], dict[int, int]] = {}
-    for i, (diagonal, *upper) in enumerate(cleared_m_rows(p) if rows is None else rows):
-        gap = dict(diagonal)
-        for j, entry in enumerate(upper, i + 1):
-            pending[(i, j)] = entry
-        for entry in [pending.pop((j, i)) for j in range(i)] + upper:
-            for key, v in entry.items():
-                gap[key] = gap.get(key, 0) - abs(v)
+    for i, row in enumerate(cleared_m_rows(p) if rows is None else rows):
+        gap = dict(row[i])
+        for j, entry in enumerate(row):
+            if j != i:
+                for key, v in entry.items():
+                    gap[key] = gap.get(key, 0) - abs(v)
         yield gap
 
 
@@ -307,15 +304,15 @@ def m_coefficient_matrices(p: SubsetPoly, rows: Rows | None = None) -> dict[int,
 
     M_a is the symmetric n x n integer matrix of the coefficients of x^a in
     the entries of `cleared_m_rows`, keyed by `SparsePoly`'s monomial key,
-    or of rows when a caller passes them in already formed.  A key appears
-    when some entry has a nonzero coefficient there.
+    or of rows when a caller passes them in.  A key appears when some
+    entry has a nonzero coefficient there.
     """
     mats: dict[int, list[list[int]]] = defaultdict(lambda: [[0] * p.n for _ in range(p.n)])
-    for i, upper in enumerate(cleared_m_rows(p) if rows is None else rows):
-        for j, entry in enumerate(upper, i):
+    for i, row in enumerate(cleared_m_rows(p) if rows is None else rows):
+        for j, entry in enumerate(row):
             for key, c in entry.items():
                 if c:
-                    mats[key][i][j] = mats[key][j][i] = c
+                    mats[key][i][j] = c
     return mats
 
 

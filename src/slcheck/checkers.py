@@ -65,7 +65,7 @@ from .calculus import (
     uncleared,
 )
 from .linalg import nsd_screen
-from .poly import SparsePoly, SubsetPoly, format_subset
+from .poly import SparsePoly, SubsetPoly, format_fraction, format_subset
 
 # ----- certificates ---------------------------------------------------------
 
@@ -175,13 +175,14 @@ class PointWitness:
 
 
 def format_fraction_pair(lhs: Fraction, rhs: Fraction) -> str:
-    """Render two rationals over their least common denominator, as 'a/d < b/d'."""
+    """Render two rationals over their least common denominator, as 'a/d < b/d'.
+
+    An integer too long to write in decimal is given by its digit count
+    (`poly.format_fraction`).
+    """
     den = math.lcm(lhs.denominator, rhs.denominator)
     rel = "<" if lhs < rhs else (">" if lhs > rhs else "=")
-    return (
-        f"{lhs.numerator * (den // lhs.denominator)}/{den} {rel} "
-        f"{rhs.numerator * (den // rhs.denominator)}/{den}"
-    )
+    return f"{format_fraction(lhs, den)} {rel} {format_fraction(rhs, den)}"
 
 
 # ----- verdicts --------------------------------------------------------------
@@ -527,8 +528,8 @@ def certify_log_concavity_dominance(
     definite; so the log-Hessian is negative definite there.  (M_ii is a
     square of nonnegative coefficients, so its own coefficients are never
     negative.)  The gaps are taken in integer coefficients, row by row, and
-    the first failing row ends the attempt; rows, when passed, are M's
-    integer rows already formed (`calculus.cleared_m_rows`).  Returns None
+    the first failing row ends the attempt; rows, when passed, iterates
+    over M's integer rows (`calculus.cleared_m_rows`).  Returns None
     when this sufficient condition does not apply (which proves nothing).
     """
     for gap in m_row_gaps(p, rows):
@@ -555,7 +556,7 @@ def certify_log_concavity_coefficients(
     M(x) on the open orthant, where every x^a > 0, and g > 0 unless g is
     zero; so the log-Hessian -M / g^2 is NSD there: the degree-0 matrix
     Polya certificate (Scherer-Hol, Math. Program. 107, 2006).  rows, when
-    passed, are M's integer rows already formed.  Returns None otherwise,
+    passed, iterates over M's integer rows.  Returns None otherwise,
     or past COEFFICIENT_MAX_VARS (which proves nothing).
     """
     if p.n > COEFFICIENT_MAX_VARS or not p.nonzero_masks:
@@ -592,8 +593,11 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     certificate, then sampling.  A subset with a failing diamond at the
     origin (`failing_diamond`) goes straight to sampling, since neither
     certificate can hold for it; the verdict is the one the certificates'
-    failures would have led to.  The sample points are drawn once per call,
-    and only as far as some subset's scan reads them.
+    failures would have led to.  Both certificates read one stream of M's
+    rows (`calculus.cleared_m_rows`), so M is formed at most once per
+    subset, and only as far as a certificate reads it.  The sample points
+    are drawn once per call, and only as far as some subset's scan reads
+    them.
     """
     results: dict[int, Verdict] = {}
     for a in range(1 << p.n):
@@ -603,11 +607,9 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
             results[a] = Holds(trivial)
             continue
         if failing_diamond(q) is None:
-            # Up to COEFFICIENT_MAX_VARS a failed dominance test goes on to the
-            # coefficient test, and either reads every row of M: form them once.
-            rows = list(cleared_m_rows(q)) if q.n <= COEFFICIENT_MAX_VARS else None
-            cert = (certify_log_concavity_dominance(q, rows)
-                    or certify_log_concavity_coefficients(q, rows))
+            dominance_rows, coefficient_rows = itertools.tee(cleared_m_rows(q))
+            cert = (certify_log_concavity_dominance(q, dominance_rows)
+                    or certify_log_concavity_coefficients(q, coefficient_rows))
             if cert is not None:
                 results[a] = Holds(cert)
                 continue

@@ -36,7 +36,7 @@ from .checkers import (
 from .counterexample import run_reproduction
 from .distfile import load_distribution
 from .family import SweepConfig, emit_region_tables, sweep
-from .poly import format_subset
+from .poly import format_fraction, format_subset
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +123,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     lines = [
         f"input: {args.file} (n = {p.n}, {len(p.nonzero_masks)} nonzero weights, "
-        f"sum = {p.coeff_sum()})",
+        f"sum = {format_fraction(p.coeff_sum())})",
         f"property: {args.property}",
     ]
     report: dict = {"property": args.property, "n": p.n}
@@ -204,8 +204,8 @@ def _jsonable_verdict(v: Verdict) -> dict:
             witness = {
                 "s": format_subset(w.s_mask),
                 "t": format_subset(w.t_mask),
-                "lhs": str(w.lhs),
-                "rhs": str(w.rhs),
+                "lhs": format_fraction(w.lhs),
+                "rhs": format_fraction(w.rhs),
             }
         else:
             witness = {

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -46,14 +47,29 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Floats are rejected on purpose: a float literal has already lost the
     decimal value it was written as, and this library promises exactness.
+    A string whose exponent exceeds sys.get_int_max_str_digits() in
+    magnitude is refused before Fraction expands 10**exponent, as a digit
+    string that long is refused by int().
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            limit = sys.get_int_max_str_digits()
+            try:
+                exponent = int(text.lower().rpartition("e")[2])
+            except ValueError:  # malformed, or too long to read: Fraction refuses it too
+                exponent = 0
+            if limit and abs(exponent) > limit:
+                raise ValueError(
+                    f"exponent {exponent} exceeds {limit} in magnitude, "
+                    "the integer digit limit (sys.get_int_max_str_digits())"
+                )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(
@@ -76,6 +92,32 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
 
 def format_subset(mask: int) -> str:
     return "{" + ",".join(str(i) for i in indices_from_mask(mask)) + "}"
+
+
+def format_fraction(q: Fraction, den: int | None = None) -> str:
+    """q as str(q) writes it or, given den (a multiple of q's denominator), as 'a/den'.
+
+    Python writes an integer in decimal only up to
+    sys.get_int_max_str_digits() digits; a longer numerator or denominator
+    is written as its digit count instead, as '<6001 digits>', which needs
+    no decimal expansion.
+    """
+    if den is None:
+        parts = (q.numerator,) if q.denominator == 1 else (q.numerator, q.denominator)
+    else:
+        parts = (q.numerator * (den // q.denominator), den)
+    return "/".join(map(_decimal, parts))
+
+
+def _decimal(k: int) -> str:
+    """A nonnegative integer in decimal, or its digit count where that is too long."""
+    try:
+        return str(k)
+    except ValueError:
+        digits = (k.bit_length() - 1) * 1233 >> 12  # fewer than k has: 1233/4096 < log10(2)
+        while k >= 10**digits:
+            digits += 1
+        return f"<{digits} digits>"
 
 
 def _check_vars(n: int) -> None:

@@ -156,6 +156,37 @@ class TestCheckCommand:
         assert code == 0
         assert "verdict: HOLDS (ExhaustiveEnumeration)" in out
 
+    def test_rationals_past_the_digit_limit(self, tmp_path, capsys):
+        # The weight sum and the witness products have more digits than Python
+        # writes in decimal: each such integer is printed as its digit count.
+        big = 10**3000
+        path = tmp_path / "n1.json"
+        path.write_text(json.dumps(
+            {"n": 1, "coefficients": {"": f"1/{big + 1}", "1": f"1/{big + 3}"}}
+        ))
+        verdicts = {"nlc": "verdict: HOLDS (ExhaustiveEnumeration)",
+                    "lc": "verdict: NO VIOLATION FOUND",
+                    "slc": "aggregate: HOLDS (every derivative subset carries"}
+        for prop, verdict in verdicts.items():
+            assert main(["check", str(path), prop, "--samples", "10"]) == 0, prop
+            out = capsys.readouterr().out
+            assert f"sum = {2 * big + 4}/<6001 digits>)" in out.splitlines()[0], prop
+            assert verdict in out, prop
+        # p({1}) p({2}) < p({1,2}) p({}): the lattice condition fails.
+        big = 10**2500
+        path = tmp_path / "n2.json"
+        path.write_text(json.dumps({"n": 2, "coefficients": {
+            "": f"1/{big + 1}", "1": f"1/{big + 3}", "2": f"1/{big + 7}", "1,2": "1"}}))
+        report = tmp_path / "report.json"
+        assert main(["check", str(path), "nlc", "--report", str(report)]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == (
+            f"witness: S = {{1}}, T = {{2}}: p(S)*p(T) = {big + 1}/<7501 digits> "
+            "< <5001 digits>/<7501 digits> = p(S|T)*p(S&T)"
+        )
+        witness = json.loads(report.read_text())["witness"]
+        assert witness["lhs"] == "1/<5001 digits>" and witness["rhs"] == f"1/{big + 1}"
+
     def test_lc_no_violation(self, counterexample_file, capsys):
         code = main(["check", counterexample_file, "lc", "--samples", "100"])
         out = capsys.readouterr().out
@@ -412,6 +443,30 @@ class TestErrorPaths:
         assert main(["check", str(path), "slc"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: unknown field 'coeffs'"), err
+
+    def test_deeply_nested_json_file(self, tmp_path, capsys):
+        # json.loads raises RecursionError, not JSONDecodeError, which would
+        # pass main by and exit 1, the code of a found violation.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        assert main(["check", str(path), "nlc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: not valid JSON") and err.count("\n") == 1
+
+    def test_exponent_past_the_digit_limit(self, tmp_path, capsys):
+        # Refused before 10**100000000 is built, in a file and in every sweep option.
+        path = tmp_path / "exponent.json"
+        path.write_text('{"n": 1, "coefficients": {"": "1", "1": "1e-100000000"}}')
+        assert main(["check", str(path), "nlc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: bad rational '1e-100000000': exponent -100000000 exceeds")
+        for option in ("--step", "--b-max", "--c-max"):
+            code = main(["sweep", option, "1e-100000000", "--out", str(tmp_path / "tables")])
+            out, err = capsys.readouterr()
+            assert code == 2, option
+            assert out == "" and err.startswith("error: exponent -100000000 exceeds"), err
+        assert not (tmp_path / "tables").exists()
 
     def test_negative_weight_file(self, tmp_path, capsys):
         path = tmp_path / "neg.json"

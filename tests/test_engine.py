@@ -51,13 +51,14 @@ from slcheck import (
     Violated,
     check_slc,
 )
-from slcheck import checkers
+from slcheck import calculus, checkers
 from slcheck.calculus import (
     TABLE_CELLS,
     _float_coeffs,
     _log_coeffs,
     _superset_sums,
     _table_plan,
+    cleared_m_rows,
     eval_many,
     log_hessian,
     log_hessian_many,
@@ -65,6 +66,7 @@ from slcheck.calculus import (
     m_coefficient_matrices,
     m_form,
     m_matrix,
+    m_row_gaps,
 )
 from slcheck.checkers import (
     CoefficientCertificate,
@@ -408,6 +410,83 @@ def key_power(n: int, key: int, x) -> Fraction:
     has exponent 2 in S & T, 1 in the rest of S | T."""
     return math.prod((x[k] ** ((key >> (n + k) & 1) + (key >> k & 1)) for k in range(n)),
                      start=Fraction(1))
+
+
+def dominance_failure(q: SubsetPoly) -> int | None:
+    """The first row whose dominance gap fails, or None when every gap passes."""
+    for i, gap in enumerate(m_row_gaps(q)):
+        if not (all(c >= 0 for c in gap.values()) and any(c > 0 for c in gap.values())):
+            return i
+    return None
+
+
+class TestMRows:
+    def test_rows_are_full_and_symmetric(self):
+        # Entry (i, j) below the diagonal is the dict row j built, not a copy.
+        checked = 0
+        for p in oracle_cases(93, 120, max_dense_n=5):
+            if p.n > 5:
+                continue
+            rows = list(cleared_m_rows(p))
+            assert len(rows) == p.n and all(len(row) == p.n for row in rows), p
+            for i, j in itertools.product(range(p.n), repeat=2):
+                assert rows[i][j] is rows[j][i], (p, i, j)
+            checked += 1
+        assert checked >= 70, checked
+
+    def test_check_slc_forms_rows_once_and_only_as_read(self, monkeypatch):
+        # Past COEFFICIENT_MAX_VARS only dominance reads M, up to its first
+        # failing row; up to it a failed dominance test goes on to the
+        # coefficient test, which reads every row.  Either way the rows are
+        # asked for once per derivative that passes the diamond pre-check.
+        formed = []
+
+        def counting_rows(q):
+            rows = []
+            formed.append((q, rows))
+            for row in calculus.cleared_m_rows(q):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(checkers, "cleared_m_rows", counting_rows)
+        cells = [make_family(b, c) for b, c in (("3/4", "1/4"), (2, 2), ("5/2", "5/2"))]
+        dense = oracle_poly(np.random.default_rng(5), 4, zero_prob=0.0, wide=False)
+        products = [product_measure([Fraction(1, k) for k in range(2, n)]) for n in (4, 5, 6)]
+        seen = {"coefficients": 0, "row 0 only": 0, "certified": 0}
+        for p in [*cells, dense, *products]:
+            formed.clear()
+            check_slc(p, SampleConfig(points=8))
+            subsets = [p.derivative_subset(a) for a in range(1 << p.n)]
+            assert [q for q, _ in formed] == [
+                q for q in subsets
+                if trivial_log_concavity(q) is None and checkers.failing_diamond(q) is None
+            ], p
+            for q, rows in formed:
+                failure = dominance_failure(q)
+                if failure is None or q.n <= checkers.COEFFICIENT_MAX_VARS:
+                    assert len(rows) == q.n, q
+                else:
+                    assert len(rows) == failure + 1, q
+                seen["certified"] += failure is None
+                seen["coefficients"] += failure is not None and q.n <= 3
+                seen["row 0 only"] += failure == 0 and q.n > 3
+        assert min(seen.values()) >= 3, seen
+
+    def test_dominance_implies_psd_coefficient_matrices(self):
+        # A nonnegative gap makes each M_a weakly diagonally dominant with a
+        # nonnegative diagonal, so the coefficient certificate holds too.
+        rng = np.random.default_rng(94)
+        cases = [p for p in oracle_cases(95, 200, max_dense_n=5) if p.n <= 5]
+        cases += [product_measure([Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)])
+                  for n in range(1, 6) for _ in range(20)]
+        accepted = 0
+        for p in cases:
+            for a in range(1 << p.n):
+                q = p.derivative_subset(a)
+                if certify_log_concavity_dominance(q) is not None:
+                    assert all(is_psd(m) for m in m_coefficient_matrices(q).values()), (p, a)
+                    accepted += 1
+        assert accepted >= 120, accepted
 
 
 class TestCoefficientMatrices:

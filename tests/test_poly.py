@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from slcheck import SubsetPoly
 from slcheck.calculus import eval_many, log_hessian
 from slcheck.checkers import trivial_log_concavity
 from slcheck.family import make_family
-from slcheck.poly import SparsePoly, as_fraction, sparse_from_subset
+from slcheck.poly import SparsePoly, as_fraction, format_fraction, sparse_from_subset
 from conftest import (
     exact_point,
     fd_partial,
@@ -54,6 +55,19 @@ class TestConstruction:
         assert as_fraction(7) == Fraction(7)
         with pytest.raises(ValueError, match="zero denominator"):
             as_fraction("1/0")
+
+    def test_as_fraction_refuses_exponents_past_the_digit_limit(self):
+        # Fraction would expand 10**|exponent| first: seconds at 1e7, minutes at 1e8.
+        limit = sys.get_int_max_str_digits()
+        assert as_fraction(f" 1e{limit} ") == 10**limit
+        assert as_fraction(f"25E-{limit}") == Fraction(25, 10**limit)
+        for text in (f"1e{limit + 1}", f"1E-{limit + 1}", "1e-100000000", "2.5e+1_0000_0000"):
+            with pytest.raises(ValueError, match=f"exponent .* exceeds {limit} in magnitude"):
+                as_fraction(text)
+        # Malformed, or an exponent too long for int(): Fraction's own refusal.
+        for text in ("1e", "e5", "1e" + "9" * (limit + 1)):
+            with pytest.raises(ValueError):
+                as_fraction(text)
 
     def test_product_measure_is_distribution(self):
         # The builder in conftest, behind every product-measure fixture.
@@ -353,3 +367,19 @@ class TestHelpers:
             log_hessian(SubsetPoly.from_weights(2, {0: 1}), (float("nan"), 1.0))
         with pytest.raises(ValueError, match="finite and strictly positive"):
             log_hessian(SubsetPoly.from_weights(2, {0: 1}), (float("inf"), 1.0))
+
+    def test_format_fraction_writes_what_fits_and_counts_the_rest(self):
+        for q in (Fraction(0), Fraction(7), Fraction(3, 22), Fraction(10**30 + 1, 3)):
+            assert format_fraction(q) == str(q)
+            assert format_fraction(q, 6 * q.denominator) == (
+                f"{q.numerator * 6}/{q.denominator * 6}"
+            )
+        assert format_fraction(Fraction(2), 1) == "2/1"
+        limit = sys.get_int_max_str_digits()
+        widest = 10**limit - 1
+        assert format_fraction(Fraction(1, widest)) == "1/" + "9" * limit
+        for digits in (limit + 1, limit + 2, 3 * limit, 20000):
+            for k in (10 ** (digits - 1), 10**digits - 1, 7 * 10 ** (digits - 1) + 3):
+                assert format_fraction(Fraction(k)) == f"<{digits} digits>"
+                assert format_fraction(Fraction(1, k), k) == f"1/<{digits} digits>"
+        assert format_fraction(Fraction(10**limit, 3)) == f"<{limit + 1} digits>/3"

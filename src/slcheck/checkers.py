@@ -37,9 +37,9 @@ own first.  `SampleConfig` validates itself when built.
 Both witnesses are proofs: a lattice witness holds its products in
 rationals, a point witness a point and vector with v^T M(x) v < 0 in
 integers (`calculus.m_form`), and neither is returned unless that holds.
-`sample_points` keeps its last result, so `check_slc` draws the points
-once for all derivative subsets, and draws each only when a scan first
-reaches it.
+The sample points belong to one call: `check_slc` builds one
+`SamplePoints` for all its derivative subsets, and each point is drawn only
+when a scan first reaches it.  Nothing is shared between calls.
 """
 
 from __future__ import annotations
@@ -303,8 +303,7 @@ class SampleConfig:
     on top of a fixed deterministic grid.  tolerance is relative: at each
     point the largest log-Hessian eigenvalue may not exceed
     tolerance * (1 + max |H entry|).  seed is None, a nonnegative integer
-    (numpy's too) or a nonempty tuple of them: seeds numpy accepts that
-    hash, as sample_points is memoized on the configuration.
+    (numpy's too) or a nonempty tuple of them.
     Construction stores box as two floats, points as an int and tolerance
     as a float whose zero is +0.0, and refuses an invalid configuration.
     """
@@ -360,8 +359,9 @@ class SamplePoints:
     is made at the first draw, so a scan that reads only the grid makes
     none.  drawn is the number of rows filled so far.  Drawing the rows in
     pieces gives the values one draw of all of them would: the generator's
-    stream is consumed in order.  Reads return read-only views.  Raises
-    ValueError when the array cannot be allocated.
+    stream is consumed in order.  Reads return read-only views; a read may
+    draw, so an instance belongs to one call.  Raises ValueError when the
+    array cannot be allocated.
     """
 
     def __init__(self, n: int, cfg: SampleConfig) -> None:
@@ -390,16 +390,6 @@ class SamplePoints:
         view = self._pts[rows]
         view.flags.writeable = False
         return view
-
-
-@lru_cache(maxsize=1)
-def sample_points(n: int, cfg: SampleConfig) -> SamplePoints:
-    """The points for n variables under cfg, drawn as the scan reaches them.
-
-    The last result is kept, so checking several derivatives of one
-    polynomial draws each point once; the grid is built once per n.
-    """
-    return SamplePoints(n, cfg)
 
 
 def trivial_log_concavity(p: SubsetPoly) -> TrivialLogConcavity | None:
@@ -435,6 +425,7 @@ def check_log_concavity_sampled(
     cfg: SampleConfig = SampleConfig(),
     *,
     subset_mask: int = 0,
+    points: SamplePoints | np.ndarray | None = None,
 ) -> Verdict:
     """Search positive points for a non-NSD log-Hessian.
 
@@ -451,12 +442,13 @@ def check_log_concavity_sampled(
     runs only on the points `nsd_screen` does not clear, which it proves it
     would not flag.  min_margin is the smallest pivot the screen met over
     every tested point (inf when none was).  subset_mask only labels the
-    witness; the polynomial passed in is checked as is.
+    witness; the polynomial passed in is checked as is.  points are the
+    rows to scan, in order: by default a fresh SamplePoints(p.n, cfg).
     """
     if len(p.nonzero_masks) <= 1:
         return Holds(trivial_log_concavity(p))
 
-    pts = sample_points(p.n, cfg)
+    pts = SamplePoints(p.n, cfg) if points is None else points
     head = p.n <= GRID_MAX_VARS and failing_diamond(p) is not None
     margin = math.inf
     tested = 0
@@ -595,11 +587,12 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     certificate can hold for it; the verdict is the one the certificates'
     failures would have led to.  Both certificates read one stream of M's
     rows (`calculus.cleared_m_rows`), so M is formed at most once per
-    subset, and only as far as a certificate reads it.  The sample points
-    are drawn once per call, and only as far as some subset's scan reads
-    them.
+    subset, and only as far as a certificate reads it.  One SamplePoints
+    serves every subset's scan, built when the first subset reaches the
+    sampler and drawn only as far as some scan reads it.
     """
     results: dict[int, Verdict] = {}
+    pts = None
     for a in range(1 << p.n):
         q = p.derivative_subset(a)
         trivial = trivial_log_concavity(q)
@@ -613,7 +606,8 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
             if cert is not None:
                 results[a] = Holds(cert)
                 continue
-        results[a] = check_log_concavity_sampled(q, cfg, subset_mask=a)
+        pts = SamplePoints(p.n, cfg) if pts is None else pts
+        results[a] = check_log_concavity_sampled(q, cfg, subset_mask=a, points=pts)
     return SlcReport(subsets=results, aggregate=_aggregate(results, cfg))
 
 

@@ -87,7 +87,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def loads_distribution(text: str) -> SubsetPoly:
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+    except DistributionFormatError:  # a repeated key (`_unique_keys`)
+        raise
+    except (ValueError, RecursionError) as exc:  # bad JSON, an overlong integer, deep nesting
         raise DistributionFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DistributionFormatError("top level must be a JSON object")

@@ -210,6 +210,22 @@ def raw_counterexample():
 
     return counterexample_weights()
 
+
+@pytest.fixture
+def built_points(monkeypatch):
+    """Every `checkers.SamplePoints` the checks build during the test, in order."""
+    from slcheck import checkers
+
+    built = []
+    make = checkers.SamplePoints
+
+    def build(n, cfg):
+        built.append(make(n, cfg))
+        return built[-1]
+
+    monkeypatch.setattr(checkers, "SamplePoints", build)
+    return built
+
 # ----- acceptance summary -----------------------------------------------------
 #
 # One PASS/FAIL line per acceptance criterion, printed at the end of every

@@ -4,6 +4,9 @@ full check."""
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +27,7 @@ from slcheck.checkers import (
     CoefficientCertificate,
     DominanceCertificate,
     ExhaustiveEnumeration,
+    SamplePoints,
     SubsetCertificates,
     TrivialLogConcavity,
     certify_log_concavity_dominance,
@@ -32,7 +36,6 @@ from slcheck.checkers import (
     exit_code,
     format_fraction_pair,
     grid_points,
-    sample_points,
     trivial_log_concavity,
 )
 from slcheck.poly import SparsePoly
@@ -188,12 +191,11 @@ class TestSampling:
 
     def test_sample_points_deterministic(self):
         cfg = SampleConfig(points=64, seed=9)
-        pts = sample_points(2, cfg)
-        assert sample_points(2, cfg) is pts and len(pts) == 25 + 64
+        pts = SamplePoints(2, cfg)
+        assert len(pts) == 25 + 64
         a = pts[:]
         assert not a.flags.writeable and a.shape == (25 + 64, 2)
-        sample_points.cache_clear()  # memoized: draw again to test determinism
-        b = sample_points(2, cfg)[:]
+        b = SamplePoints(2, cfg)[:]
         np.testing.assert_array_equal(a, b)
         lo, hi = cfg.box
         assert np.all(a > 0)
@@ -225,7 +227,7 @@ class TestSampling:
         cfg = SampleConfig(points=np.int64(30), box=[0.5, np.float64(2.0)])
         assert cfg == SampleConfig(points=30, box=(0.5, 2.0))
         assert type(cfg.points) is int and type(cfg.box) is tuple and type(cfg.box[1]) is float
-        # A list box is stored as a tuple, so the memoized sampler accepts it.
+        # A list box is stored as a tuple of floats, so it samples like one.
         p = one_plus_xy()
         tuple_cfg = SampleConfig(points=30, box=(0.5, 2.0))
         assert check_log_concavity_sampled(p, cfg) == check_log_concavity_sampled(p, tuple_cfg)
@@ -284,7 +286,7 @@ class TestSampling:
         p = SubsetPoly.from_weights(3, {0: 1, 0b011: 1})
         cfg = SampleConfig(points=10, box=(1e160, 1e200))
         with pytest.raises(ValueError, match="overflow"):
-            log_hessian_many(p, sample_points(3, cfg)[:])
+            log_hessian_many(p, SamplePoints(3, cfg)[:])
         verdict = check_log_concavity_sampled(p, cfg)
         assert isinstance(verdict, Violated)
         assert verdict.witness.point == (0.1, 0.1, 0.1)
@@ -327,6 +329,52 @@ class TestSampling:
         verdict = check_log_concavity_sampled(p, SampleConfig(points=50, box=(10.0, 100.0)))
         assert isinstance(verdict, NoViolationFound)
         assert verdict.stats.points_tested == 50
+
+
+class TestNoSharedState:
+    def test_concurrent_checks_match_single_threaded(self):
+        # Four threads check log-concave products at n = 7 under each
+        # configuration at once, switching as often as the interpreter lets
+        # them.  Points shared between the calls were drawn twice or read
+        # before they were drawn; each call's own points give every thread
+        # the single-threaded result.  Only subset 0 of `two_live` samples.
+        p = product_measure([Fraction(k, 10) for k in range(2, 9)])
+        two_live = product_measure([Fraction(2, 10), Fraction(3, 10)] + [0] * 5)
+        cfgs = [SampleConfig(points=20000, seed=seed) for seed in range(12)]
+
+        def both(cfg):
+            return check_log_concavity_sampled(p, cfg), check_slc(two_live, cfg)
+
+        want = [both(cfg) for cfg in cfgs]
+        barrier = threading.Barrier(4)
+
+        def run():
+            got = []
+            for cfg in cfgs:
+                barrier.wait(timeout=60)
+                got.append(both(cfg))
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(run) for _ in range(4)]
+                results = [run.result(timeout=300) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert got == want
+
+    def test_check_slc_builds_one_set_of_points_per_call(self, built_points, counterexample):
+        p = product_measure([Fraction(k, 10) for k in range(2, 6)])
+        cfg = SampleConfig(points=100)
+        for calls in (1, 2):
+            report = check_slc(p, cfg)
+            sampled = [v for v in report.subsets.values() if isinstance(v, NoViolationFound)]
+            assert len(sampled) > 1 and len(built_points) == calls
+        assert isinstance(check_slc(counterexample, cfg).aggregate, Holds)  # all certified
+        assert len(built_points) == 2
 
 
 class TestTrivialClasses:

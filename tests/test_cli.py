@@ -453,6 +453,19 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: not valid JSON") and err.count("\n") == 1
 
+    def test_json_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer longer than
+        # sys.get_int_max_str_digits(); a repeated key keeps its own message.
+        path = tmp_path / "digits.json"
+        path.write_text('{"n": ' + "1" * 5000 + ', "coefficients": {}}')
+        assert main(["check", str(path), "nlc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: not valid JSON") and err.count("\n") == 1
+        path.write_text('{"n": 1, "n": 1, "coefficients": {}}')
+        assert main(["check", str(path), "nlc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: key 'n' given twice in one JSON object\n", err
+
     def test_exponent_past_the_digit_limit(self, tmp_path, capsys):
         # Refused before 10**100000000 is built, in a file and in every sweep option.
         path = tmp_path / "exponent.json"

@@ -18,7 +18,7 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
     test (`is_psd`) against every principal minor in Fractions; and the
     coefficient-matrix certificate at n = 2, 3 against the principal-minor
     factors of M built in that ring;
-  * `check_slc`, whose memoized sample points serve every derivative
+  * `check_slc`, whose one set of sample points serves every derivative
     subset and whose diamond pre-check skips both certificates, against a
     loop that draws fresh points for each derivative and tries every route;
   * the integer sign of v^T M(x) v (`m_form`) against v^T M(x) v from
@@ -72,12 +72,12 @@ from slcheck.checkers import (
     CoefficientCertificate,
     DominanceCertificate,
     PointWitness,
+    SamplePoints,
     SampleStats,
     certify_log_concavity_coefficients,
     certify_log_concavity_dominance,
     check_log_concavity_sampled,
     grid_points,
-    sample_points,
     trivial_log_concavity,
 )
 from slcheck.counterexample import counterexample_weights
@@ -603,7 +603,6 @@ def reference_slc(p: SubsetPoly, cfg: SampleConfig) -> dict:
     """Each derivative on its own: fresh sample points, the reference certificate."""
     out = {}
     for a in range(1 << p.n):
-        sample_points.cache_clear()
         q = p.derivative_subset(a)
         trivial = trivial_log_concavity(q)
         if trivial is not None:
@@ -831,7 +830,6 @@ class TestChunkedScan:
                     if len(p.nonzero_masks) <= 1:
                         continue
                     want, _ = reference_scan(p, pts, cfg)
-                    sample_points.cache_clear()  # the scan draws its points afresh
                     assert check_log_concavity_sampled(p, cfg) == want, (p, count)
                     outcomes.add((n, count, type(want).__name__))
         for name in ("NoViolationFound", "Violated"):
@@ -848,8 +846,7 @@ class TestChunkedScan:
             for seed, count, head in itertools.product(seeds, SCAN_COUNTS, (False, True)):
                 cfg = SampleConfig(points=count, seed=seed)
                 want = drawn_at_once(n, cfg)
-                sample_points.cache_clear()
-                pts = sample_points(n, cfg)
+                pts = SamplePoints(n, cfg)
                 assert len(pts) == want.shape[0] and pts.drawn == grid
                 for rows in checkers._scan_chunks(len(pts), head):
                     chunk = pts[rows]
@@ -857,21 +854,19 @@ class TestChunkedScan:
                     assert not chunk.flags.writeable
                     assert chunk.tobytes() == want[rows].tobytes(), (n, seed, count, rows)
 
-    def test_violation_in_the_probe_draws_nothing(self):
+    def test_violation_in_the_probe_draws_nothing(self, built_points):
         # 1 + x1 x2 fails at the first grid point; a violated sweep cell too.
         # Both fail a diamond at the origin, so the scan reads that point on
         # its own and stops there, before any draw.
         for n in range(2, 7):
             p = SubsetPoly.from_weights(n, {0: 1, 0b11: 1})
-            sample_points.cache_clear()
             verdict = check_log_concavity_sampled(p)
             assert verdict.witness.point == (0.1,) * n
-            assert sample_points(n, SampleConfig()).drawn == 5**n
-        sample_points.cache_clear()
+            assert built_points[-1].drawn == 5**n
         assert isinstance(check_slc(make_family(1, 3)).aggregate, Violated)
-        assert sample_points(3, SampleConfig()).drawn == 125
+        assert built_points[-1].drawn == 125 and len(built_points) == 6
 
-    def test_matches_one_pass_on_planted_witnesses(self, monkeypatch):
+    def test_matches_one_pass_on_planted_witnesses(self):
         # g = (1 + x1 x2) (1 + x3) ... (1 + xn) has a NSD log-Hessian exactly
         # where x1 x2 >= 1, so every point before the planted one is clean.
         rng = np.random.default_rng(112)
@@ -892,8 +887,7 @@ class TestChunkedScan:
                     cfg = SampleConfig(seed=k)
                     want, index = reference_scan(p, pts, cfg)
                     assert index == at, (n, name, at, index)
-                    monkeypatch.setattr(checkers, "sample_points", lambda n, cfg: pts)
-                    assert check_log_concavity_sampled(p, cfg) == want, (n, name, at)
+                    assert check_log_concavity_sampled(p, cfg, points=pts) == want, (n, name, at)
 
     def test_one_point_head_only_while_the_grid_leads(self, monkeypatch):
         # Over points where both planted inputs hold, the scan reads every
@@ -916,9 +910,8 @@ class TestChunkedScan:
                     cfg = SampleConfig(seed=k)
                     want, index = reference_scan(p, pts, cfg)
                     assert index is None
-                    monkeypatch.setattr(checkers, "sample_points", lambda n, cfg: pts)
                     sizes.clear()
-                    assert check_log_concavity_sampled(p, cfg) == want, (n, name, count)
+                    assert check_log_concavity_sampled(p, cfg, points=pts) == want, (n, name, count)
                     head = name == "failing" and n <= checkers.GRID_MAX_VARS
                     assert sizes == chunk_sizes(count, head), (n, name, count, sizes)
         assert chunk_sizes(1089, True) == [1, 63, 1024, 1]
@@ -934,17 +927,14 @@ class TestChunkedScan:
 
         monkeypatch.setattr(np.random, "default_rng", counting)
         for n in range(2, 7):  # 1 + x1 x2 fails at grid point 0
-            sample_points.cache_clear()
             verdict = check_log_concavity_sampled(SubsetPoly.from_weights(n, {0: 1, 0b11: 1}))
             assert isinstance(verdict, Violated)
-        sample_points.cache_clear()
         assert isinstance(check_slc(make_family(1, 3)).aggregate, Violated)
-        sample_points.cache_clear()  # every grid point, and no draw
+        # Every grid point, and no draw.
         verdict = check_log_concavity_sampled(counterexample, SampleConfig(points=0))
         assert verdict.stats.points_tested == 125
         assert made == []
         # A scan that draws makes one generator, however many chunks it draws in.
-        sample_points.cache_clear()
         verdict = check_log_concavity_sampled(counterexample, SampleConfig(points=2000, seed=5))
         assert verdict.stats.points_tested == 2125 and made == [5]
 
@@ -970,7 +960,6 @@ class TestScreenedScan:
                     if len(q.nonzero_masks) <= 1:
                         continue
                     want, _ = reference_scan(q, drawn_at_once(q.n, cfg), cfg)
-                    sample_points.cache_clear()
                     assert check_log_concavity_sampled(q, cfg) == want, (q, tol)
                     outcomes.add((tol, type(want).__name__))
         assert len(outcomes) == 6, outcomes

@@ -20,10 +20,10 @@ Both the float and the exact side work on the coefficient vector directly.
     are the down-closure of the support (`_Plan`), all 2^n subsets when
     the full set has a weight.  g, its gradient and its Hessian are rows 0,
     {i} and {i, j} of that one table, a zero row where the derivative
-    vanishes.  It is the only float evaluator: `eval_many` and
-    `log_hessian_many` only read it, the latter on coefficients rescaled by
-    a power of two (see `_log_coeffs`), and `log_hessian` is
-    `log_hessian_many` at one point.
+    vanishes.  It is the only float evaluator.  `log_hessian_many` reads
+    it block by block, on coefficients rescaled by a power of two (see
+    `_log_coeffs`), and `log_hessian` is `log_hessian_many` at one point;
+    `eval_many`, which no check calls, reads row 0 of one table.
   * Exact: `cleared_m_rows` forms M once, times L^2, from products of the
     integer coefficients of `SubsetPoly.cleared` (`poly.add_products`,
     under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
@@ -189,8 +189,8 @@ def _log_coeffs(p: SubsetPoly) -> np.ndarray:
 def _blocks(plan: _Plan, count: int) -> list[slice]:
     """Consecutive row ranges of a point array, plan.block rows each.
 
-    Callers pass each block's table straight to its consumer, so that no
-    more than one table is alive at a time.
+    `log_hessian_many` passes each block's table straight to `_log_hessians`,
+    so that no more than one table is alive at a time.
     """
     step = plan.block
     return [slice(start, start + step) for start in range(0, count, step)]
@@ -388,14 +388,8 @@ def m_form(p: SubsetPoly, point: Sequence[float], v: Sequence[float]) -> int:
 
 
 def eval_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
-    """Evaluate g_p at every row of an (N, n) float array."""
-    pts = _point_array(p, points)
-    coeffs = _float_coeffs(p)
-    plan = _table_plan(p)
-    out = np.empty(pts.shape[0], dtype=float)
-    for rows in _blocks(plan, pts.shape[0]):
-        out[rows] = _superset_sums(coeffs, pts[rows], plan)[0]
-    return out
+    """Evaluate g_p at every row of an (N, n) float array, row 0 of one table."""
+    return _superset_sums(_float_coeffs(p), _point_array(p, points), _table_plan(p))[0]
 
 
 def log_hessian_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:

@@ -194,7 +194,8 @@ class SampleStats:
 
     min_margin is the smallest pivot of s I - H the screen met
     (`linalg.nsd_screen`): positive when every point cleared it, inf when no
-    point was tested; an aggregate takes the least over its subsets.
+    point was tested or every tested point's threshold overflowed; an
+    aggregate takes the least over its subsets.
     """
 
     points_tested: int

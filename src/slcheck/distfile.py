@@ -16,10 +16,10 @@ Both fields are required and no other is allowed.  Keys are strictly
 increasing comma-separated 1-based indices ("" is the empty set); the
 alternative "mask:<int>" spelling gives the subset bitmask directly.  An
 index or a bitmask is written in ASCII decimal digits, with spaces allowed
-around it.  Values are exact rationals written as strings: "3/22", "5", or
-a decimal literal like "0.15".  Unlisted subsets are zero.  Weights must be
-nonnegative, and no key may repeat within a JSON object.  Anything else is
-refused with a DistributionFormatError.
+around it.  Values are exact rationals written as ASCII strings with no
+"_": "3/22", "5", or a decimal literal like "0.15".  Unlisted subsets are
+zero.  Weights must be nonnegative, and no key may repeat within a JSON
+object.  Anything else is refused with a DistributionFormatError.
 """
 
 from __future__ import annotations

@@ -4,45 +4,27 @@ The sampler takes no eigenvalue of a point its screen clears.  `nsd_screen`
 factors s I - H, just under each threshold t, for a whole stack of
 log-Hessians at once (a batched LDL^T without pivoting); only a point whose
 factorization fails goes on to LAPACK's eigvalsh, and a point eigvalsh flags
-takes its top eigenvector from eigh.  `eigen_sym` validates one symmetric
-matrix (dimension at most 16), hands it to eigvalsh and returns the
-eigenvalues as a tuple of floats; no code in the package calls it.  No
-decision rests on these floats alone.  Exact definiteness is decided on
-integer coefficients, by the dominance certificate (`calculus.m_row_gaps`)
-or, at n <= 3, the coefficient-matrix certificate (`calculus.is_psd`),
-and a point witness is proved by the exact sign of v^T M(x) v
-(`calculus.m_form`).
+takes its top eigenvector from eigh.  `eigen_sym` hands one matrix to
+eigvalsh as it is and returns the eigenvalues as a tuple of floats; no code
+in the package calls it.  No decision rests on these floats alone.  Exact
+definiteness is decided on integer coefficients, by the dominance
+certificate (`calculus.m_row_gaps`) or, at n <= 3, the coefficient-matrix
+certificate (`calculus.is_psd`), and a point witness is proved by the exact
+sign of v^T M(x) v (`calculus.m_form`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .poly import MAX_VARS
-
-SYMMETRY_TOL = 1e-12
-
 # The screen's least gap under the threshold, in units of eps (1 + max |H|);
 # see nsd_screen for why this many.
 SCREEN_GUARD = 2.0**14
 
 
-def _as_sym_array(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0 or a.shape[0] > MAX_VARS:
-        raise ValueError(f"matrix dimension must be in 1..{MAX_VARS}, got {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOL}")
-    return (a + a.T) / 2.0
-
-
 def eigen_sym(matrix) -> tuple[float, ...]:
-    """Ascending eigenvalues of a validated symmetric matrix, by LAPACK's eigvalsh."""
-    return tuple(float(v) for v in np.linalg.eigvalsh(_as_sym_array(matrix)))
+    """Ascending eigenvalues of a symmetric matrix, by LAPACK's eigvalsh on its lower triangle."""
+    return tuple(float(v) for v in np.linalg.eigvalsh(np.asarray(matrix, dtype=float)))
 
 
 def nsd_threshold(matrix, rel_tol: float) -> float | np.ndarray:
@@ -85,6 +67,11 @@ def nsd_screen(hessians: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.nda
     g >= SCREEN_GUARD eps N > SCREEN_GUARD eps c rules out for n <= 16
     whenever p(16) <= 700, far above LAPACK's backward error.  This holds
     at every tolerance, 0 included.
+
+    s is computed as min(t / 2, t - SCREEN_GUARD eps N), which is t - g bit
+    for bit (t / 2 >= g only for a normal t, where t - t / 2 is exact), and
+    which makes every pivot +inf, not NaN, where t overflows: no eigenvalue
+    is over an infinite threshold.
     """
     h = np.asarray(hessians, dtype=float)
     m, n = h.shape[0], h.shape[-1]
@@ -92,10 +79,11 @@ def nsd_screen(hessians: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.nda
     # contiguous rows of m values.
     a = np.negative(h.transpose(1, 2, 0), order="C")
     scale = nsd_threshold(a.transpose(2, 0, 1), 1.0)  # N, and t = rel_tol N as nsd_threshold
-    thresholds = rel_tol * scale
     pivots = a.reshape(n * n, m)[:: n + 1]  # the diagonal, a view
-    pivots += thresholds - np.maximum(thresholds / 2, SCREEN_GUARD * np.finfo(float).eps * scale)
     with np.errstate(all="ignore"):
+        thresholds = rel_tol * scale
+        guard = SCREEN_GUARD * np.finfo(float).eps * scale
+        pivots += np.minimum(thresholds / 2, thresholds - guard)  # s, as t - g
         for k in range(n - 1):
             col = a[k + 1 :, k]
             a[k + 1 :, k + 1 :] -= (col / a[k, k])[:, None] * col

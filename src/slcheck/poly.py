@@ -49,7 +49,9 @@ def as_fraction(value: RationalLike) -> Fraction:
     decimal value it was written as, and this library promises exactness.
     A string whose exponent exceeds sys.get_int_max_str_digits() in
     magnitude is refused before Fraction expands 10**exponent, as a digit
-    string that long is refused by int().
+    string that long is refused by int().  Any other string must be ASCII
+    with no digit-group underscores, which Fraction alone would read
+    ('1_000', or a non-ASCII digit by its value).
     """
     if isinstance(value, Fraction):
         return value
@@ -68,6 +70,8 @@ def as_fraction(value: RationalLike) -> Fraction:
                     f"exponent {exponent} exceeds {limit} in magnitude, "
                     "the integer digit limit (sys.get_int_max_str_digits())"
                 )
+        if not value.isascii() or "_" in value:
+            raise ValueError(f"{value!r} is not written in ASCII without underscores")
         try:
             return Fraction(text)
         except ZeroDivisionError:

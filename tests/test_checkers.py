@@ -233,6 +233,15 @@ class TestSampling:
         assert check_log_concavity_sampled(p, cfg) == check_log_concavity_sampled(p, tuple_cfg)
         assert check_slc(p, cfg) == check_slc(p, tuple_cfg)
 
+    def test_overflowing_threshold_warns_nowhere(self):
+        # At tolerance 1e308 the threshold overflows wherever max |H| > 0.8;
+        # those points clear the screen, and the rest set the margin as before.
+        p = SubsetPoly.from_weights(2, {0: 1, 1: 1, 2: 2, 3: Fraction(7, 2)})
+        verdict = check_log_concavity_sampled(p, SampleConfig(tolerance=1e308))
+        assert isinstance(verdict, NoViolationFound)
+        assert verdict.stats.points_tested == 2025
+        assert verdict.stats.min_margin == pytest.approx(5.000609466293158e307, rel=1e-12)
+
     def test_one_plus_xy_violated(self):
         verdict = check_log_concavity_sampled(one_plus_xy(), SampleConfig(points=100))
         assert isinstance(verdict, Violated)

@@ -94,6 +94,10 @@ class TestDistributionFiles:
         p = loads_distribution('{"n": 1, "coefficients": {"": "0.15", "1": "2"}}')
         assert p.coeffs[0] == Fraction(3, 20)
         assert p.coeffs[1] == 2
+        p = loads_distribution(
+            '{"n": 2, "coefficients": {"": "3/22", "1": " 0.15 ", "2": "1e-3", "1,2": "+3"}}'
+        )
+        assert p == SubsetPoly.from_weights(2, {0: "3/22", 1: "3/20", 2: "1/1000", 3: 3})
 
     def test_rejects_malformed_documents(self):
         bad = [
@@ -479,6 +483,21 @@ class TestErrorPaths:
             out, err = capsys.readouterr()
             assert code == 2, option
             assert out == "" and err.startswith("error: exponent -100000000 exceeds"), err
+        assert not (tmp_path / "tables").exists()
+
+    def test_weights_and_sweep_options_in_ascii_without_underscores(self, tmp_path, capsys):
+        # Fraction alone reads any Unicode digit by its value, and "1_000" as 1000.
+        path = tmp_path / "digits.json"
+        for weight in ("\u0663", "1_000", "\uff13/2"):
+            path.write_text(json.dumps({"n": 1, "coefficients": {"": "1", "1": weight}}))
+            assert main(["check", str(path), "nlc"]) == 2, weight
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: bad rational") and err.count("\n") == 1
+        for option, value in (("--b-max", "1_0"), ("--step", "\u0660.\u0660\u0665")):
+            code = main(["sweep", option, value, "--out", str(tmp_path / "tables")])
+            out, err = capsys.readouterr()
+            assert code == 2, option
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
         assert not (tmp_path / "tables").exists()
 
     def test_negative_weight_file(self, tmp_path, capsys):

@@ -49,6 +49,28 @@ def test_no_unused_imports(path: Path):
     assert unused_imports(path.read_text()) == []
 
 
+def package_imports(source: str) -> list[str]:
+    """Each import of a package module: relative, or of slcheck by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or node.module.split(".")[0] == "slcheck":
+                found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "slcheck"]
+    return found
+
+
+def test_finds_a_package_import():
+    source = "import numpy\nfrom . import poly\nfrom .poly import MAX_VARS\nimport slcheck.cli\n"
+    assert package_imports(source) == [".", ".poly", "slcheck.cli"]
+
+
+def test_linalg_imports_nothing_from_the_package():
+    # The screen and the eigen solve are plain numpy; no constant of poly's belongs in them.
+    assert package_imports((SRC / "linalg.py").read_text()) == []
+
+
 # Read by no code in the package, on purpose: the traced names stay while the
 # benchmark's tracer wraps them, and eval_exact is the tests' exact reference.
 KEPT_UNREAD = {(t.module.removeprefix("slcheck."), t.attr) for t in traced_targets()} | {

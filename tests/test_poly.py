@@ -55,6 +55,11 @@ class TestConstruction:
         assert as_fraction(7) == Fraction(7)
         with pytest.raises(ValueError, match="zero denominator"):
             as_fraction("1/0")
+        # Fraction alone reads these as 3, 1000, 3/2, 3 and 10.
+        for text in ("\u0663", "1_000", "\uff13/2", "\xa03", "1e1_0"):
+            with pytest.raises(ValueError, match="ASCII without underscores"):
+                as_fraction(text)
+        assert as_fraction("-2") == -2  # a sign is for the caller to refuse
 
     def test_as_fraction_refuses_exponents_past_the_digit_limit(self):
         # Fraction would expand 10**|exponent| first: seconds at 1e7, minutes at 1e8.

@@ -28,11 +28,11 @@ Both the float and the exact side work on the coefficient vector directly.
     integer coefficients of `SubsetPoly.cleared` (`poly.add_products`,
     under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
     the diagonal dominance gap of each row, on which the dominance
-    certificate decides; `m_matrix` and the certificate's gaps are the same
-    integers divided by L^2 (`uncleared`).  `m_coefficient_matrices`
-    groups the same integers by monomial into one symmetric integer matrix
-    M_a per key, M(x) = sum_a x^a M_a / L^2, and `is_psd` decides each
-    exactly for the coefficient-matrix certificate.  M's rows come full
+    certificate decides; `m_matrix` and the counterexample replay's row-1
+    gap are the same integers divided by L^2 (`uncleared`).
+    `m_coefficient_matrices` groups the same integers by monomial into one
+    symmetric integer matrix M_a per key, M(x) = sum_a x^a M_a / L^2, and
+    `is_psd` decides each exactly for the coefficient-matrix certificate.  M's rows come full
     and symmetric, M_ij and M_ji one dict formed once, and each row only
     when a reader asks for it: `check_slc` hands both certificates one
     stream of them (`itertools.tee`), so M is formed at most once per

@@ -23,9 +23,9 @@ The lattice scan, the diamond pre-check, the dominance certificate
 (`calculus.m_row_gaps`) and the coefficient-matrix certificate
 (`calculus.m_coefficient_matrices`) decide on the integer coefficients of
 `SubsetPoly.cleared`, the one form a polynomial stores (a derivative
-subset's is a slice of p's), and triviality on their nonzero masks.  A
-`DominanceCertificate` builds its gap polynomials from the same integer M,
-only when a caller reads them: they are the gaps the decision read.
+subset's is a slice of p's), and triviality on their nonzero masks.  All
+three log-concavity routes return one `LogConcavityCertificate`, whose kind
+names the route that decided; it holds nothing else, not the polynomial.
 Sampling reads every log-Hessian from the derivative table of `calculus`
 and only flags points: an LDL^T screen of s I - H just under the threshold
 (`linalg.nsd_screen`) clears most of them with no eigen solve, eigvalsh
@@ -49,7 +49,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -62,10 +62,9 @@ from .calculus import (
     m_coefficient_matrices,
     m_form,
     m_row_gaps,
-    uncleared,
 )
 from .linalg import nsd_screen
-from .poly import SparsePoly, SubsetPoly, format_fraction, format_subset
+from .poly import SubsetPoly, format_fraction, format_subset
 
 # ----- certificates ---------------------------------------------------------
 
@@ -78,49 +77,16 @@ class ExhaustiveEnumeration:
 
 
 @dataclass(frozen=True)
-class TrivialLogConcavity:
-    """Membership in a structurally log-concave class.
+class LogConcavityCertificate:
+    """An exact proof that log g is concave wherever g > 0 on the open orthant.
 
-    kind is one of 'zero', 'constant', 'monomial', 'affine'.  A constant or
-    single monomial has an affine logarithm; an affine polynomial has
-    log-Hessian -grad grad^T / g^2, which is negative semidefinite wherever
-    g is positive; the zero polynomial holds by convention.
+    kind names the argument: 'zero', 'constant', 'monomial' or 'affine'
+    from `trivial_log_concavity`, 'dominance' from
+    `certify_log_concavity_dominance`, 'coefficient' from
+    `certify_log_concavity_coefficients`; each gives its reason.
     """
 
     kind: str
-
-
-@dataclass(frozen=True)
-class DominanceCertificate:
-    """Coefficient-wise strict diagonal dominance of the M matrix of poly.
-
-    row_gaps[i] is M_ii minus the coefficient-wise absolute values of the
-    off-diagonal row entries.  Every gap has nonnegative coefficients and at
-    least one positive coefficient, so on the open positive orthant M is
-    strictly diagonally dominant with positive diagonal, hence positive
-    definite, hence log g is concave there.  row_gaps are built exactly on
-    first read: they are the integer gaps of `calculus.m_row_gaps` that the
-    decision read, divided by L^2.
-    """
-
-    poly: SubsetPoly
-
-    @cached_property
-    def row_gaps(self) -> tuple[SparsePoly, ...]:
-        return tuple(uncleared(self.poly, gap) for gap in m_row_gaps(self.poly))
-
-
-@dataclass(frozen=True)
-class CoefficientCertificate:
-    """Every coefficient matrix of the M matrix of poly is positive semidefinite.
-
-    See `certify_log_concavity_coefficients` for why this proves log-concavity.
-    """
-
-    poly: SubsetPoly
-
-
-LogConcavityCertificate = Union[TrivialLogConcavity, DominanceCertificate, CoefficientCertificate]
 
 
 @dataclass(frozen=True)
@@ -393,17 +359,23 @@ class SamplePoints:
         return view
 
 
-def trivial_log_concavity(p: SubsetPoly) -> TrivialLogConcavity | None:
-    """Exact structural reasons making log g concave wherever g > 0."""
+def trivial_log_concavity(p: SubsetPoly) -> LogConcavityCertificate | None:
+    """Exact structural reasons making log g concave wherever g > 0.
+
+    A constant or single monomial has an affine logarithm; an affine
+    polynomial has log-Hessian -grad grad^T / g^2, which is negative
+    semidefinite wherever g is positive; the zero polynomial holds by
+    convention.  Returns None for any other polynomial.
+    """
     masks = p.nonzero_masks
     if not masks:
-        return TrivialLogConcavity("zero")
+        return LogConcavityCertificate("zero")
     if masks == (0,):
-        return TrivialLogConcavity("constant")
+        return LogConcavityCertificate("constant")
     if len(masks) == 1:
-        return TrivialLogConcavity("monomial")
+        return LogConcavityCertificate("monomial")
     if all(m & (m - 1) == 0 for m in masks):
-        return TrivialLogConcavity("affine")
+        return LogConcavityCertificate("affine")
     return None
 
 
@@ -508,7 +480,7 @@ def failing_diamond(p: SubsetPoly) -> tuple[int, int] | None:
 
 def certify_log_concavity_dominance(
     p: SubsetPoly, rows: Rows | None = None
-) -> DominanceCertificate | None:
+) -> LogConcavityCertificate | None:
     """Try to prove log-concavity on the whole positive orthant, exactly.
 
     Forms M = grad g grad g^T - g D2g and, per row, the gap polynomial
@@ -528,7 +500,7 @@ def certify_log_concavity_dominance(
     for gap in m_row_gaps(p, rows):
         if not (all(c >= 0 for c in gap.values()) and any(c > 0 for c in gap.values())):
             return None
-    return DominanceCertificate(p)
+    return LogConcavityCertificate("dominance")
 
 
 # ----- coefficient-matrix certificate ---------------------------------------------
@@ -541,7 +513,7 @@ COEFFICIENT_MAX_VARS = 3
 
 def certify_log_concavity_coefficients(
     p: SubsetPoly, rows: Rows | None = None
-) -> CoefficientCertificate | None:
+) -> LogConcavityCertificate | None:
     """Try to prove log-concavity on the positive orthant by coefficient matrices, exactly.
 
     Tests by `calculus.is_psd` each integer M_a of L^2 M(x) = sum_a x^a M_a
@@ -555,7 +527,7 @@ def certify_log_concavity_coefficients(
     if p.n > COEFFICIENT_MAX_VARS or not p.nonzero_masks:
         return None
     if all(is_psd(m) for m in m_coefficient_matrices(p, rows).values()):
-        return CoefficientCertificate(p)
+        return LogConcavityCertificate("coefficient")
     return None
 
 

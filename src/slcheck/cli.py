@@ -16,16 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
 from .checkers import (
-    CoefficientCertificate,
-    DominanceCertificate,
     Holds,
+    LogConcavityCertificate,
     SampleConfig,
     SlcReport,
-    TrivialLogConcavity,
     Verdict,
     Violated,
     check_log_concavity_sampled,
@@ -137,11 +136,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         lines += _render_verdict(verdict)
         report.update(_jsonable_verdict(verdict))
         code = exit_code(verdict)
-    print("\n".join(lines))
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    print("\n".join(lines))
     return code
 
 
@@ -158,13 +157,15 @@ def _render_verdict(v: Verdict) -> list[str]:
     ]
 
 
+_CERTIFICATE_NAMES = {
+    "dominance": "diagonal dominance certificate",
+    "coefficient": "coefficient matrix certificate",
+}
+
+
 def _certificate_name(cert) -> str:
-    if isinstance(cert, TrivialLogConcavity):
-        return f"trivially log-concave: {cert.kind}"
-    if isinstance(cert, DominanceCertificate):
-        return "diagonal dominance certificate"
-    if isinstance(cert, CoefficientCertificate):
-        return "coefficient matrix certificate"
+    if isinstance(cert, LogConcavityCertificate):
+        return _CERTIFICATE_NAMES.get(cert.kind, f"trivially log-concave: {cert.kind}")
     return type(cert).__name__
 
 
@@ -260,6 +261,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         samples_per_cell=args.samples,
         seed=args.seed,
     )
+    os.makedirs(args.out, exist_ok=True)  # an unwritable --out fails before the sweep runs
     result = sweep(cfg)
     nlc_path, slc_path, csv_path = emit_region_tables(result, args.out)
     failures = result.containment_failures()

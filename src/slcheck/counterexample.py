@@ -14,8 +14,9 @@ about it is verified exactly, with no float and no seed:
     and -(1 + y + z)^2 times its log-Hessian is E, of eigenvalues {0, 0, 2};
   * the M matrix equals a single positive rational multiple of a
     reference matrix, written as the polynomials 3(u + v + 1)^2 and
-    3w^2 + 3w - 1, and the certificate's row-1 gap (the one the dominance
-    decision read) is that same multiple of 6yz + 3y + 3z + 1.
+    3w^2 + 3w - 1, and its row-1 dominance gap (`calculus.m_row_gaps`, the
+    first the certificate's decision read) is that same multiple of
+    6yz + 3y + 3z + 1.
 
 `run_reproduction` replays all of that and reports each expectation.
 """
@@ -25,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import m_matrix
-from .checkers import DominanceCertificate, Holds, Violated, check_nlc, check_slc
+from .calculus import m_matrix, m_row_gaps, uncleared
+from .checkers import Holds, LogConcavityCertificate, Violated, check_nlc, check_slc
 from .poly import SparsePoly, SubsetPoly
 
 EXPECTED_NLC_LHS = Fraction(9, 484)
@@ -136,7 +137,7 @@ def run_reproduction() -> ReproReport:
     report = check_slc(p)
     base = report.subsets.get(0)
     cert = base.certificate if isinstance(base, Holds) else None
-    good = isinstance(cert, DominanceCertificate) and isinstance(report.aggregate, Holds)
+    good = cert == LogConcavityCertificate("dominance") and isinstance(report.aggregate, Holds)
     detail = (
         "dominance certificate found for the undifferentiated polynomial; "
         f"aggregate over {len(report.subsets)} derivative subsets: "
@@ -175,13 +176,13 @@ def run_reproduction() -> ReproReport:
     checks.append(ReproCheck("reference-proportionality", good, detail))
 
     # 5. The row-1 dominance gap is that same multiple of 6yz + 3y + 3z + 1.
-    if isinstance(cert, DominanceCertificate) and scalar is not None:
-        expected = reference_row_gap() * scalar
-        good = cert.row_gaps[0] == expected
+    if cert == LogConcavityCertificate("dominance") and scalar is not None:
+        gap = uncleared(p, next(m_row_gaps(p)))
+        good = gap == reference_row_gap() * scalar
         detail = f"row-1 gap = {scalar} * ({reference_row_gap().format()})"
         if not good:
             detail = (
-                f"row-1 gap {cert.row_gaps[0].format()} differs from "
+                f"row-1 gap {gap.format()} differs from "
                 f"{scalar} * ({reference_row_gap().format()})"
             )
     else:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -60,7 +61,9 @@ class SweepConfig:
     b and c run over {0, step, 2*step, ...} up to b_max and c_max.  The grid
     values are exact rationals; b_max, c_max and step are converted with
     as_fraction, so pass steps like '0.05' as strings.  Construction refuses
-    an invalid grid, sample count or seed.  Each cell is sampled in
+    an invalid grid, sample count or seed.  The tables write every grid
+    value as a float, so a b_max, c_max or step past the float range, or a
+    step below sys.float_info.min, is refused too.  Each cell is sampled in
     SampleConfig's default box at its default tolerance.
     """
 
@@ -72,7 +75,12 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         for name in ("b_max", "c_max", "step"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+            value = as_fraction(getattr(self, name))
+            object.__setattr__(self, name, value)
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} is past the float range the tables write in") from None
         for name in ("samples_per_cell", "seed"):
             value = getattr(self, name)
             try:
@@ -81,6 +89,8 @@ class SweepConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
+        if self.step < sys.float_info.min:
+            raise ValueError(f"step must be at least {sys.float_info.min!r}, the least normal float")
         if self.b_max < 0 or self.c_max < 0:
             raise ValueError("parameter ranges must be nonnegative")
         if self.samples_per_cell < 0:

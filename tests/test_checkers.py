@@ -22,14 +22,12 @@ from slcheck import (
     check_slc,
 )
 from slcheck import checkers
-from slcheck.calculus import log_hessian_many, m_form, m_matrix
+from slcheck.calculus import log_hessian_many, m_form, m_matrix, m_row_gaps, uncleared
 from slcheck.checkers import (
-    CoefficientCertificate,
-    DominanceCertificate,
     ExhaustiveEnumeration,
+    LogConcavityCertificate,
     SamplePoints,
     SubsetCertificates,
-    TrivialLogConcavity,
     certify_log_concavity_dominance,
     certify_log_concavity_coefficients,
     check_log_concavity_sampled,
@@ -311,14 +309,14 @@ class TestSampling:
 
     def test_trivial_short_circuits(self):
         assert check_log_concavity_sampled(SubsetPoly.from_weights(2, {})) == Holds(
-            TrivialLogConcavity("zero")
+            LogConcavityCertificate("zero")
         )
         assert check_log_concavity_sampled(SubsetPoly.from_weights(2, {0: 7})) == Holds(
-            TrivialLogConcavity("constant")
+            LogConcavityCertificate("constant")
         )
         assert check_log_concavity_sampled(
             SubsetPoly.from_weights(2, {0b11: 5})
-        ) == Holds(TrivialLogConcavity("monomial"))
+        ) == Holds(LogConcavityCertificate("monomial"))
 
     def test_affine_is_sampled_not_asserted(self):
         p = SubsetPoly.from_weights(2, {0: 1, 1: 2, 2: 3})
@@ -397,10 +395,15 @@ class TestTrivialClasses:
         assert trivial_log_concavity(one_plus_xy()) is None
 
 
+def row_gaps(p: SubsetPoly) -> list[SparsePoly]:
+    """The dominance gaps of M, row by row, as exact polynomials."""
+    return [uncleared(p, gap) for gap in m_row_gaps(p)]
+
+
 class TestDominanceCertificate:
     def test_counterexample_certified(self, counterexample):
         cert = certify_log_concavity_dominance(counterexample)
-        assert isinstance(cert, DominanceCertificate)
+        assert cert == LogConcavityCertificate("dominance")
         want_gap = SparsePoly.make(
             3,
             {
@@ -410,19 +413,20 @@ class TestDominanceCertificate:
                 (0, 1, 1): Fraction(18, 484),
             },
         )
-        assert cert.row_gaps[0] == want_gap
+        assert row_gaps(counterexample)[0] == want_gap
 
     def test_raw_weights_gap_scales_by_484(self, raw_counterexample):
-        cert = certify_log_concavity_dominance(raw_counterexample)
+        assert certify_log_concavity_dominance(raw_counterexample) is not None
         want_gap = SparsePoly.make(3, {(0, 0, 0): 3, (0, 1, 0): 9, (0, 0, 1): 9, (0, 1, 1): 18})
-        assert cert.row_gaps[0] == want_gap
+        assert row_gaps(raw_counterexample)[0] == want_gap
 
     def test_gap_symmetry(self, counterexample):
         # The distribution is symmetric under any variable relabeling, so all
         # three row gaps agree up to that relabeling; spot check row 2.
-        cert = certify_log_concavity_dominance(counterexample)
-        g0 = cert.row_gaps[0].eval_exact((0, 2, 3))
-        g1 = cert.row_gaps[1].eval_exact((2, 0, 3))
+        assert certify_log_concavity_dominance(counterexample) is not None
+        gaps = row_gaps(counterexample)
+        g0 = gaps[0].eval_exact((0, 2, 3))
+        g1 = gaps[1].eval_exact((2, 0, 3))
         assert g0 == g1
 
     def test_product_measure_certified(self):
@@ -430,15 +434,13 @@ class TestDominanceCertificate:
         p = product_measure([Fraction(1, 2), Fraction(1, 3)])
         cert = certify_log_concavity_dominance(p)
         assert cert is not None
-        m = m_matrix(cert.poly)
+        m = m_matrix(p)
         assert all(m[i][j].terms == {} for i in range(2) for j in range(2) if i != j)
 
     def test_pure_monomial_certified(self):
         p = SubsetPoly.from_weights(2, {0b11: 1})  # g = xy
-        cert = certify_log_concavity_dominance(p)
-        assert cert is not None
-        assert cert.row_gaps[0] == SparsePoly.make(2, {(0, 2): 1})
-        assert cert.row_gaps[1] == SparsePoly.make(2, {(2, 0): 1})
+        assert certify_log_concavity_dominance(p) is not None
+        assert row_gaps(p) == [SparsePoly.make(2, {(0, 2): 1}), SparsePoly.make(2, {(2, 0): 1})]
 
     def test_one_plus_xy_not_certified(self):
         # D_1 = y^2 - 1 has a negative coefficient, so the sufficient
@@ -502,8 +504,8 @@ class TestCoefficientCertificate:
         assert certified >= 100 and beyond_dominance >= 30, (certified, beyond_dominance)
 
     def test_counterexample_and_one_plus_xy(self, counterexample):
-        assert certify_log_concavity_coefficients(counterexample) == CoefficientCertificate(
-            counterexample
+        assert certify_log_concavity_coefficients(counterexample) == LogConcavityCertificate(
+            "coefficient"
         )
         # M(0) = [[0, -1], [-1, 0]] is not PSD: the polynomial is not log-concave.
         assert certify_log_concavity_coefficients(one_plus_xy()) is None
@@ -562,10 +564,7 @@ class TestFullCheck:
         report = check_slc(counterexample, SampleConfig(points=100))
         assert isinstance(report.aggregate, Holds)
         assert isinstance(report.aggregate.certificate, SubsetCertificates)
-        kinds = {}
-        for a, verdict in report.subsets.items():
-            cert = verdict.certificate
-            kinds[a] = cert.kind if isinstance(cert, TrivialLogConcavity) else "dominance"
+        kinds = {a: verdict.certificate.kind for a, verdict in report.subsets.items()}
         assert kinds[0] == "dominance"
         assert all(kinds[1 << k] == "affine" for k in range(3))
         assert all(kinds[m] == "constant" for m in (0b011, 0b101, 0b110))
@@ -583,7 +582,7 @@ class TestFullCheck:
         report = check_slc(SubsetPoly.from_weights(2, {}))
         assert isinstance(report.aggregate, Holds)
         assert all(
-            v.certificate == TrivialLogConcavity("zero") for v in report.subsets.values()
+            v.certificate == LogConcavityCertificate("zero") for v in report.subsets.values()
         )
 
     def test_subset_count(self, counterexample):

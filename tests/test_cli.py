@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slcheck import SubsetPoly
+from slcheck import SubsetPoly, cli
 from slcheck.calculus import m_form
 from slcheck.cli import main
 from slcheck.distfile import (
@@ -19,6 +19,7 @@ from slcheck.distfile import (
     loads_distribution,
     parse_subset_key,
 )
+from slcheck.family import SweepConfig
 from conftest import product_measure, random_subset_poly
 
 
@@ -229,6 +230,9 @@ class TestCheckCommand:
         assert doc["subsets"]["{}"]["certificate"] == "coefficient matrix certificate"
         assert main(["check", str(path), "nlc"]) == 1
         capsys.readouterr()
+        path.write_text('{"n": 2, "coefficients": {"1,2": "3"}}')  # g = 3xy
+        assert main(["check", str(path), "slc"]) == 0
+        assert "A = {}: holds (trivially log-concave: monomial)" in capsys.readouterr().out
 
     def test_slc_violated(self, xy_file, capsys):
         code = main(["check", xy_file, "slc", "--samples", "50"])
@@ -499,6 +503,38 @@ class TestErrorPaths:
             assert code == 2, option
             assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
         assert not (tmp_path / "tables").exists()
+
+    def test_sweep_bounds_outside_the_floats(self, tmp_path, capsys):
+        # The tables write grid values as floats: one that overflows, or a
+        # step that rounds to zero, is refused before any cell is computed.
+        out_dir = tmp_path / "tables"
+        for options in (["--b-max", "1", "--c-max", "1", "--step", "1e400"],
+                        ["--b-max", "1e400", "--step", "1e399", "--c-max", "0"],
+                        ["--b-max", "2e-400", "--c-max", "0", "--step", "1e-400"]):
+            code = main(["sweep", *options, "--out", str(out_dir)])
+            out, err = capsys.readouterr()
+            assert code == 2, options
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+        assert not out_dir.exists()
+        with pytest.raises(ValueError, match="step"):
+            SweepConfig(step="1e400")
+
+    def test_unwritable_report_prints_nothing(self, counterexample_file, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.json"
+        assert main(["check", counterexample_file, "nlc", "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [Errno 2]") and err.count("\n") == 1, err
+
+    def test_unwritable_sweep_directory_runs_no_sweep(self, tmp_path, capsys, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("sweep ran before its output directory was made")
+
+        monkeypatch.setattr(cli, "sweep", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["sweep", "--out", str(blocker / "x")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
 
     def test_negative_weight_file(self, tmp_path, capsys):
         path = tmp_path / "neg.json"

@@ -10,9 +10,10 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
     and their blocks against that full table bit for bit, also on rank and
     matroid supports at n = 8..16, derivatives with dead variables, weights
     near 1e-400 and the zero polynomial;
-  * the integer M (`m_matrix`), its dominance gaps (`DominanceCertificate.
-    row_gaps`) and the decision against M built term by term in Fractions
-    on exponent tuples, apart from the package's key and product loop;
+  * the integer M (`m_matrix`), its dominance gaps (`m_row_gaps`, divided
+    by L^2 with `uncleared`) and the decision against M built term by term
+    in Fractions on exponent tuples, apart from the package's key and
+    product loop;
   * the coefficient matrices of M (`m_coefficient_matrices`), summed over
     their monomials at rational points, against `m_matrix`; the integer PSD
     test (`is_psd`) against every principal minor in Fractions; and the
@@ -67,10 +68,10 @@ from slcheck.calculus import (
     m_form,
     m_matrix,
     m_row_gaps,
+    uncleared,
 )
 from slcheck.checkers import (
-    CoefficientCertificate,
-    DominanceCertificate,
+    LogConcavityCertificate,
     PointWitness,
     SamplePoints,
     SampleStats,
@@ -387,22 +388,13 @@ class TestIntegerDominance:
                 tuple(SparsePoly.make(p.n, entry) for entry in row) for row in m
             ), p
             want = reference_gaps(m)
-            got = DominanceCertificate(p).row_gaps
+            got = tuple(uncleared(p, gap) for gap in m_row_gaps(p))
             assert got == tuple(SparsePoly.make(p.n, gap) for gap in want), p
             certified = certify_log_concavity_dominance(p) is not None
             assert certified == reference_certified(p, want), p
             outcomes[certified] += 1
         assert len(cases) >= 500
         assert min(outcomes.values()) >= 100, outcomes
-
-    def test_certificate_builds_matrix_on_read(self, raw_counterexample):
-        # The certificate holds only the polynomial; its gaps are formed when read.
-        cert = certify_log_concavity_dominance(raw_counterexample)
-        assert cert == DominanceCertificate(raw_counterexample)
-        assert "row_gaps" not in vars(cert)
-        gaps = cert.row_gaps
-        assert vars(cert)["row_gaps"] is gaps
-        assert gaps == DominanceCertificate(raw_counterexample).row_gaps
 
 
 def key_power(n: int, key: int, x) -> Fraction:
@@ -610,7 +602,7 @@ def reference_slc(p: SubsetPoly, cfg: SampleConfig) -> dict:
         elif reference_certified(q, reference_gaps(reference_m(q))):
             out[a] = "dominance"
         elif reference_minor_certified(q):
-            out[a] = "coefficients"
+            out[a] = "coefficient"
         else:
             out[a] = check_log_concavity_sampled(q, cfg, subset_mask=a)
     return out
@@ -630,10 +622,8 @@ class TestCheckSlc:
             assert set(report.subsets) == set(want)
             for a, expected in want.items():
                 got = report.subsets[a]
-                if expected in ("dominance", "coefficients"):
-                    certificate = {"dominance": DominanceCertificate,
-                                   "coefficients": CoefficientCertificate}
-                    assert got == Holds(certificate[expected](p.derivative_subset(a))), (p, a)
+                if expected in ("dominance", "coefficient"):
+                    assert got == Holds(LogConcavityCertificate(expected)), (p, a)
                     kinds.add(expected)
                     continue
                 assert type(got) is type(expected), (p, a)
@@ -648,7 +638,7 @@ class TestCheckSlc:
                 if trivial_log_concavity(q) is None and checkers.failing_diamond(q):
                     assert got == expected, (p, a)
                     fired.append(type(got).__name__)
-        assert kinds == {"Holds", "dominance", "coefficients", "Violated", "NoViolationFound"}
+        assert kinds == {"Holds", "dominance", "coefficient", "Violated", "NoViolationFound"}
         assert len(fired) >= 20 and set(fired) == {"Violated", "NoViolationFound"}, fired
 
 

@@ -71,6 +71,17 @@ def test_linalg_imports_nothing_from_the_package():
     assert package_imports((SRC / "linalg.py").read_text()) == []
 
 
+def test_checkers_reads_no_exact_polynomial_view():
+    # A certificate names the route that decided and holds nothing else, so
+    # checkers never forms M's entries or gaps as SparsePoly.
+    tree = ast.parse((SRC / "checkers.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.asname or a.name for n in ast.walk(tree)
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert names.isdisjoint({"SparsePoly", "uncleared", "cached_property"})
+
+
 # Read by no code in the package, on purpose: the traced names stay while the
 # benchmark's tracer wraps them, and eval_exact is the tests' exact reference.
 KEPT_UNREAD = {(t.module.removeprefix("slcheck."), t.attr) for t in traced_targets()} | {

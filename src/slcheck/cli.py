@@ -14,6 +14,7 @@ parse, or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,6 +39,7 @@ from .family import SweepConfig, emit_region_tables, sweep
 from .poly import format_fraction, format_subset
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slcheck",
@@ -89,9 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code is None:
             return 0

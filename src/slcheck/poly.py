@@ -10,9 +10,9 @@ in one form only, a dense tuple of 2**n Python integers over one common
 denominator (`SubsetPoly.cleared`), indexed by subset bitmask, where bit k
 of the mask stands for variable k+1.  Every constructor builds that form
 through the one dataclass constructor, which reduces it; the `Fraction`
-values (`SubsetPoly.coeffs`) are derived on demand, for printing and
-`eval_exact`.  All algebra and evaluation here is exact; float values of g
-and its derivatives come only from the derivative table of `calculus`.
+values (`SubsetPoly.coeffs`) are derived on demand, for `eval_exact`.  All
+algebra and evaluation here is exact; float values of g and its
+derivatives come only from the derivative table of `calculus`.
 `eval_exact` (at rational points, on both classes below) is read by no code
 in the package: it is the tests' exact reference.
 
@@ -253,9 +253,6 @@ class SubsetPoly:
             raise ValueError(f"cannot normalize: coefficient sum is {s}")
         return self.scale(1 / s)
 
-    def __str__(self) -> str:
-        return sparse_from_subset(self).__str__()
-
 
 def add_products(n: int, out: dict, f, h, sign: int) -> None:
     """Add sign * f * h into out under the monomial key, zero sums included.
@@ -328,9 +325,6 @@ class SparsePoly:
                     term *= v ** e
             total += term
         return total
-
-    def __str__(self) -> str:
-        return self.format()
 
     def format(self) -> str:
         """Deterministic rendering in x, y, z (x1..xn for n > 3), low degree terms first."""

@@ -222,6 +222,10 @@ class TestBatchEvaluation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow the floats"):
                 log_hessian_many(counterexample, np.full((4, 3), 1e160))
+            # g = 1 + x1 x2 = 2 here, but the log-Hessian holds x2^2 / g^2.
+            xy = SubsetPoly.from_weights(2, {0: 1, 0b11: 1})
+            with pytest.raises(ValueError, match="a log-Hessian is not finite"):
+                log_hessian_many(xy, np.array([[1e-200, 1e200]]))
 
     def test_refuses_points_where_g_squared_overflows(self, raw_counterexample):
         # At 1e120 g is about 1e240: finite, with a finite numerator, but g^2

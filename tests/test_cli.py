@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slcheck import SubsetPoly, cli
+from slcheck import SubsetPoly, cli, counterexample
 from slcheck.calculus import m_form
 from slcheck.cli import main
 from slcheck.distfile import (
@@ -19,7 +19,7 @@ from slcheck.distfile import (
     loads_distribution,
     parse_subset_key,
 )
-from slcheck.family import SweepConfig
+from slcheck.family import SweepConfig, make_family
 from conftest import product_measure, random_subset_poly
 
 
@@ -198,6 +198,11 @@ class TestCheckCommand:
         assert code == 0
         assert "verdict: NO VIOLATION FOUND" in out
         assert "points tested: 225" in out  # 125 grid + 100 draws
+        # One parser serves every call: an option given once is not kept.
+        assert main(["check", counterexample_file, "lc", "--samples", "0"]) == 0
+        assert "points tested: 125" in capsys.readouterr().out
+        assert main(["check", counterexample_file, "lc"]) == 0
+        assert "points tested: 2125" in capsys.readouterr().out
 
     def test_lc_violated(self, xy_file, capsys):
         code = main(["check", xy_file, "lc", "--samples", "50"])
@@ -354,6 +359,9 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main(["check", "file.json", "bogus"]) == 2
         capsys.readouterr()
+        assert main(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: slcheck") and err == ""
 
     def test_unallocatable_sample_count(self, xy_file, capsys, monkeypatch):
         # A --samples value whose point array cannot be allocated is refused
@@ -375,11 +383,15 @@ class TestErrorPaths:
             assert err.count("\n") == 1
         assert main(["check", xy_file, "lc", "--samples", "10"]) == 1  # violated, as unpatched
 
-    def test_bad_sweep_step(self, capsys):
+    def test_bad_sweep_step(self, tmp_path, capsys):
         code = main(["sweep", "--step", "0", "--out", "unused"])
         err = capsys.readouterr().err
         assert code == 2
         assert "step" in err
+        out_dir = tmp_path / "neg"
+        assert main(["sweep", "--b-max", "-1", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr() == ("", "error: parameter ranges must be nonnegative\n")
+        assert not out_dir.exists()
 
     def test_non_finite_sampling_options(self, tmp_path, capsys):
         path = tmp_path / "violated.json"
@@ -563,6 +575,22 @@ class TestReproCommand:
         code = main(["repro-counterexample"])
         assert code == 0
         assert capsys.readouterr().out == REPRO_OUTPUT
+
+    def test_fails_on_another_distribution(self, capsys, monkeypatch):
+        # At (1, 1) the lattice witness has other products, and no check holds;
+        # at (2, 1) the lattice condition holds.
+        monkeypatch.setattr(counterexample, "counterexample_distribution",
+                            lambda: make_family(1, 1))
+        assert main(["repro-counterexample"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:4] for line in lines[1:-1]] == ["FAIL"] * 5
+        assert lines[-1] == "result: EXPECTATIONS FAILED"
+        monkeypatch.setattr(counterexample, "counterexample_distribution",
+                            lambda: make_family(2, 1))
+        assert main(["repro-counterexample"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "FAIL lattice-condition-violated: expected a violation, got Holds"
+        assert lines[-1] == "result: EXPECTATIONS FAILED"
 
     def test_seed_option(self, capsys):
         # The replay is exact and draws no points, so it takes no seed.

@@ -51,6 +51,7 @@ class TestReferenceMatrix:
             },
         )
         assert r[0][0] == want
+        assert r[0][0].format() == "3 + 6*y + 6*z + 3*y^2 + 6*y*z + 3*z^2"
         # The (0, 1) entry lives in the missing variable z.
         assert r[0][1] == SparsePoly.make(3, {(0, 0, 0): -1, (0, 0, 1): 3, (0, 0, 2): 3})
         assert r[0][1] == r[1][0]

@@ -99,6 +99,9 @@ class TestSweep:
             SweepConfig(samples_per_cell=-1)
         with pytest.raises(ValueError, match="seed"):
             SweepConfig(seed=-1)
+        for field in ("b_max", "c_max"):
+            with pytest.raises(ValueError, match="parameter ranges must be nonnegative"):
+                SweepConfig(**{field: "-1"})
         for field in ("b_max", "c_max", "step"):
             with pytest.raises(ValueError, match="zero denominator"):
                 SweepConfig(**{field: "1/0"})

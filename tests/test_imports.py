@@ -71,15 +71,26 @@ def test_linalg_imports_nothing_from_the_package():
     assert package_imports((SRC / "linalg.py").read_text()) == []
 
 
+def names_in(tree: ast.AST) -> set[str]:
+    """Every name and attribute name that occurs in tree."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 def test_checkers_reads_no_exact_polynomial_view():
     # A certificate names the route that decided and holds nothing else, so
     # checkers never forms M's entries or gaps as SparsePoly.
     tree = ast.parse((SRC / "checkers.py").read_text())
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    names |= {a.asname or a.name for n in ast.walk(tree)
-              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    names = names_in(tree) | {a.asname or a.name for n in ast.walk(tree)
+                              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
     assert names.isdisjoint({"SparsePoly", "uncleared", "cached_property"})
+
+
+def test_subset_poly_reads_no_sparse_view():
+    # A SubsetPoly has no text form, so nothing in it converts to SparsePoly.
+    tree = ast.parse((SRC / "poly.py").read_text())
+    (body,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SubsetPoly"]
+    assert names_in(body).isdisjoint({"SparsePoly", "sparse_from_subset"})
 
 
 # Read by no code in the package, on purpose: the traced names stay while the

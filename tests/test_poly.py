@@ -347,10 +347,16 @@ class TestSparsePoly:
             SparsePoly.make(2, {(1, 0): 1, (1.9, 0): -1})
         assert SparsePoly.make(2, {(np.int64(1), 0): 1}) == SparsePoly.make(2, {(1, 0): 1})
         assert SparsePoly.make(2, {(2, 0): 1}).eval_exact((3, 5)) == 9
+        with pytest.raises(ValueError, match="length 3, expected 2"):
+            SparsePoly.make(2, {(1, 0, 0): 1})
+        with pytest.raises(ValueError, match="3 coordinates"):
+            SparsePoly.make(2, {(2, 0): 1}).eval_exact((3, 5, 7))
 
     def test_format_is_deterministic(self):
         q = SparsePoly.make(3, {(0, 1, 1): 6, (0, 1, 0): 3, (0, 0, 1): 3, (0, 0, 0): 1})
         assert q.format() == "1 + 3*y + 3*z + 6*y*z"
+        assert SparsePoly(3, {}).format() == "0"
+        assert SparsePoly.make(3, {(1, 0, 0): 1, (0, 2, 0): -1}).format() == "x - y^2"
 
     def test_canonical_zero_dropping(self):
         q = SparsePoly.make(2, {(1, 0): 1})

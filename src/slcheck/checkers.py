@@ -9,22 +9,26 @@ Three verdict shapes cover every check:
 Sampling can only ever falsify.  A Holds verdict always traces back to an
 exact argument: exhaustive enumeration for the lattice condition, a
 coefficient-wise diagonal dominance certificate, a coefficient-matrix
-certificate (at n <= 3), or membership in a class that is log-concave for
-structural reasons (zero, constant, a single monomial, or an affine
+certificate (at n <= 3), a split into affine factors on disjoint
+variables (`factor_blocks`), or membership in a class that is log-concave
+for structural reasons (zero, constant, a single monomial, or an affine
 polynomial), which `trivial_log_concavity` alone decides, from the nonzero
-coefficients.  `check_slc` takes every class and both certificates;
-`check_log_concavity_sampled` takes all but the affine class, and neither
-certificate.  Per derivative subset `check_slc` runs triviality, then the
+coefficients.  `check_slc` takes every class and both certificates, but
+not the factor split; `check_log_concavity`, which `check FILE lc` runs,
+takes all but the affine class, then the factor split, and samples the
+rest; `check_log_concavity_sampled` takes all but the affine class, and
+nothing else.  Per derivative subset `check_slc` runs triviality, then the
 diamond pre-check (`failing_diamond`), then dominance, then coefficient
 matrices at n <= 3, then sampling; a failing diamond at the origin rules
 both certificates out, so such a subset goes straight to sampling.
 
 The lattice scan, the diamond pre-check, the dominance certificate
-(`calculus.m_row_gaps`) and the coefficient-matrix certificate
-(`calculus.m_coefficient_matrices`) decide on the integer coefficients of
-`SubsetPoly.cleared`, the one form a polynomial stores (a derivative
-subset's is a slice of p's), and triviality on their nonzero masks.  All
-three log-concavity routes return one `LogConcavityCertificate`, whose kind
+(`calculus.m_row_gaps`), the coefficient-matrix certificate
+(`calculus.m_coefficient_matrices`) and the factor split decide on the
+integer coefficients of `SubsetPoly.cleared`, the one form a polynomial
+stores (a derivative subset's is a slice of p's), and triviality on their
+nonzero masks.  All four log-concavity routes return one
+`LogConcavityCertificate`, whose kind
 names the route that decided; it holds nothing else, not the polynomial.
 Sampling reads every log-Hessian from the derivative table of `calculus`
 and only flags points: an LDL^T screen of s I - H just under the threshold
@@ -83,7 +87,8 @@ class LogConcavityCertificate:
     kind names the argument: 'zero', 'constant', 'monomial' or 'affine'
     from `trivial_log_concavity`, 'dominance' from
     `certify_log_concavity_dominance`, 'coefficient' from
-    `certify_log_concavity_coefficients`; each gives its reason.
+    `certify_log_concavity_coefficients`, 'factor' from
+    `certify_log_concavity_factors`; each gives its reason.
     """
 
     kind: str
@@ -528,6 +533,82 @@ def certify_log_concavity_coefficients(
     if all(is_psd(m) for m in m_coefficient_matrices(p, rows).values()):
         return LogConcavityCertificate("coefficient")
     return None
+
+
+# ----- factors on disjoint variables ----------------------------------------------
+
+
+def factor_blocks(p: SubsetPoly) -> tuple[int, ...] | None:
+    """The blocks of an exact split of g into factors on disjoint variables.
+
+    Needs p(empty) > 0.  Variables i and j share a block when
+    p(empty) p({i, j}) != p({i}) p({j}), closed under transitivity.  The
+    split is then verified on the integers w of `SubsetPoly.cleared`: for
+    every S not inside one block, w[S] w[empty] = w[S & I] w[S - I], with I
+    the block of S's lowest variable.  By induction on the blocks S meets,
+    p(S) p(empty)^(k-1) = prod_b p(S & I_b) over all k blocks, so
+    g = p(empty)^(1-k) prod_b g_b with g_b = sum over T inside I_b of
+    p(T) x^T.  Returns the block masks in order of their lowest variable,
+    at least two of them, or None when p(empty) = 0, the pairs leave one
+    block, or the check fails for some S (which proves nothing).
+    """
+    w = p.cleared[0]
+    w0 = w[0]
+    if not w0:
+        return None
+    block_of = [1 << i for i in range(p.n)]
+    for i, j in itertools.combinations(range(p.n), 2):
+        if w0 * w[1 << i | 1 << j] != w[1 << i] * w[1 << j]:
+            joined = block_of[i] | block_of[j]
+            for k in range(p.n):
+                if joined >> k & 1:
+                    block_of[k] = joined
+    blocks = tuple(dict.fromkeys(block_of))
+    if len(blocks) < 2:
+        return None
+    for s in range(1, len(w)):
+        inside = s & block_of[(s & -s).bit_length() - 1]
+        if inside != s and w[s] * w0 != w[inside] * w[s ^ inside]:
+            return None
+    return blocks
+
+
+def certify_log_concavity_factors(p: SubsetPoly) -> LogConcavityCertificate | None:
+    """Try to prove log-concavity from a split into affine factors, exactly.
+
+    With the blocks of `factor_blocks`, each factor g_b is affine when no
+    T inside I_b with two or more variables has a weight.  Then g_b is
+    p(empty) plus nonnegative linear terms, positive on the open orthant,
+    so log g_b is concave there, and log g is a constant plus their sum.
+    Returns None when g does not split or some factor is not affine
+    (which proves nothing).
+    """
+    blocks = factor_blocks(p)
+    if blocks is None:
+        return None
+    w = p.cleared[0]
+    for block in blocks:
+        t = block
+        while t:
+            if t & (t - 1) and w[t]:
+                return None
+            t = (t - 1) & block
+    return LogConcavityCertificate("factor")
+
+
+def check_log_concavity(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> Verdict:
+    """Decide or test log-concavity of g itself, as `check FILE lc` does.
+
+    The zero, constant and single-monomial classes hold at once, then a
+    split into affine factors (`certify_log_concavity_factors`) holds
+    exactly; every other input goes to `check_log_concavity_sampled`,
+    an affine g on one block included.
+    """
+    if len(p.nonzero_masks) > 1:
+        cert = certify_log_concavity_factors(p)
+        if cert is not None:
+            return Holds(cert)
+    return check_log_concavity_sampled(p, cfg)
 
 
 # ----- full strong log-concavity check -------------------------------------------

@@ -28,7 +28,7 @@ from .checkers import (
     SlcReport,
     Verdict,
     Violated,
-    check_log_concavity_sampled,
+    check_log_concavity,
     check_nlc,
     check_slc,
     exit_code,
@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "property",
         choices=("nlc", "lc", "slc"),
-        help="nlc: exact lattice condition; lc: sampled log-concavity of g; "
-        "slc: every derivative subset",
+        help="nlc: exact lattice condition; lc: log-concavity of g, exact for a "
+        "product of affine factors and sampled otherwise; slc: every derivative subset",
     )
     p_check.add_argument(
         "--samples", type=int, default=SampleConfig.points, help="random points per polynomial"
@@ -133,7 +133,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report.update(_jsonable_slc(slc))
         code = exit_code(slc.aggregate)
     else:
-        verdict = check_nlc(p) if args.property == "nlc" else check_log_concavity_sampled(p, cfg)
+        verdict = check_nlc(p) if args.property == "nlc" else check_log_concavity(p, cfg)
         lines += _render_verdict(verdict)
         report.update(_jsonable_verdict(verdict))
         code = exit_code(verdict)
@@ -161,6 +161,7 @@ def _render_verdict(v: Verdict) -> list[str]:
 _CERTIFICATE_NAMES = {
     "dominance": "diagonal dominance certificate",
     "coefficient": "coefficient matrix certificate",
+    "factor": "product of affine factors",
 }
 
 

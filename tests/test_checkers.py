@@ -1,8 +1,9 @@
 """Lattice condition, sampled log-concavity, dominance and coefficient-matrix certificates,
-full check."""
+the factor route, full check."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -18,6 +19,7 @@ from slcheck import (
     SampleConfig,
     SubsetPoly,
     Violated,
+    check_log_concavity,
     check_nlc,
     check_slc,
 )
@@ -30,8 +32,10 @@ from slcheck.checkers import (
     SubsetCertificates,
     certify_log_concavity_dominance,
     certify_log_concavity_coefficients,
+    certify_log_concavity_factors,
     check_log_concavity_sampled,
     exit_code,
+    factor_blocks,
     format_fraction_pair,
     grid_points,
     trivial_log_concavity,
@@ -517,6 +521,107 @@ class TestCoefficientCertificate:
         assert certify_log_concavity_dominance(p) is None
         # The zero polynomial has no logarithm to be concave.
         assert certify_log_concavity_coefficients(SubsetPoly.from_weights(3, {})) is None
+
+
+def random_block_product(rng: np.random.Generator, n: int) -> SubsetPoly:
+    """A product of random polynomials on a random partition of the n variables.
+
+    Some weights are zero, about half the inputs are scaled by 10**-400,
+    and about 30% have one coefficient changed afterwards.
+    """
+    labels = [int(rng.integers(0, n)) for _ in range(n)]
+    blocks = [b for b in (sum(1 << i for i in range(n) if labels[i] == k) for k in range(n)) if b]
+    weights = {0: Fraction(1)}
+    for block in blocks:
+        bits = [1 << i for i in range(n) if block >> i & 1]
+        f = random_subset_poly(rng, len(bits), zero_prob=float(rng.choice([0.0, 0.3])))
+        spread = [sum(b for k, b in enumerate(bits) if t >> k & 1) for t in range(1 << len(bits))]
+        weights = {m | spread[t]: w * c for m, w in weights.items() for t, c in enumerate(f.coeffs)}
+    if rng.random() < 0.3:
+        weights[int(rng.integers(0, 1 << n))] += Fraction(int(rng.integers(1, 5)))
+    p = SubsetPoly.from_weights(n, weights)
+    if rng.random() < 0.5:
+        p = p.scale(Fraction(1, 10**400))
+    return p
+
+
+def one_block_triple() -> SubsetPoly:
+    """1 + x + y + z + xy + xz + yz + 2xyz: every pair factors, the triple does not."""
+    return SubsetPoly.from_weights(3, {m: 2 if m == 0b111 else 1 for m in range(8)})
+
+
+class TestFactorRoute:
+    def test_splits_are_exact(self):
+        # Every split returned is checked against p(S) p(empty)^(k-1) = prod_b p(S & I_b)
+        # in rationals, for every S; a certificate only where every factor is affine.
+        rng = np.random.default_rng(61)
+        splits = certified = 0
+        for _ in range(4000):
+            n = int(rng.integers(1, 8))
+            p = random_block_product(rng, n)
+            blocks = factor_blocks(p)
+            cert = certify_log_concavity_factors(p)
+            if blocks is None:
+                assert cert is None, p
+                continue
+            splits += 1
+            assert len(blocks) >= 2 and sum(blocks) == (1 << n) - 1
+            assert all(a & b == 0 for a, b in itertools.combinations(blocks, 2))
+            e = p.coeffs
+            for s in range(1 << n):
+                assert e[s] * e[0] ** (len(blocks) - 1) == math.prod(e[s & b] for b in blocks), p
+            affine = all(e[t] == 0 for b in blocks for t in range(1 << n)
+                         if t & b == t and bin(t).count("1") >= 2)
+            assert (cert == LogConcavityCertificate("factor")) == affine, p
+            certified += affine
+        assert splits >= 1000 and certified >= 300, (splits, certified)
+
+    def test_refusals(self):
+        # p(empty) = 0, a single variable, and a triple whose pairs all factor.
+        no_empty = SubsetPoly.from_weights(2, {1: 1, 2: 1, 3: 1})
+        single = SubsetPoly.from_weights(1, {0: 1, 1: 2})
+        for p in (no_empty, single, one_block_triple()):
+            assert factor_blocks(p) is None
+            assert certify_log_concavity_factors(p) is None
+            assert isinstance(check_log_concavity(p, SampleConfig(points=50)), NoViolationFound)
+        # 1 + 2x + 3y is affine on one block, so it is sampled; 1 + 2x on two is not.
+        assert factor_blocks(SubsetPoly.from_weights(2, {0: 1, 1: 2, 2: 3})) is None
+        assert factor_blocks(SubsetPoly.from_weights(2, {0: 1, 1: 2})) == (1, 2)
+
+    def test_one_changed_weight_is_refused(self):
+        # Doubling the full set's weight breaks only the identity at S = {1,2,3}.
+        p = product_measure([Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)])
+        weights = dict(enumerate(p.coeffs))
+        assert factor_blocks(SubsetPoly.from_weights(3, weights)) == (1, 2, 4)
+        weights[0b111] *= 2
+        assert factor_blocks(SubsetPoly.from_weights(3, weights)) is None
+
+    def test_non_affine_block_is_not_certified(self):
+        # (1 + xy)(1 + z) splits into {x, y} and {z}, but 1 + xy is not log-concave.
+        p = SubsetPoly.from_weights(3, {0: 1, 0b011: 1, 0b100: 1, 0b111: 1})
+        assert factor_blocks(p) == (0b011, 0b100)
+        assert certify_log_concavity_factors(p) is None
+        assert isinstance(check_log_concavity(p, SampleConfig(points=50)), Violated)
+
+    def test_scale_invariance(self):
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            p = random_block_product(rng, int(rng.integers(2, 6)))
+            want = factor_blocks(p), certify_log_concavity_factors(p)
+            for q in (p.normalize(), p.scale(int(rng.integers(2, 1000)))):
+                assert (factor_blocks(q), certify_log_concavity_factors(q)) == want
+
+    def test_trivial_classes_keep_their_kinds(self):
+        # A constant or monomial would split too; its own kind comes first.
+        for weights, kind in (({}, "zero"), ({0: 3}, "constant"), ({0b11: 5}, "monomial")):
+            verdict = check_log_concavity(SubsetPoly.from_weights(2, weights))
+            assert verdict == Holds(LogConcavityCertificate(kind))
+        assert factor_blocks(SubsetPoly.from_weights(2, {0: 3})) == (1, 2)
+
+    def test_product_measure_is_not_sampled(self, monkeypatch):
+        p = product_measure([Fraction(k, 10) for k in range(1, 10)])
+        monkeypatch.setattr(checkers, "check_log_concavity_sampled", pytest.fail)
+        assert check_log_concavity(p) == Holds(LogConcavityCertificate("factor"))
 
 
 class TestDiamondPreCheck:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slcheck import SubsetPoly, cli, counterexample
+from slcheck import SubsetPoly, calculus, checkers, cli, counterexample
 from slcheck.calculus import m_form
 from slcheck.cli import main
 from slcheck.distfile import (
@@ -315,6 +315,52 @@ class TestCheckCommand:
         assert "verdict: NO VIOLATION FOUND" in capsys.readouterr().out.splitlines()
         assert main(["check", str(path), "slc"]) == 0
         assert "A = {}: holds (trivially log-concave: affine)" in capsys.readouterr().out.splitlines()
+
+    def test_lc_product_holds_by_factors(self, tmp_path, capsys):
+        p = product_measure([Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(3, 4)])
+        path = tmp_path / "product.json"
+        path.write_text(document(p))
+        report_path = tmp_path / "product-report.json"
+        assert main(["check", str(path), "lc", "--report", str(report_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "verdict: HOLDS (product of affine factors)"
+        assert json.loads(report_path.read_text()) == {
+            "property": "lc", "n": 4, "verdict": "holds",
+            "certificate": "product of affine factors",
+        }
+        assert main(["check", str(path), "lc", "--normalize"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == out[2:]
+
+    def test_lc_affine_on_two_blocks_is_no_trivial_kind(self, tmp_path, capsys):
+        # 1 + 2x in two variables splits into {x} and {y}: the factor route
+        # decides it, and lc never prints the affine class that slc does.
+        path = tmp_path / "affine-x.json"
+        path.write_text('{"n": 2, "coefficients": {"": "1", "1": "2"}}')
+        assert main(["check", str(path), "lc"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: HOLDS (product of affine factors)" in out.splitlines()
+        assert "trivially log-concave:" not in out
+
+    def test_lc_product_at_sixteen_variables_builds_no_table(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # p(S) = prod_{i in S} (i + 1), that is g = prod_i (1 + (i + 1) x_i).
+        w = [1] * (1 << 16)
+        for m in range(1, 1 << 16):
+            low = m & -m
+            w[m] = w[m ^ low] * low.bit_length()
+        path = tmp_path / "p16.json"
+        path.write_text(json.dumps({"n": 16, "coefficients": {f"mask:{m}": str(c)
+                                                                for m, c in enumerate(w)}}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a derivative table was built")
+
+        monkeypatch.setattr(calculus, "log_hessian_many", refuse)
+        monkeypatch.setattr(checkers, "log_hessian_many", refuse)
+        assert main(["check", str(path), "lc"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "verdict: HOLDS (product of affine factors)"
+        )
 
     def test_seed_and_box_accepted(self, counterexample_file, capsys):
         code = main(

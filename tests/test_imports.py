@@ -153,6 +153,7 @@ PUBLIC = {
     "SubsetPoly",
     "Violated",
     "__version__",
+    "check_log_concavity",
     "check_nlc",
     "check_slc",
 }
@@ -173,4 +174,8 @@ def test_public_surface():
 def test_readme_library_snippet_runs():
     section = (ROOT / "README.md").read_text().split("\n## Library\n")[1].split("\n## ")[0]
     (snippet,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    imported = {alias.name for node in ast.walk(ast.parse(snippet))
+                if isinstance(node, ast.ImportFrom) and node.module == "slcheck"
+                for alias in node.names}
+    assert imported == PUBLIC - {"__version__"}
     exec(compile(snippet, "README.md", "exec"), {})

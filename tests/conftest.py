@@ -7,14 +7,17 @@ independent checks.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from slcheck import SubsetPoly
-from slcheck.poly import RationalLike, as_fraction
+from slcheck.distfile import DistributionFormatError
+from slcheck.poly import MAX_VARS, RationalLike, as_fraction, format_subset
 
 
 def random_fraction(rng: np.random.Generator, max_num: int = 9, max_den: int = 7) -> Fraction:
@@ -174,6 +177,101 @@ def reference_log_hessians(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     out -= grad[:, :, None] * grad[:, None, :]
     out /= g * g
     return out
+
+
+# ----- the reference reader of distribution documents --------------------------
+#
+# The reader distfile had before it parsed weights straight into integers: a
+# regex key parser, as_fraction per weight, then SubsetPoly.from_weights.  It
+# still strips Unicode whitespace around a key and reads "mask:-0" as the
+# empty set, which distfile now refuses.
+
+_REFERENCE_KEY_CHARS = re.compile(r"(mask:)?[-0-9,\s]*", re.ASCII)
+
+
+def reference_parse_subset_key(key: str, n: int) -> int:
+    key = key.strip()
+    if not _REFERENCE_KEY_CHARS.fullmatch(key):
+        raise DistributionFormatError(f"bad subset key {key!r}")
+    if key.startswith("mask:"):
+        body = key[len("mask:") :].strip()
+        try:
+            mask = int(body)
+        except ValueError:
+            raise DistributionFormatError(f"bad bitmask key {key!r}") from None
+        if not 0 <= mask < (1 << n):
+            raise DistributionFormatError(f"bitmask {mask} out of range for n={n}")
+        return mask
+    if key == "":
+        return 0
+    mask = 0
+    last = 0
+    for piece in key.split(","):
+        try:
+            idx = int(piece.strip())
+        except ValueError:
+            raise DistributionFormatError(f"bad subset key {key!r}") from None
+        if not 1 <= idx <= n:
+            raise DistributionFormatError(f"index {idx} out of range 1..{n} in key {key!r}")
+        if idx <= last:
+            raise DistributionFormatError(
+                f"subset key {key!r} must list strictly increasing indices"
+            )
+        mask |= 1 << (idx - 1)
+        last = idx
+    return mask
+
+
+def _reference_unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DistributionFormatError(f"key {key!r} given twice in one JSON object")
+        doc[key] = value
+    return doc
+
+
+def reference_loads_distribution(text: str) -> SubsetPoly:
+    try:
+        doc = json.loads(text, object_pairs_hook=_reference_unique_keys)
+    except DistributionFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise DistributionFormatError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DistributionFormatError("top level must be a JSON object")
+    for field in doc:
+        if field not in ("n", "coefficients"):
+            raise DistributionFormatError(f"unknown field {field!r}, not 'n' or 'coefficients'")
+    if "n" not in doc:
+        raise DistributionFormatError("missing integer field 'n'")
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DistributionFormatError(f"'n' must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_VARS:
+        raise DistributionFormatError(f"'n' must be in 1..{MAX_VARS}, got {n}")
+    if "coefficients" not in doc:
+        raise DistributionFormatError("missing object field 'coefficients'")
+    raw = doc["coefficients"]
+    if not isinstance(raw, dict):
+        raise DistributionFormatError("'coefficients' must be an object")
+    weights: dict[int, Fraction] = {}
+    for key, value in raw.items():
+        mask = reference_parse_subset_key(key, n)
+        if mask in weights:
+            raise DistributionFormatError(f"subset {format_subset(mask)} given twice")
+        if not isinstance(value, str):
+            raise DistributionFormatError(
+                f"value for key {key!r} must be a rational string, got {value!r}"
+            )
+        try:
+            weight = as_fraction(value)
+        except ValueError as exc:
+            raise DistributionFormatError(f"bad rational {value!r}: {exc}") from None
+        if weight < 0:
+            raise DistributionFormatError(f"negative weight {value!r} for key {key!r}")
+        weights[mask] = weight
+    return SubsetPoly.from_weights(n, weights)
 
 
 # ----- brute force lattice condition -----------------------------------------

@@ -26,10 +26,10 @@ Both the float and the exact side work on the coefficient vector directly.
     `eval_many`, which no check calls, reads row 0 of one table.
   * Exact: `cleared_m_rows` forms M once, times L^2, from products of the
     integer coefficients of `SubsetPoly.cleared` (`poly.add_products`,
-    under `SparsePoly`'s monomial key).  `m_row_gaps` reads it and yields
-    the diagonal dominance gap of each row, on which the dominance
-    certificate decides; `m_matrix` and the counterexample replay's row-1
-    gap are the same integers divided by L^2 (`uncleared`).
+    under its monomial key).  `m_row_gaps` reads it and yields the
+    diagonal dominance gap of each row, on which the dominance certificate
+    decides, and the counterexample replay compares both with its
+    references on these integers.
     `m_coefficient_matrices` groups the same integers by monomial into one
     symmetric integer matrix M_a per key, M(x) = sum_a x^a M_a / L^2, and
     `is_psd` decides each exactly for the coefficient-matrix certificate.  M's rows come full
@@ -40,9 +40,8 @@ Both the float and the exact side work on the coefficient vector directly.
     coefficients at a float point, read as exact dyadic rationals, and
     returns the exact sign of v^T M(x) v, which proves a sampled violation.
 
-No check runs `m_matrix`: it serves the counterexample replay and the
-tests, as rows of `SparsePoly` entries that are evaluated only exactly
-(`SparsePoly.eval_exact`).
+No code in the package calls `m_matrix`, the same integers divided by L^2
+as rows of `SparsePoly` entries: the tests read it.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,8 +240,8 @@ Rows = Iterable[list[dict[int, int]]]
 def cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
     """Row by row, the entries L^2 M_ij, as integer dicts.
 
-    L clears the denominators of p (`SubsetPoly.cleared`), so M
-    scales by L^2, and each dict is keyed by `SparsePoly`'s monomial key.
+    L clears the denominators of p (`SubsetPoly.cleared`), so M scales by
+    L^2, and each dict is keyed by `poly.add_products`'s monomial key.
     Row i is formed only when it is asked for, and is full: its entry j < i
     is the dict that row j built, so M_ij and M_ji are one object, formed
     once.
@@ -263,12 +262,6 @@ def cleared_m_rows(p: SubsetPoly) -> Iterator[list[dict[int, int]]]:
         yield row
 
 
-def uncleared(p: SubsetPoly, cleared: Mapping[int, int]) -> SparsePoly:
-    """An entry of `cleared_m_rows` or a gap of `m_row_gaps`, divided by L^2."""
-    scale = p.cleared[1] ** 2
-    return SparsePoly(p.n, {key: Fraction(c, scale) for key, c in cleared.items() if c})
-
-
 def m_matrix(p: SubsetPoly) -> tuple[tuple[SparsePoly, ...], ...]:
     """The polynomial matrix grad g grad g^T - g * D2g, exactly, as rows.
 
@@ -278,7 +271,13 @@ def m_matrix(p: SubsetPoly) -> tuple[tuple[SparsePoly, ...], ...]:
     squared first derivatives.  The entries are those of `cleared_m_rows`,
     which the dominance decision reads, divided by L^2.
     """
-    return tuple(tuple(uncleared(p, entry) for entry in row) for row in cleared_m_rows(p))
+    return tuple(
+        tuple(
+            SparsePoly(p.n, {key: Fraction(c, p.cleared[1] ** 2) for key, c in entry.items() if c})
+            for entry in row
+        )
+        for row in cleared_m_rows(p)
+    )
 
 
 def m_row_gaps(p: SubsetPoly, rows: Rows | None = None) -> Iterator[dict[int, int]]:
@@ -286,7 +285,7 @@ def m_row_gaps(p: SubsetPoly, rows: Rows | None = None) -> Iterator[dict[int, in
 
     Yields for each i the coefficients of L^2 (M_ii - sum_{j != i} |M_ij|),
     with |.| taken coefficient-wise after like terms are combined, under
-    `SparsePoly`'s monomial key.  Reads the rows of `cleared_m_rows(p)`, or
+    `poly.add_products`'s monomial key.  Reads the rows of `cleared_m_rows(p)`, or
     rows when a caller passes an iterator over them, one at a time, so a
     caller that stops at the first failing row pays for that row only.
     """
@@ -303,7 +302,7 @@ def m_coefficient_matrices(p: SubsetPoly, rows: Rows | None = None) -> dict[int,
     """L^2 M grouped by monomial: M(x) = sum over keys a of x^a M_a / L^2.
 
     M_a is the symmetric n x n integer matrix of the coefficients of x^a in
-    the entries of `cleared_m_rows`, keyed by `SparsePoly`'s monomial key,
+    the entries of `cleared_m_rows`, keyed by `add_products`'s monomial key,
     or of rows when a caller passes them in.  A key appears when some
     entry has a nonzero coefficient there.
     """

@@ -273,8 +273,9 @@ class SampleConfig:
     points log-uniform samples are drawn from box[0]..box[1] per coordinate,
     on top of a fixed deterministic grid.  tolerance is relative: at each
     point the largest log-Hessian eigenvalue may not exceed
-    tolerance * (1 + max |H entry|).  seed is None, a nonnegative integer
-    (numpy's too) or a nonempty tuple of them.
+    tolerance * (1 + max |H entry|).  seed is a nonnegative integer (numpy's
+    too) or a nonempty tuple of them; None, which would draw from OS
+    entropy, is refused, so every run can be repeated.
     Construction stores box as two floats, points as an int and tolerance
     as a float whose zero is +0.0, and refuses an invalid configuration.
     """
@@ -300,11 +301,11 @@ class SampleConfig:
         object.__setattr__(self, "tolerance", abs(float(self.tolerance)))
         entries = self.seed if isinstance(self.seed, tuple) else (self.seed,)
         try:
-            ok = self.seed is None or entries and min(map(operator.index, entries)) >= 0
+            ok = entries and min(map(operator.index, entries)) >= 0
         except TypeError:
             ok = False
         if not ok:
-            raise ValueError(f"bad seed {self.seed!r}: not None, an int >= 0 or a tuple of them")
+            raise ValueError(f"bad seed {self.seed!r}: not an int >= 0 or a tuple of them")
 
 
 @lru_cache(maxsize=None)
@@ -402,7 +403,7 @@ def check_log_concavity_sampled(
     cfg: SampleConfig = SampleConfig(),
     *,
     subset_mask: int = 0,
-    points: SamplePoints | np.ndarray | None = None,
+    points: SamplePoints | None = None,
 ) -> Verdict:
     """Search positive points for a non-NSD log-Hessian.
 
@@ -419,8 +420,9 @@ def check_log_concavity_sampled(
     runs only on the points `nsd_screen` does not clear, which it proves it
     would not flag.  min_margin is the smallest pivot the screen met over
     every tested point (inf when none was).  subset_mask only labels the
-    witness; the polynomial passed in is checked as is.  points are the
-    rows to scan, in order: by default a fresh SamplePoints(p.n, cfg).
+    witness; the polynomial passed in is checked as is.  points is the
+    SamplePoints to scan, in order, by default a fresh SamplePoints(p.n,
+    cfg); the scan reads only its length and its row slices.
     """
     if len(p.nonzero_masks) <= 1:
         return Holds(trivial_log_concavity(p))

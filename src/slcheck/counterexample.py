@@ -13,10 +13,15 @@ about it is verified exactly, with no float and no seed:
     matrix is grad grad^T = (3/22)^2 E with E = [[0,0,0],[0,1,1],[0,1,1]],
     and -(1 + y + z)^2 times its log-Hessian is E, of eigenvalues {0, 0, 2};
   * the M matrix equals a single positive rational multiple of a
-    reference matrix, written as the polynomials 3(u + v + 1)^2 and
+    reference matrix, written as the polynomials 3(1 + u + v)^2 and
     3w^2 + 3w - 1, and its row-1 dominance gap (`calculus.m_row_gaps`, the
     first the certificate's decision read) is that same multiple of
-    6yz + 3y + 3z + 1.
+    1 + 3y + 3z + 6yz.
+
+Every M here is compared on the integers the certificates read: L^2 M from
+`calculus.cleared_m_rows`, against references kept as integer coefficient
+dicts under the monomial key of `poly.add_products`, which builds them.
+Each multiple found is divided by L^2 once, for the report.
 
 `run_reproduction` replays all of that and reports each expectation.
 """
@@ -26,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import m_matrix, m_row_gaps, uncleared
+from .calculus import Rows, cleared_m_rows, m_row_gaps
 from .checkers import Holds, LogConcavityCertificate, Violated, check_nlc, check_slc
-from .poly import SparsePoly, SubsetPoly
+from .poly import SubsetPoly, add_products
 
 EXPECTED_NLC_LHS = Fraction(9, 484)
 EXPECTED_NLC_RHS = Fraction(12, 484)
@@ -45,45 +50,59 @@ def counterexample_distribution() -> SubsetPoly:
     return counterexample_weights().normalize()
 
 
-def reference_matrix() -> tuple[tuple[SparsePoly, ...], ...]:
+def _poly(*products: tuple[int, dict[int, int], dict[int, int]]) -> dict[int, int]:
+    """The sum of sign * f * h over (sign, f, h), as integers under the monomial key.
+
+    f and h map subset masks to integer coefficients (multi-affine
+    polynomials in three variables); `poly.add_products` forms each product.
+    """
+    out: dict[int, int] = {}
+    for sign, f, h in products:
+        add_products(3, out, f.items(), h.items(), sign)
+    return out
+
+
+def reference_matrix() -> list[list[dict[int, int]]]:
     """Hard-coded reference form of the M matrix, up to a positive scalar, as rows.
 
-    Diagonal entries are 3(u + v + 1)^2 = 3u^2 + 6uv + 3v^2 + 6u + 6v + 3
-    in the two other variables; off-diagonal entries are 3w^2 + 3w - 1 in
-    the variable missing from the row/column pair.  The reproduction checks
-    that m_matrix of the normalized distribution is exactly a positive
-    rational multiple of this.
+    Diagonal entries are 3(1 + u + v)^2 in the two other variables;
+    off-diagonal entries are 3w^2 + 3w - 1 in the variable missing from the
+    row/column pair.  The reproduction checks that the integers L^2 M of
+    `cleared_m_rows` for the normalized distribution are exactly a positive
+    rational multiple of this (3 times it, so M is 3/484 times it).
     """
-    def entry(i: int, j: int) -> SparsePoly:
-        if i == j:  # monomials as tuples of 0-based variables, one per factor
-            u, v = (k for k in range(3) if k != i)
-            terms = {(u, u): 3, (u, v): 6, (v, v): 3, (u,): 6, (v,): 6, (): 3}
-        else:
-            w = 3 - i - j
-            terms = {(w, w): 3, (w,): 3, (): -1}
-        return SparsePoly.make(3, {tuple(m.count(k) for k in range(3)): c for m, c in terms.items()})
+    def entry(i: int, j: int) -> dict[int, int]:
+        if i == j:
+            u, v = (1 << k for k in range(3) if k != i)
+            f = {0: 1, u: 1, v: 1}
+            return _poly((3, f, f))
+        w = 1 << (3 - i - j)
+        return _poly((3, {w: 1}, {w: 1, 0: 1}), (-1, {0: 1}, {0: 1}))
 
-    return tuple(tuple(entry(i, j) for j in range(3)) for i in range(3))
-
-
-def reference_row_gap() -> SparsePoly:
-    """Row-1 dominance gap of the reference matrix: 6yz + 3y + 3z + 1."""
-    return SparsePoly.make(
-        3, {(0, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 3, (0, 1, 1): 6}
-    )
+    return [[entry(i, j) for j in range(3)] for i in range(3)]
 
 
-def proportionality_scalar(
-    m: tuple[tuple[SparsePoly, ...], ...], r: tuple[tuple[SparsePoly, ...], ...]
-) -> Fraction | None:
-    """The single positive rational q with m == q * r, if one exists."""
-    first = next(((e, key, c) for m_row, r_row in zip(m, r) for e, f in zip(m_row, r_row)
-                  for key, c in f.terms.items()), None)
+def reference_row_gap() -> tuple[str, dict[int, int]]:
+    """Row-1 dominance gap of the reference matrix, as text and as integers."""
+    return "1 + 3*y + 3*z + 6*y*z", _poly((1, {0: 1}, {0: 1, 0b010: 3, 0b100: 3, 0b110: 6}))
+
+
+def proportionality_scalar(m: Rows, r: Rows) -> Fraction | None:
+    """The single positive rational q with m == q * r, entry for entry, if one exists.
+
+    m and r are rows of integer dicts under the monomial key; zero
+    coefficients are ignored, as `cleared_m_rows` keeps zero sums.
+    """
+    pairs = [
+        ({k: c for k, c in a.items() if c}, {k: c for k, c in b.items() if c})
+        for m_row, r_row in zip(m, r, strict=True)
+        for a, b in zip(m_row, r_row, strict=True)
+    ]
+    first = next(((a.get(k, 0), c) for a, b in pairs for k, c in b.items()), None)
     if first is None:
         return None
-    e, key, c = first
-    q = e.terms.get(key, 0) / c
-    return q if q > 0 and m == tuple(tuple(f * q for f in row) for row in r) else None
+    q = Fraction(*first)
+    return q if q > 0 and all(a == {k: c * q for k, c in b.items()} for a, b in pairs) else None
 
 
 # ----- reproduction -------------------------------------------------------------
@@ -152,9 +171,9 @@ def run_reproduction() -> ReproReport:
     # {0, 0, 2} on e1, (0, 1, -1) and (0, 1, 1).
     d1 = p.derivative(1)
     c = Fraction(3, 22)
-    one, zero = SparsePoly.make(3, {(0, 0, 0): 1}), SparsePoly(3, {})
-    e = tuple(tuple(one if i and j else zero for j in range(3)) for i in range(3))
-    q = proportionality_scalar(m_matrix(d1), e)
+    e = [[_poly((1, {0: 1}, {0: 1})) if i and j else {} for j in range(3)] for i in range(3)]
+    q = proportionality_scalar(cleared_m_rows(d1), e)
+    q = None if q is None else q / d1.cleared[1] ** 2
     good = d1 == SubsetPoly.from_weights(3, {0: c, 0b010: c, 0b100: c}) and q == c * c
     detail = (
         f"d1 g = 3/22 * (1 + y + z), M(d1 g) = {q} * E with E = [[0,0,0],[0,1,1],[0,1,1]], "
@@ -165,8 +184,9 @@ def run_reproduction() -> ReproReport:
     checks.append(ReproCheck("first-derivative-eigenvalues", good, detail))
 
     # 4. The M matrix is a single positive rational multiple of the reference.
-    m = m_matrix(p)
-    scalar = proportionality_scalar(m, reference_matrix())
+    scale = p.cleared[1] ** 2
+    cleared = proportionality_scalar(cleared_m_rows(p), reference_matrix())
+    scalar = None if cleared is None else cleared / scale
     good = scalar is not None
     detail = (
         f"M = {scalar} * reference matrix, entry for entry"
@@ -177,14 +197,12 @@ def run_reproduction() -> ReproReport:
 
     # 5. The row-1 dominance gap is that same multiple of 6yz + 3y + 3z + 1.
     if cert == LogConcavityCertificate("dominance") and scalar is not None:
-        gap = uncleared(p, next(m_row_gaps(p)))
-        good = gap == reference_row_gap() * scalar
-        detail = f"row-1 gap = {scalar} * ({reference_row_gap().format()})"
-        if not good:
-            detail = (
-                f"row-1 gap {gap.format()} differs from "
-                f"{scalar} * ({reference_row_gap().format()})"
-            )
+        text, ref_gap = reference_row_gap()
+        good = proportionality_scalar([[next(m_row_gaps(p))]], [[ref_gap]]) == cleared
+        detail = (
+            f"row-1 gap = {scalar} * ({text})" if good
+            else f"row-1 gap is not {scalar} * ({text})"
+        )
     else:
         good = False
         detail = "prerequisites missing (no certificate or no scalar)"

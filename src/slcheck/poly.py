@@ -10,36 +10,31 @@ in one form only, a dense tuple of 2**n Python integers over one common
 denominator (`SubsetPoly.cleared`), indexed by subset bitmask, where bit k
 of the mask stands for variable k+1.  Every constructor builds that form
 through the one dataclass constructor, which reduces it; the `Fraction`
-values (`SubsetPoly.coeffs`) are derived on demand, for `eval_exact`.  All
-algebra and evaluation here is exact; float values of g and its
-derivatives come only from the derivative table of `calculus`.
-`eval_exact` (at rational points, on both classes below) is read by no code
-in the package: it is the tests' exact reference.
+values (`SubsetPoly.coeffs`) are derived on demand.  All algebra here is
+exact; values of g and its derivatives come only from `calculus`.
 
-`SparsePoly` is a plain exact value (built, scaled by a rational, compared,
-evaluated, printed) of degree at most 2 in each variable under one integer
-key: x^S x^T, for subsets S and T, is keyed (S | T) << n | (S & T).  The
-entries and row gaps of M = grad g grad g^T - g D2g fit, being sums of
-products of two multi-affine polynomials, which `add_products` forms on
-the integers of `calculus`.  Only this module builds or decodes keys.
+`add_products` forms the entries and row gaps of M = grad g grad g^T - g D2g,
+sums of products of two multi-affine polynomials, on the integers of
+`calculus`, under one monomial key of degree at most 2 in each variable.
+No other code in the package builds a key.  `SparsePoly` (the same key
+over `Fraction` coefficients, for `calculus.m_matrix`) and
+`sparse_from_subset` are read by no check; they stay while the benchmark
+traces them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 MAX_VARS = 16
 
 RationalLike = Union[Fraction, int, str]
-
-_ZERO = Fraction(0)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -194,21 +189,6 @@ class SubsetPoly:
         w, den = self.cleared
         return Fraction(sum(w), den)
 
-    # ----- evaluation ---------------------------------------------------
-
-    def eval_exact(self, point: Sequence[RationalLike]) -> Fraction:
-        """Evaluate at a rational point entirely in exact arithmetic."""
-        if len(point) != self.n:
-            raise ValueError(f"point has {len(point)} coordinates, polynomial has {self.n} variables")
-        coords = [as_fraction(v) for v in point]
-        total = _ZERO
-        for mask in self.nonzero_masks:
-            term = self.coeffs[mask]
-            for i in indices_from_mask(mask):
-                term *= coords[i - 1]
-            total += term
-        return total
-
     # ----- calculus on coefficients --------------------------------------
 
     def derivative(self, var: int) -> SubsetPoly:
@@ -258,7 +238,9 @@ def add_products(n: int, out: dict, f, h, sign: int) -> None:
     """Add sign * f * h into out under the monomial key, zero sums included.
 
     f and h are the (mask, coefficient) pairs of multi-affine polynomials in
-    n variables, with integer coefficients.
+    n variables, with integer coefficients.  The monomial key of x^S x^T,
+    for subsets S and T, is (S | T) << n | (S & T): the variables of degree
+    at least 1 above those of degree 2.
     """
     get = out.get
     for s, c in f:
@@ -268,91 +250,24 @@ def add_products(n: int, out: dict, f, h, sign: int) -> None:
             out[key] = get(key, 0) + c * d
 
 
-def _exponents(n: int, key: int) -> tuple[int, ...]:
-    return tuple((key >> (n + k) & 1) + (key >> k & 1) for k in range(n))
-
-
 @dataclass(frozen=True)
 class SparsePoly:
     """Sparse polynomial in n variables, of degree at most 2 in each, with
     exact rational coefficients.
 
-    terms maps the key of x^S x^T, (S | T) << n | (S & T), to a nonzero
-    Fraction.  The mapping is canonical: zero coefficients are never
-    stored, so equality of dataclass fields is equality of polynomials.
-    Treat instances as immutable.
+    terms maps the monomial key of `add_products` to a nonzero Fraction.
+    The mapping is canonical: zero coefficients are never stored, so
+    equality of dataclass fields is equality of polynomials.  Treat
+    instances as immutable.
     """
 
     n: int
     terms: Mapping[int, Fraction]
 
-    @staticmethod
-    def make(n: int, terms: Mapping[tuple[int, ...], RationalLike]) -> SparsePoly:
-        """Build from integer exponent tuples of length n, each exponent in 0..2."""
-        _check_vars(n)
-        canon: dict[int, Fraction] = {}
-        for exps, value in terms.items():
-            try:
-                exps = tuple(operator.index(e) for e in exps)
-            except TypeError:
-                raise ValueError(f"exponents must be integers, got {exps!r}") from None
-            if len(exps) != n:
-                raise ValueError(f"exponent tuple {exps} has length {len(exps)}, expected {n}")
-            if any(not 0 <= e <= 2 for e in exps):
-                raise ValueError(f"exponent outside 0..2 in {exps}")
-            key = sum(1 << (n + k) | (e - 1) << k for k, e in enumerate(exps) if e)
-            c = as_fraction(value)
-            if c:  # distinct exponent tuples have distinct keys: nothing to add up
-                canon[key] = c
-        return SparsePoly(n, canon)
-
     def __mul__(self, other: RationalLike) -> SparsePoly:
         """Product with an exact rational."""
         c = as_fraction(other)
         return SparsePoly(self.n, {e: v * c for e, v in self.terms.items()} if c else {})
-
-    # ----- evaluation -------------------------------------------------------
-
-    def eval_exact(self, point: Sequence[RationalLike]) -> Fraction:
-        if len(point) != self.n:
-            raise ValueError(f"point has {len(point)} coordinates, polynomial has {self.n} variables")
-        coords = [as_fraction(v) for v in point]
-        total = _ZERO
-        for key, c in self.terms.items():
-            term = c
-            for v, e in zip(coords, _exponents(self.n, key)):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
-    def format(self) -> str:
-        """Deterministic rendering in x, y, z (x1..xn for n > 3), low degree terms first."""
-        if not self.terms:
-            return "0"
-        names = "xyz" if self.n <= 3 else [f"x{i}" for i in range(1, self.n + 1)]
-        pieces = []
-        terms = ((_exponents(self.n, key), c) for key, c in self.terms.items())
-        for exps, c in sorted(terms, key=lambda t: (sum(t[0]), tuple(-v for v in t[0]))):
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            mag = abs(c)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(text if c > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(pieces)
 
 
 def sparse_from_subset(p: SubsetPoly) -> SparsePoly:

@@ -17,7 +17,7 @@ import pytest
 
 from slcheck import SubsetPoly
 from slcheck.distfile import DistributionFormatError
-from slcheck.poly import MAX_VARS, RationalLike, as_fraction, format_subset
+from slcheck.poly import MAX_VARS, RationalLike, SparsePoly, as_fraction, format_subset
 
 
 def random_fraction(rng: np.random.Generator, max_num: int = 9, max_den: int = 7) -> Fraction:
@@ -79,6 +79,67 @@ def exact_point(point) -> list[Fraction]:
     return [Fraction(v) for v in point]
 
 
+# ----- exact values ------------------------------------------------------------
+#
+# The tests' exact references at rational points, kept apart from the
+# package.  A SparsePoly is keyed by the monomial key of `poly.add_products`,
+# (S | T) << n | (S & T) for x^S x^T, which `exponents` decodes and
+# `sparse_poly` builds from exponent tuples.
+
+
+def eval_exact(p: SubsetPoly, point) -> Fraction:
+    """g_p at a rational point."""
+    assert len(point) == p.n, (point, p.n)
+    coords = [as_fraction(v) for v in point]
+    total = Fraction(0)
+    for mask in p.nonzero_masks:
+        term = p.coeffs[mask]
+        for k in range(p.n):
+            if mask >> k & 1:
+                term *= coords[k]
+        total += term
+    return total
+
+
+def exponents(n: int, key: int) -> tuple[int, ...]:
+    """The exponent of each variable in the monomial of a key."""
+    return tuple((key >> (n + k) & 1) + (key >> k & 1) for k in range(n))
+
+
+def sparse_poly(n: int, terms) -> SparsePoly:
+    """The SparsePoly of an exponent tuple -> rational mapping, zeros dropped.
+
+    Each tuple has length n and entries in 0..2; distinct tuples have
+    distinct keys, so nothing is added up.
+    """
+    out = {}
+    for exps, value in terms.items():
+        assert len(exps) == n and all(e in (0, 1, 2) for e in exps), exps
+        c = as_fraction(value)
+        if c:
+            out[sum(1 << (n + k) | (e - 1) << k for k, e in enumerate(exps) if e)] = c
+    return SparsePoly(n, out)
+
+
+def sparse_eval_exact(q: SparsePoly, point) -> Fraction:
+    """A SparsePoly at a rational point."""
+    assert len(point) == q.n, (point, q.n)
+    coords = [as_fraction(v) for v in point]
+    total = Fraction(0)
+    for key, c in q.terms.items():
+        term = Fraction(c)
+        for v, e in zip(coords, exponents(q.n, key)):
+            term *= v**e
+        total += term
+    return total
+
+
+def sparse_from_cleared(p: SubsetPoly, cleared) -> SparsePoly:
+    """An integer dict of `cleared_m_rows` or `m_row_gaps` for p, divided by L^2."""
+    scale = p.cleared[1] ** 2
+    return SparsePoly(p.n, {key: Fraction(c, scale) for key, c in cleared.items() if c})
+
+
 # ----- finite differences ----------------------------------------------------
 
 
@@ -121,19 +182,19 @@ def fd_hessian(f, point: tuple[float, ...], h: float) -> np.ndarray:
 
 
 def fd_log_hessian(p: SubsetPoly, point: tuple[float, ...], h: float = 1e-4) -> np.ndarray:
-    return fd_hessian(lambda x: math.log(p.eval_exact(exact_point(x))), point, h)
+    return fd_hessian(lambda x: math.log(eval_exact(p, exact_point(x))), point, h)
 
 
 def exact_log_hessian(p: SubsetPoly, point: tuple[float, ...]) -> np.ndarray:
     """(g D2g - grad g grad g^T) / g^2 in rationals at the exact value of a float point."""
     x = exact_point(point)
     n = p.n
-    g = p.eval_exact(x)
-    grad = [p.derivative_subset(1 << i).eval_exact(x) for i in range(n)]
+    g = eval_exact(p, x)
+    grad = [eval_exact(p.derivative_subset(1 << i), x) for i in range(n)]
     out = np.empty((n, n), dtype=float)
     for i in range(n):
         for j in range(n):
-            d2 = p.derivative_subset(1 << i | 1 << j).eval_exact(x) if i != j else 0
+            d2 = eval_exact(p.derivative_subset(1 << i | 1 << j), x) if i != j else 0
             out[i, j] = float((g * d2 - grad[i] * grad[j]) / (g * g))
     return out
 

@@ -20,7 +20,7 @@ from slcheck import (
     check_nlc,
     check_slc,
 )
-from slcheck.calculus import log_hessian, m_matrix, m_row_gaps, uncleared
+from slcheck.calculus import cleared_m_rows, log_hessian, m_row_gaps
 from slcheck.checkers import (
     LogConcavityCertificate,
     _nlc_violating_pairs,
@@ -74,9 +74,12 @@ def test_c2_dominance_certificate_and_reference_matrix():
     cert = certify_log_concavity_dominance(p)
     assert cert == LogConcavityCertificate("dominance")
 
-    scalar = proportionality_scalar(m_matrix(p), reference_matrix())
-    assert scalar == Fraction(3, 484)
-    assert uncleared(p, next(m_row_gaps(p))) == reference_row_gap() * scalar
+    # On the integers L^2 M that the certificate reads, L = 22.
+    cleared = proportionality_scalar(cleared_m_rows(p), reference_matrix())
+    assert cleared / p.cleared[1] ** 2 == Fraction(3, 484)
+    text, gap = reference_row_gap()
+    assert text == "1 + 3*y + 3*z + 6*y*z"
+    assert proportionality_scalar([[next(m_row_gaps(p))]], [[gap]]) == cleared
 
     report = run_reproduction()
     assert report.checks[1].passed and report.checks[3].passed and report.checks[4].passed

@@ -18,14 +18,16 @@ from slcheck.calculus import (
     log_hessian_many,
     m_matrix,
 )
-from slcheck.poly import SparsePoly
 from conftest import (
+    eval_exact,
     exact_log_hessian,
     exact_point,
     fd_log_hessian,
     matrix_close,
     random_positive_point,
     random_subset_poly,
+    sparse_eval_exact,
+    sparse_poly,
 )
 
 
@@ -94,7 +96,7 @@ class TestLogHessian:
             p = random_subset_poly(rng, n)
             lam = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 9)))
             x = random_positive_point(rng, n)
-            if p.eval_exact(exact_point(x)) <= 0:
+            if eval_exact(p, exact_point(x)) <= 0:
                 continue
             a = log_hessian(p, x)
             b = log_hessian(p.scale(lam), x)
@@ -105,7 +107,7 @@ class TestMMatrix:
     def test_diagonal_is_squared_gradient(self, raw_counterexample):
         m = m_matrix(raw_counterexample)
         # d/dx of the unnormalized weights is 3(1 + y + z); squared:
-        expected = SparsePoly.make(
+        expected = sparse_poly(
             3,
             {
                 (0, 0, 0): 9,
@@ -121,15 +123,15 @@ class TestMMatrix:
     def test_off_diagonal_frozen_value(self, raw_counterexample):
         m = m_matrix(raw_counterexample)
         # (d_x g)(d_y g) - g d_xy g = 3(3z^2 + 3z - 1) for the raw weights
-        expected = SparsePoly.make(3, {(0, 0, 2): 9, (0, 0, 1): 9, (0, 0, 0): -3})
+        expected = sparse_poly(3, {(0, 0, 2): 9, (0, 0, 1): 9, (0, 0, 0): -3})
         assert m[0][1] == expected
         assert m[1][0] == expected
 
     def test_product_monomial(self):
         p = SubsetPoly.from_weights(2, {0b11: 1})  # g = xy
         m = m_matrix(p)
-        assert m[0][0] == SparsePoly.make(2, {(0, 2): 1})  # y^2
-        assert m[1][1] == SparsePoly.make(2, {(2, 0): 1})  # x^2
+        assert m[0][0] == sparse_poly(2, {(0, 2): 1})  # y^2
+        assert m[1][1] == sparse_poly(2, {(2, 0): 1})  # x^2
         assert m[0][1].terms == {}
 
     def test_quadratic_scaling_exact(self):
@@ -153,17 +155,17 @@ class TestMMatrix:
             m = m_matrix(p)
             x = random_positive_point(rng, n)
             xq = exact_point(x)
-            g = p.eval_exact(xq)
+            g = eval_exact(p, xq)
             if g <= 0:
                 continue
-            lhs = np.array([[float(e.eval_exact(xq) / (g * g)) for e in row] for row in m])
+            lhs = np.array([[float(sparse_eval_exact(e, xq) / (g * g)) for e in row] for row in m])
             rhs = -log_hessian(p, x)
             assert matrix_close(lhs, rhs, rel=1e-9)
             checked += 1
 
     def test_entries_match_exact_derivatives(self):
         # M_ij(x) = d_i g(x) d_j g(x) - g(x) d_ij g(x), every factor taken by
-        # SubsetPoly.eval_exact at a rational point, compared exactly.
+        # conftest.eval_exact at a rational point, compared exactly.
         rng = np.random.default_rng(26)
         checked = 0
         for k in range(120):
@@ -172,20 +174,20 @@ class TestMMatrix:
             m = m_matrix(p)
             for _ in range(2):
                 x = [Fraction(int(rng.integers(0, 30)), int(rng.integers(1, 12))) for _ in range(n)]
-                values = [[e.eval_exact(x) for e in row] for row in m]
-                g = p.eval_exact(x)
-                d = [p.derivative(i + 1).eval_exact(x) for i in range(n)]
+                values = [[sparse_eval_exact(e, x) for e in row] for row in m]
+                g = eval_exact(p, x)
+                d = [eval_exact(p.derivative(i + 1), x) for i in range(n)]
                 for i in range(n):
                     for j in range(n):
-                        dij = p.derivative_subset(1 << i | 1 << j).eval_exact(x) if i != j else 0
+                        dij = eval_exact(p.derivative_subset(1 << i | 1 << j), x) if i != j else 0
                         assert values[i][j] == d[i] * d[j] - g * dij, (p, x, i, j)
                         checked += 1
         assert checked > 2000
 
     def test_eval_exact_at_ones(self, counterexample):
         m = m_matrix(counterexample)
-        assert m[0][0].eval_exact((1, 1, 1)) == Fraction(81, 484)
-        assert m[0][1].eval_exact((1, 1, 1)) == Fraction(15, 484)
+        assert sparse_eval_exact(m[0][0], (1, 1, 1)) == Fraction(81, 484)
+        assert sparse_eval_exact(m[0][1], (1, 1, 1)) == Fraction(15, 484)
 
 
 class TestBatchEvaluation:
@@ -195,7 +197,7 @@ class TestBatchEvaluation:
         pts = np.array([random_positive_point(rng, 3) for _ in range(40)])
         batch = eval_many(p, pts)
         for k in range(40):
-            assert batch[k] == pytest.approx(float(p.eval_exact(exact_point(pts[k]))), rel=1e-13)
+            assert batch[k] == pytest.approx(float(eval_exact(p, exact_point(pts[k]))), rel=1e-13)
 
     def test_log_hessian_many_matches_scalar(self):
         # log_hessian shares the batch path, so the per-point reference is the

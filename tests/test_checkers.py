@@ -24,7 +24,7 @@ from slcheck import (
     check_slc,
 )
 from slcheck import checkers
-from slcheck.calculus import log_hessian_many, m_form, m_matrix, m_row_gaps, uncleared
+from slcheck.calculus import log_hessian_many, m_form, m_matrix, m_row_gaps
 from slcheck.checkers import (
     ExhaustiveEnumeration,
     LogConcavityCertificate,
@@ -47,6 +47,9 @@ from conftest import (
     product_measure,
     random_permutation,
     random_subset_poly,
+    sparse_eval_exact,
+    sparse_from_cleared,
+    sparse_poly,
 )
 
 
@@ -218,10 +221,10 @@ class TestSampling:
         for tolerance in (math.nan, math.inf):
             with pytest.raises(ValueError, match="tolerance"):
                 SampleConfig(tolerance=tolerance)
-        for seed in (-1, (0, -1, 2), 1.5, "7", [1, 2]):
+        for seed in (None, -1, (0, -1, 2), 1.5, "7", [1, 2]):
             with pytest.raises(ValueError, match="seed"):
                 SampleConfig(seed=seed)
-        for seed in (None, 0, 2**70, (0, 1, 2)):
+        for seed in (0, 2**70, (0, 1, 2)):
             SampleConfig(seed=seed)
         for points in (2.5, "7", None):
             with pytest.raises(ValueError, match="points"):
@@ -401,14 +404,14 @@ class TestTrivialClasses:
 
 def row_gaps(p: SubsetPoly) -> list[SparsePoly]:
     """The dominance gaps of M, row by row, as exact polynomials."""
-    return [uncleared(p, gap) for gap in m_row_gaps(p)]
+    return [sparse_from_cleared(p, gap) for gap in m_row_gaps(p)]
 
 
 class TestDominanceCertificate:
     def test_counterexample_certified(self, counterexample):
         cert = certify_log_concavity_dominance(counterexample)
         assert cert == LogConcavityCertificate("dominance")
-        want_gap = SparsePoly.make(
+        want_gap = sparse_poly(
             3,
             {
                 (0, 0, 0): Fraction(3, 484),
@@ -421,7 +424,7 @@ class TestDominanceCertificate:
 
     def test_raw_weights_gap_scales_by_484(self, raw_counterexample):
         assert certify_log_concavity_dominance(raw_counterexample) is not None
-        want_gap = SparsePoly.make(3, {(0, 0, 0): 3, (0, 1, 0): 9, (0, 0, 1): 9, (0, 1, 1): 18})
+        want_gap = sparse_poly(3, {(0, 0, 0): 3, (0, 1, 0): 9, (0, 0, 1): 9, (0, 1, 1): 18})
         assert row_gaps(raw_counterexample)[0] == want_gap
 
     def test_gap_symmetry(self, counterexample):
@@ -429,8 +432,8 @@ class TestDominanceCertificate:
         # three row gaps agree up to that relabeling; spot check row 2.
         assert certify_log_concavity_dominance(counterexample) is not None
         gaps = row_gaps(counterexample)
-        g0 = gaps[0].eval_exact((0, 2, 3))
-        g1 = gaps[1].eval_exact((2, 0, 3))
+        g0 = sparse_eval_exact(gaps[0], (0, 2, 3))
+        g1 = sparse_eval_exact(gaps[1], (2, 0, 3))
         assert g0 == g1
 
     def test_product_measure_certified(self):
@@ -444,7 +447,7 @@ class TestDominanceCertificate:
     def test_pure_monomial_certified(self):
         p = SubsetPoly.from_weights(2, {0b11: 1})  # g = xy
         assert certify_log_concavity_dominance(p) is not None
-        assert row_gaps(p) == [SparsePoly.make(2, {(0, 2): 1}), SparsePoly.make(2, {(2, 0): 1})]
+        assert row_gaps(p) == [sparse_poly(2, {(0, 2): 1}), sparse_poly(2, {(2, 0): 1})]
 
     def test_one_plus_xy_not_certified(self):
         # D_1 = y^2 - 1 has a negative coefficient, so the sufficient

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from slcheck.calculus import m_matrix
+from slcheck.calculus import cleared_m_rows
 from slcheck.counterexample import (
     EXPECTED_NLC_LHS,
     EXPECTED_NLC_RHS,
@@ -14,6 +14,7 @@ from slcheck.counterexample import (
     run_reproduction,
 )
 from slcheck.poly import SparsePoly
+from conftest import sparse_eval_exact, sparse_poly
 
 
 class TestFrozenValues:
@@ -35,11 +36,15 @@ class TestFrozenValues:
         assert EXPECTED_NLC_LHS < EXPECTED_NLC_RHS
 
 
+def nonzero(entry: dict) -> dict:
+    return {key: c for key, c in entry.items() if c}
+
+
 class TestReferenceMatrix:
     def test_entries(self):
         r = reference_matrix()
-        # Row-0 diagonal: 3(y + z + 1)^2, no x anywhere in row 0's diagonal.
-        want = SparsePoly.make(
+        # Row-0 diagonal: 3(1 + y + z)^2, no x anywhere in row 0's diagonal.
+        want = sparse_poly(
             3,
             {
                 (0, 0, 0): 3,
@@ -50,14 +55,15 @@ class TestReferenceMatrix:
                 (0, 1, 1): 6,
             },
         )
-        assert r[0][0] == want
-        assert r[0][0].format() == "3 + 6*y + 6*z + 3*y^2 + 6*y*z + 3*z^2"
+        assert nonzero(r[0][0]) == want.terms
         # The (0, 1) entry lives in the missing variable z.
-        assert r[0][1] == SparsePoly.make(3, {(0, 0, 0): -1, (0, 0, 1): 3, (0, 0, 2): 3})
+        assert nonzero(r[0][1]) == sparse_poly(3, {(0, 0, 0): -1, (0, 0, 1): 3, (0, 0, 2): 3}).terms
         assert r[0][1] == r[1][0]
+        assert all(type(c) is int for row in r for entry in row for c in entry.values())
 
     def test_value_at_ones(self):
-        vals = [[e.eval_exact((1, 1, 1)) for e in row] for row in reference_matrix()]
+        r = reference_matrix()
+        vals = [[sparse_eval_exact(SparsePoly(3, e), (1, 1, 1)) for e in row] for row in r]
         assert vals == [
             [27, 5, 5],
             [5, 27, 5],
@@ -65,36 +71,50 @@ class TestReferenceMatrix:
         ]
 
     def test_row_gap(self):
-        assert reference_row_gap() == SparsePoly.make(
+        text, gap = reference_row_gap()
+        assert text == "1 + 3*y + 3*z + 6*y*z"
+        assert nonzero(gap) == sparse_poly(
             3, {(0, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 3, (0, 1, 1): 6}
-        )
-        assert reference_row_gap().format() == "1 + 3*y + 3*z + 6*y*z"
+        ).terms
 
 
 def scaled(m, q):
-    return tuple(tuple(e * q for e in row) for row in m)
+    return [[{key: c * q for key, c in e.items()} for e in row] for row in m]
 
 
 class TestProportionality:
     def test_normalized_scalar(self, counterexample):
-        q = proportionality_scalar(m_matrix(counterexample), reference_matrix())
-        assert q == Fraction(3, 484)
+        # The integers L^2 M, L = 22, are 3 times the reference: M is 3/484 times it.
+        assert counterexample.cleared[1] == 22
+        assert proportionality_scalar(cleared_m_rows(counterexample), reference_matrix()) == 3
 
     def test_unnormalized_scalar(self, raw_counterexample):
-        # Scaling the weights by 22 scales M by 22 squared.
-        q = proportionality_scalar(m_matrix(raw_counterexample), reference_matrix())
-        assert q == 3
+        # The raw weights are integers, L = 1: M itself is 3 times the reference.
+        assert raw_counterexample.cleared[1] == 1
+        assert proportionality_scalar(cleared_m_rows(raw_counterexample), reference_matrix()) == 3
 
     def test_self_proportionality(self):
         r = reference_matrix()
         assert proportionality_scalar(r, r) == 1
         assert proportionality_scalar(scaled(r, Fraction(5, 7)), r) == Fraction(5, 7)
 
+    def test_ignores_zero_coefficients(self):
+        # Row dicts keep zero sums; a zero coefficient on either side is no term.
+        r = reference_matrix()
+        padded = [[{**e, 1 << 6: 0} for e in row] for row in r]
+        assert proportionality_scalar(padded, r) == 1
+        assert proportionality_scalar(r, padded) == 1
+
     def test_rejects_non_proportional(self, counterexample, raw_counterexample):
         r = reference_matrix()
-        assert proportionality_scalar(m_matrix(counterexample.derivative(1)), r) is None
+        assert proportionality_scalar(cleared_m_rows(counterexample.derivative(1)), r) is None
         # A negative multiple is not accepted: the scalar must be positive.
         assert proportionality_scalar(scaled(r, Fraction(-1)), r) is None
+        # Nor is a matrix equal to the reference in all entries but one.
+        off = scaled(r, 1)
+        off[2][2][0] += 1
+        assert proportionality_scalar(off, r) is None
+        assert proportionality_scalar([[{}]], [[{}]]) is None
 
 
 class TestReproduction:

@@ -11,7 +11,7 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
     matroid supports at n = 8..16, derivatives with dead variables, weights
     near 1e-400 and the zero polynomial;
   * the integer M (`m_matrix`), its dominance gaps (`m_row_gaps`, divided
-    by L^2 with `uncleared`) and the decision against M built term by term
+    by L^2) and the decision against M built term by term
     in Fractions on exponent tuples, apart from the package's key and
     product loop;
   * the coefficient matrices of M (`m_coefficient_matrices`), summed over
@@ -68,7 +68,6 @@ from slcheck.calculus import (
     m_form,
     m_matrix,
     m_row_gaps,
-    uncleared,
 )
 from slcheck.checkers import (
     LogConcavityCertificate,
@@ -84,8 +83,15 @@ from slcheck.checkers import (
 from slcheck.counterexample import counterexample_weights
 from slcheck.family import make_family
 from slcheck.linalg import nsd_screen, nsd_threshold
-from slcheck.poly import SparsePoly
-from conftest import product_measure, reference_log_hessians, reference_table
+from conftest import (
+    eval_exact,
+    product_measure,
+    reference_log_hessians,
+    reference_table,
+    sparse_eval_exact,
+    sparse_from_cleared,
+    sparse_poly,
+)
 
 
 def oracle_poly(rng: np.random.Generator, n: int, *, zero_prob: float, wide: bool) -> SubsetPoly:
@@ -200,7 +206,7 @@ class TestDerivativeTable:
             for b in range(1 << p.n):
                 q = p.derivative_subset(b)
                 for k, x in enumerate(xs):
-                    want = q.eval_exact(x)
+                    want = eval_exact(q, x)
                     got = table[b, k]
                     # Every term is nonnegative, so the error is relative.
                     assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * want, (p, b, x)
@@ -385,11 +391,11 @@ class TestIntegerDominance:
         for p in cases:
             m = reference_m(p)
             assert m_matrix(p) == tuple(
-                tuple(SparsePoly.make(p.n, entry) for entry in row) for row in m
+                tuple(sparse_poly(p.n, entry) for entry in row) for row in m
             ), p
             want = reference_gaps(m)
-            got = tuple(uncleared(p, gap) for gap in m_row_gaps(p))
-            assert got == tuple(SparsePoly.make(p.n, gap) for gap in want), p
+            got = tuple(sparse_from_cleared(p, gap) for gap in m_row_gaps(p))
+            assert got == tuple(sparse_poly(p.n, gap) for gap in want), p
             certified = certify_log_concavity_dominance(p) is not None
             assert certified == reference_certified(p, want), p
             outcomes[certified] += 1
@@ -500,7 +506,7 @@ class TestCoefficientMatrices:
                     for j in range(p.n):
                         got = sum((powers[key] * mat[i][j] for key, mat in mats.items()),
                                   start=Fraction(0))
-                        assert got / scale == m[i][j].eval_exact(x), (p, x, i, j)
+                        assert got / scale == sparse_eval_exact(m[i][j], x), (p, x, i, j)
             checked += 1
         assert checked >= 120, checked
 
@@ -669,7 +675,7 @@ def witness_cases(seed: int, count: int):
 def exact_signs(q: SubsetPoly, point, vectors) -> list[int]:
     """Signs of v^T M(x) v, with M from m_matrix evaluated in rationals."""
     x = [Fraction(c) for c in point]
-    m = [[e.eval_exact(x) for e in row] for row in m_matrix(q)]
+    m = [[sparse_eval_exact(e, x) for e in row] for row in m_matrix(q)]
     signs = []
     for v in vectors:
         u = [Fraction(c) for c in v]
@@ -706,7 +712,7 @@ class TestPointWitness:
                     w = verdict.witness
                     q = p.derivative_subset(a)
                     assert w.subset_mask == a and m_form(q, w.point, w.vector) < 0, (p, a)
-                    assert q.eval_exact([Fraction(c) for c in w.point]) > 0
+                    assert eval_exact(q, [Fraction(c) for c in w.point]) > 0
                     witnesses += 1
                     if not cases:
                         cases.append((q, w.point, [w.vector] + crossing_vectors(q, w.point)))

@@ -77,13 +77,24 @@ def names_in(tree: ast.AST) -> set[str]:
     return names | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
 
 
+def names_and_imports(path: Path) -> set[str]:
+    """names_in a module, together with every name it imports."""
+    tree = ast.parse(path.read_text())
+    return names_in(tree) | {a.asname or a.name for n in ast.walk(tree)
+                             if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+
+
 def test_checkers_reads_no_exact_polynomial_view():
     # A certificate names the route that decided and holds nothing else, so
     # checkers never forms M's entries or gaps as SparsePoly.
-    tree = ast.parse((SRC / "checkers.py").read_text())
-    names = names_in(tree) | {a.asname or a.name for n in ast.walk(tree)
-                              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    names = names_and_imports(SRC / "checkers.py")
     assert names.isdisjoint({"SparsePoly", "uncleared", "cached_property"})
+
+
+def test_counterexample_reads_no_exact_polynomial_view():
+    # The replay decides on the integer M that the certificates read.
+    names = names_and_imports(SRC / "counterexample.py")
+    assert names.isdisjoint({"SparsePoly", "m_matrix", "uncleared"})
 
 
 def test_subset_poly_reads_no_sparse_view():
@@ -94,11 +105,8 @@ def test_subset_poly_reads_no_sparse_view():
 
 
 # Read by no code in the package, on purpose: the traced names stay while the
-# benchmark's tracer wraps them, and eval_exact is the tests' exact reference.
-KEPT_UNREAD = {(t.module.removeprefix("slcheck."), t.attr) for t in traced_targets()} | {
-    ("poly", "SubsetPoly.eval_exact"),
-    ("poly", "SparsePoly.eval_exact"),
-}
+# benchmark's tracer wraps them.
+KEPT_UNREAD = {(t.module.removeprefix("slcheck."), t.attr) for t in traced_targets()}
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:

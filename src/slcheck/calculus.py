@@ -32,11 +32,11 @@ Both the float and the exact side work on the coefficient vector directly.
     references on these integers.
     `m_coefficient_matrices` groups the same integers by monomial into one
     symmetric integer matrix M_a per key, M(x) = sum_a x^a M_a / L^2, and
-    `is_psd` decides each exactly for the coefficient-matrix certificate.  M's rows come full
-    and symmetric, M_ij and M_ji one dict formed once, and each row only
-    when a reader asks for it: `check_slc` hands both certificates one
-    stream of them (`itertools.tee`), so M is formed at most once per
-    derivative.  `m_form` runs the same superset sums on the integer
+    `is_psd` decides each exactly for the coefficient-matrix certificate.
+    M's rows come full and symmetric, M_ij and M_ji one dict formed once,
+    and each row only when its reader asks for it: each reader forms the M
+    it reads, and the dominance reader stops at its first failing row.
+    `m_form` runs the same superset sums on the integer
     coefficients at a float point, read as exact dyadic rationals, and
     returns the exact sign of v^T M(x) v, which proves a sampled violation.
 
@@ -280,16 +280,16 @@ def m_matrix(p: SubsetPoly) -> tuple[tuple[SparsePoly, ...], ...]:
     )
 
 
-def m_row_gaps(p: SubsetPoly, rows: Rows | None = None) -> Iterator[dict[int, int]]:
+def m_row_gaps(p: SubsetPoly) -> Iterator[dict[int, int]]:
     """Row by row, the diagonal dominance gap of M in integer coefficients.
 
     Yields for each i the coefficients of L^2 (M_ii - sum_{j != i} |M_ij|),
     with |.| taken coefficient-wise after like terms are combined, under
-    `poly.add_products`'s monomial key.  Reads the rows of `cleared_m_rows(p)`, or
-    rows when a caller passes an iterator over them, one at a time, so a
-    caller that stops at the first failing row pays for that row only.
+    `poly.add_products`'s monomial key.  Reads the rows of
+    `cleared_m_rows(p)` one at a time, so a caller that stops at the first
+    failing row pays for that row only.
     """
-    for i, row in enumerate(cleared_m_rows(p) if rows is None else rows):
+    for i, row in enumerate(cleared_m_rows(p)):
         gap = dict(row[i])
         for j, entry in enumerate(row):
             if j != i:
@@ -298,16 +298,15 @@ def m_row_gaps(p: SubsetPoly, rows: Rows | None = None) -> Iterator[dict[int, in
         yield gap
 
 
-def m_coefficient_matrices(p: SubsetPoly, rows: Rows | None = None) -> dict[int, list[list[int]]]:
+def m_coefficient_matrices(p: SubsetPoly) -> dict[int, list[list[int]]]:
     """L^2 M grouped by monomial: M(x) = sum over keys a of x^a M_a / L^2.
 
     M_a is the symmetric n x n integer matrix of the coefficients of x^a in
-    the entries of `cleared_m_rows`, keyed by `add_products`'s monomial key,
-    or of rows when a caller passes them in.  A key appears when some
-    entry has a nonzero coefficient there.
+    the entries of `cleared_m_rows`, keyed by `add_products`'s monomial key.
+    A key appears when some entry has a nonzero coefficient there.
     """
     mats: dict[int, list[list[int]]] = defaultdict(lambda: [[0] * p.n for _ in range(p.n)])
-    for i, row in enumerate(cleared_m_rows(p) if rows is None else rows):
+    for i, row in enumerate(cleared_m_rows(p)):
         for j, entry in enumerate(row):
             for key, c in entry.items():
                 if c:

@@ -27,7 +27,10 @@ The lattice scan, the diamond pre-check, the dominance certificate
 (`calculus.m_coefficient_matrices`) and the factor split decide on the
 integer coefficients of `SubsetPoly.cleared`, the one form a polynomial
 stores (a derivative subset's is a slice of p's), and triviality on their
-nonzero masks.  All four log-concavity routes return one
+nonzero masks.  Each certificate forms the M it reads
+(`calculus.cleared_m_rows`); dominance forms none when a variable is in no
+nonzero mask, as the variables of A are for every derivative subset
+A != {}.  All four log-concavity routes return one
 `LogConcavityCertificate`, whose kind
 names the route that decided; it holds nothing else, not the polynomial.
 Sampling reads every log-Hessian from the derivative table of `calculus`
@@ -53,20 +56,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .calculus import (
-    Rows,
-    cleared_m_rows,
-    is_psd,
-    log_hessian_many,
-    m_coefficient_matrices,
-    m_form,
-    m_row_gaps,
-)
+from .calculus import is_psd, log_hessian_many, m_coefficient_matrices, m_form, m_row_gaps
 from .linalg import nsd_screen
 from .poly import SubsetPoly, format_fraction, format_subset
 
@@ -484,9 +479,7 @@ def failing_diamond(p: SubsetPoly) -> tuple[int, int] | None:
 # ----- dominance certificate ----------------------------------------------------
 
 
-def certify_log_concavity_dominance(
-    p: SubsetPoly, rows: Rows | None = None
-) -> LogConcavityCertificate | None:
+def certify_log_concavity_dominance(p: SubsetPoly) -> LogConcavityCertificate | None:
     """Try to prove log-concavity on the whole positive orthant, exactly.
 
     Forms M = grad g grad g^T - g D2g and, per row, the gap polynomial
@@ -498,12 +491,15 @@ def certify_log_concavity_dominance(
     strictly diagonally dominant with positive diagonal, hence positive
     definite; so the log-Hessian is negative definite there.  (M_ii is a
     square of nonnegative coefficients, so its own coefficients are never
-    negative.)  The gaps are taken in integer coefficients, row by row, and
-    the first failing row ends the attempt; rows, when passed, iterates
-    over M's integer rows (`calculus.cleared_m_rows`).  Returns None
-    when this sufficient condition does not apply (which proves nothing).
+    negative.)  A variable in no nonzero mask is dead: its row of M is
+    zero, so its gap has no positive coefficient, and no row is formed.
+    Otherwise the gaps are taken in integer coefficients, row by row, and
+    the first failing row ends the attempt.  Returns None when this
+    sufficient condition does not apply (which proves nothing).
     """
-    for gap in m_row_gaps(p, rows):
+    if reduce(operator.or_, p.nonzero_masks, 0) != (1 << p.n) - 1:
+        return None
+    for gap in m_row_gaps(p):
         if not (all(c >= 0 for c in gap.values()) and any(c > 0 for c in gap.values())):
             return None
     return LogConcavityCertificate("dominance")
@@ -517,22 +513,19 @@ def certify_log_concavity_dominance(
 COEFFICIENT_MAX_VARS = 3
 
 
-def certify_log_concavity_coefficients(
-    p: SubsetPoly, rows: Rows | None = None
-) -> LogConcavityCertificate | None:
+def certify_log_concavity_coefficients(p: SubsetPoly) -> LogConcavityCertificate | None:
     """Try to prove log-concavity on the positive orthant by coefficient matrices, exactly.
 
     Tests by `calculus.is_psd` each integer M_a of L^2 M(x) = sum_a x^a M_a
     (`calculus.m_coefficient_matrices`).  If each M_a is PSD, then so is
     M(x) on the open orthant, where every x^a > 0, and g > 0 unless g is
     zero; so the log-Hessian -M / g^2 is NSD there: the degree-0 matrix
-    Polya certificate (Scherer-Hol, Math. Program. 107, 2006).  rows, when
-    passed, iterates over M's integer rows.  Returns None otherwise,
-    or past COEFFICIENT_MAX_VARS (which proves nothing).
+    Polya certificate (Scherer-Hol, Math. Program. 107, 2006).  Returns
+    None otherwise, or past COEFFICIENT_MAX_VARS (which proves nothing).
     """
     if p.n > COEFFICIENT_MAX_VARS or not p.nonzero_masks:
         return None
-    if all(is_psd(m) for m in m_coefficient_matrices(p, rows).values()):
+    if all(is_psd(m) for m in m_coefficient_matrices(p).values()):
         return LogConcavityCertificate("coefficient")
     return None
 
@@ -544,15 +537,15 @@ def factor_blocks(p: SubsetPoly) -> tuple[int, ...] | None:
     """The blocks of an exact split of g into factors on disjoint variables.
 
     Needs p(empty) > 0.  Variables i and j share a block when
-    p(empty) p({i, j}) != p({i}) p({j}), closed under transitivity.  The
-    split is then verified on the integers w of `SubsetPoly.cleared`: for
-    every S not inside one block, w[S] w[empty] = w[S & I] w[S - I], with I
-    the block of S's lowest variable.  By induction on the blocks S meets,
-    p(S) p(empty)^(k-1) = prod_b p(S & I_b) over all k blocks, so
-    g = p(empty)^(1-k) prod_b g_b with g_b = sum over T inside I_b of
-    p(T) x^T.  Returns the block masks in order of their lowest variable,
-    at least two of them, or None when p(empty) = 0, the pairs leave one
-    block, or the check fails for some S (which proves nothing).
+    p(empty) p({i, j}) != p({i}) p({j}), closed under transitivity.  Two
+    or more blocks are then verified on the integers w of
+    `SubsetPoly.cleared`: for every S not inside one block, w[S] w[empty] =
+    w[S & I] w[S - I], with I the block of S's lowest variable.  By
+    induction on the blocks S meets, p(S) p(empty)^(k-1) = prod_b p(S & I_b)
+    over all k blocks, so g = p(empty)^(1-k) prod_b g_b with g_b = sum over
+    T inside I_b of p(T) x^T; one block is g itself, with nothing to check.
+    Returns the block masks in order of their lowest variable, or None when
+    p(empty) = 0 or the check fails for some S (which proves nothing).
     """
     w = p.cleared[0]
     w0 = w[0]
@@ -566,12 +559,11 @@ def factor_blocks(p: SubsetPoly) -> tuple[int, ...] | None:
                 if joined >> k & 1:
                     block_of[k] = joined
     blocks = tuple(dict.fromkeys(block_of))
-    if len(blocks) < 2:
-        return None
-    for s in range(1, len(w)):
-        inside = s & block_of[(s & -s).bit_length() - 1]
-        if inside != s and w[s] * w0 != w[inside] * w[s ^ inside]:
-            return None
+    if len(blocks) > 1:
+        for s in range(1, len(w)):
+            inside = s & block_of[(s & -s).bit_length() - 1]
+            if inside != s and w[s] * w0 != w[inside] * w[s ^ inside]:
+                return None
     return blocks
 
 
@@ -603,8 +595,8 @@ def check_log_concavity(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> Ve
 
     The zero, constant and single-monomial classes hold at once, then a
     split into affine factors (`certify_log_concavity_factors`) holds
-    exactly; every other input goes to `check_log_concavity_sampled`,
-    an affine g on one block included.
+    exactly, an affine g with p(empty) > 0 included; every other input goes
+    to `check_log_concavity_sampled`.
     """
     if len(p.nonzero_masks) > 1:
         cert = certify_log_concavity_factors(p)
@@ -640,9 +632,11 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     certificate, then sampling.  A subset with a failing diamond at the
     origin (`failing_diamond`) goes straight to sampling, since neither
     certificate can hold for it; the verdict is the one the certificates'
-    failures would have led to.  Both certificates read one stream of M's
-    rows (`calculus.cleared_m_rows`), so M is formed at most once per
-    subset, and only as far as a certificate reads it.  One SamplePoints
+    failures would have led to.  Each certificate forms the M it reads
+    (`calculus.cleared_m_rows`), and only as far as it reads it; dominance
+    forms none where a variable is dead, as the variables of A are dead
+    in d^A g for every A != {}.  So M is formed twice only for g itself at
+    n <= 3, when dominance fails there.  One SamplePoints
     serves every subset's scan, built when the first subset reaches the
     sampler and drawn only as far as some scan reads it.
     """
@@ -655,9 +649,7 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
             results[a] = Holds(trivial)
             continue
         if failing_diamond(q) is None:
-            dominance_rows, coefficient_rows = itertools.tee(cleared_m_rows(q))
-            cert = (certify_log_concavity_dominance(q, dominance_rows)
-                    or certify_log_concavity_coefficients(q, coefficient_rows))
+            cert = certify_log_concavity_dominance(q) or certify_log_concavity_coefficients(q)
             if cert is not None:
                 results[a] = Holds(cert)
                 continue

@@ -94,8 +94,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        if exc.code is None:
-            return 0
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)

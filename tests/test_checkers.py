@@ -568,7 +568,7 @@ class TestFactorRoute:
                 assert cert is None, p
                 continue
             splits += 1
-            assert len(blocks) >= 2 and sum(blocks) == (1 << n) - 1
+            assert blocks and sum(blocks) == (1 << n) - 1
             assert all(a & b == 0 for a, b in itertools.combinations(blocks, 2))
             e = p.coeffs
             for s in range(1 << n):
@@ -580,16 +580,26 @@ class TestFactorRoute:
         assert splits >= 1000 and certified >= 300, (splits, certified)
 
     def test_refusals(self):
-        # p(empty) = 0, a single variable, and a triple whose pairs all factor.
+        # p(empty) = 0, and a triple whose pairs all factor.
         no_empty = SubsetPoly.from_weights(2, {1: 1, 2: 1, 3: 1})
-        single = SubsetPoly.from_weights(1, {0: 1, 1: 2})
-        for p in (no_empty, single, one_block_triple()):
+        for p in (no_empty, one_block_triple()):
             assert factor_blocks(p) is None
             assert certify_log_concavity_factors(p) is None
             assert isinstance(check_log_concavity(p, SampleConfig(points=50)), NoViolationFound)
-        # 1 + 2x + 3y is affine on one block, so it is sampled; 1 + 2x on two is not.
-        assert factor_blocks(SubsetPoly.from_weights(2, {0: 1, 1: 2, 2: 3})) is None
-        assert factor_blocks(SubsetPoly.from_weights(2, {0: 1, 1: 2})) == (1, 2)
+
+    def test_one_affine_block_is_certified(self, monkeypatch):
+        # 1 + 2x and 1 + 2x + 3y are one affine block each; 1 + 2x in two
+        # variables is two.  None of them reaches the sampler.
+        monkeypatch.setattr(checkers, "check_log_concavity_sampled", pytest.fail)
+        for n, weights, blocks in ((1, {0: 1, 1: 2}, (1,)), (2, {0: 1, 1: 2, 2: 3}, (3,)),
+                                   (2, {0: 1, 1: 2}, (1, 2))):
+            p = SubsetPoly.from_weights(n, weights)
+            assert factor_blocks(p) == blocks
+            assert check_log_concavity(p) == Holds(LogConcavityCertificate("factor"))
+        # 1 + x + y + 2xy is one block too: it is refused as not affine, not
+        # as unsplit.
+        p = SubsetPoly.from_weights(2, {0: 1, 1: 1, 2: 1, 3: 2})
+        assert factor_blocks(p) == (3,) and certify_log_concavity_factors(p) is None
 
     def test_one_changed_weight_is_refused(self):
         # Doubling the full set's weight breaks only the identity at S = {1,2,3}.

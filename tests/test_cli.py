@@ -170,7 +170,7 @@ class TestCheckCommand:
             {"n": 1, "coefficients": {"": f"1/{big + 1}", "1": f"1/{big + 3}"}}
         ))
         verdicts = {"nlc": "verdict: HOLDS (ExhaustiveEnumeration)",
-                    "lc": "verdict: NO VIOLATION FOUND",
+                    "lc": "verdict: HOLDS (product of affine factors)",
                     "slc": "aggregate: HOLDS (every derivative subset carries"}
         for prop, verdict in verdicts.items():
             assert main(["check", str(path), prop, "--samples", "10"]) == 0, prop
@@ -308,11 +308,13 @@ class TestCheckCommand:
         assert w["subset"] == "{}"
         assert m_form(load_distribution(xy_file), w["point"], w["vector"]) < 0
 
-    def test_affine_is_sampled_by_lc_and_trivial_for_slc(self, tmp_path, capsys):
+    def test_affine_is_one_factor_for_lc_and_trivial_for_slc(self, tmp_path, capsys):
+        # 1 + 2x + 3y is one affine block: lc proves it by the factor route and
+        # never prints the affine class that slc does.
         path = tmp_path / "affine.json"
         path.write_text('{"n": 2, "coefficients": {"": "1", "1": "2", "2": "3"}}')
         assert main(["check", str(path), "lc"]) == 0
-        assert "verdict: NO VIOLATION FOUND" in capsys.readouterr().out.splitlines()
+        assert "verdict: HOLDS (product of affine factors)" in capsys.readouterr().out.splitlines()
         assert main(["check", str(path), "slc"]) == 0
         assert "A = {}: holds (trivially log-concave: affine)" in capsys.readouterr().out.splitlines()
 

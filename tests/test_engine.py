@@ -13,7 +13,8 @@ weights, weights spanning about 1e-40..1e40, and the counterexample:
   * the integer M (`m_matrix`), its dominance gaps (`m_row_gaps`, divided
     by L^2) and the decision against M built term by term
     in Fractions on exponent tuples, apart from the package's key and
-    product loop;
+    product loop; and the decision's dead-variable refusal, which forms no
+    row, against the walk over every row gap, on every derivative subset;
   * the coefficient matrices of M (`m_coefficient_matrices`), summed over
     their monomials at rational points, against `m_matrix`; the integer PSD
     test (`is_psd`) against every principal minor in Fractions; and the
@@ -379,6 +380,22 @@ def reference_certified(p: SubsetPoly, gaps: list[dict]) -> bool:
     )
 
 
+def has_dead_variable(q: SubsetPoly) -> bool:
+    """Whether some variable is in no nonzero mask of q, so that its row of M is zero."""
+    return any(all(s >> k & 1 == 0 for s in q.nonzero_masks) for k in range(q.n))
+
+
+def dominance_failure(q: SubsetPoly) -> int | None:
+    """The first row whose dominance gap fails, or None when every gap passes.
+
+    The reference walk over every row of `m_row_gaps`, with no shortcut.
+    """
+    for i, gap in enumerate(m_row_gaps(q)):
+        if not (all(c >= 0 for c in gap.values()) and any(c > 0 for c in gap.values())):
+            return i
+    return None
+
+
 class TestIntegerDominance:
     def test_gaps_and_decision_match_sparse_route(self):
         cases = list(oracle_cases(81, 420, max_dense_n=4))
@@ -402,20 +419,48 @@ class TestIntegerDominance:
         assert len(cases) >= 500
         assert min(outcomes.values()) >= 100, outcomes
 
+    def test_dead_variable_refusal_matches_the_row_walk(self, monkeypatch):
+        # On every derivative subset the certificate is the walk over
+        # m_row_gaps (`dominance_failure`), and where a variable is in no
+        # nonzero mask it refuses with no row formed.
+        calls = []
+        original = calculus.cleared_m_rows
+        monkeypatch.setattr(calculus, "cleared_m_rows", lambda q: calls.append(q) or original(q))
+        rng = np.random.default_rng(96)
+        outcomes = {"certified": 0, "refused live": 0, "dead in g": 0, "dead in A": 0}
+        for k in range(84):
+            n = 1 + k % 7
+            if k % 3 == 0:
+                p = product_measure([Fraction(int(rng.integers(1, 10)), 10) for _ in range(n)])
+            else:
+                p = oracle_poly(rng, n, zero_prob=(0.0, 0.3, 0.6)[k % 3], wide=False)
+            if k % 4 == 1:  # variable k mod n carries no weight
+                dead_bit = 1 << k % n
+                p = SubsetPoly.from_weights(n, {s: Fraction(c, p.cleared[1])
+                                                for s, c in enumerate(p.cleared[0])
+                                                if not s & dead_bit})
+            if k % 2:
+                p = p.scale(Fraction(1, 10**400))
+            for a in range(1 << n):
+                q = p.derivative_subset(a)
+                live = not has_dead_variable(q)
+                del calls[:]
+                cert = certify_log_concavity_dominance(q)
+                assert calls == ([q] if live else []), (p, a)
+                want = dominance_failure(q) is None
+                assert cert == (LogConcavityCertificate("dominance") if want else None), (p, a)
+                if live:
+                    outcomes["certified" if want else "refused live"] += 1
+                else:
+                    outcomes["dead in A" if a else "dead in g"] += 1
+        assert min(outcomes.values()) >= 15, outcomes
+
 
 def key_power(n: int, key: int, x) -> Fraction:
     """x^S x^T at a rational point, for the key (S | T) << n | (S & T): variable k
     has exponent 2 in S & T, 1 in the rest of S | T."""
     return math.prod((x[k] ** ((key >> (n + k) & 1) + (key >> k & 1)) for k in range(n)),
                      start=Fraction(1))
-
-
-def dominance_failure(q: SubsetPoly) -> int | None:
-    """The first row whose dominance gap fails, or None when every gap passes."""
-    for i, gap in enumerate(m_row_gaps(q)):
-        if not (all(c >= 0 for c in gap.values()) and any(c > 0 for c in gap.values())):
-            return i
-    return None
 
 
 class TestMRows:
@@ -432,42 +477,52 @@ class TestMRows:
             checked += 1
         assert checked >= 70, checked
 
-    def test_check_slc_forms_rows_once_and_only_as_read(self, monkeypatch):
-        # Past COEFFICIENT_MAX_VARS only dominance reads M, up to its first
-        # failing row; up to it a failed dominance test goes on to the
-        # coefficient test, which reads every row.  Either way the rows are
-        # asked for once per derivative that passes the diamond pre-check.
+    def test_each_certificate_forms_the_rows_it_reads(self, monkeypatch):
+        # Each certificate forms M on its own.  Dominance forms no row where a
+        # variable is dead, as the variables of every A != {} are, and else
+        # stops after its first failing row; up to COEFFICIENT_MAX_VARS a
+        # failed dominance test goes on to the coefficient test, which forms
+        # every row again.  Only subsets past the diamond pre-check form any.
         formed = []
+        original = calculus.cleared_m_rows
 
         def counting_rows(q):
             rows = []
             formed.append((q, rows))
-            for row in calculus.cleared_m_rows(q):
+            for row in original(q):
                 rows.append(row)
                 yield row
 
-        monkeypatch.setattr(checkers, "cleared_m_rows", counting_rows)
         cells = [make_family(b, c) for b, c in (("3/4", "1/4"), (2, 2), ("5/2", "5/2"))]
         dense = oracle_poly(np.random.default_rng(5), 4, zero_prob=0.0, wide=False)
+        ranks = [SubsetPoly.from_weights(n, {m: m % 5 + 1 for m in range(1 << n)
+                                             if bin(m).count("1") == k})
+                 for n, k in ((4, 2), (4, 3), (5, 2))]
+        dead = SubsetPoly.from_weights(4, {m: m + 1 for m in range(16) if not m & 0b100})
         products = [product_measure([Fraction(1, k) for k in range(2, n)]) for n in (4, 5, 6)]
-        seen = {"coefficients": 0, "row 0 only": 0, "certified": 0}
-        for p in [*cells, dense, *products]:
+        seen = {"twice": 0, "dead": 0, "stopped early": 0, "certified": 0}
+        for p in [*cells, dense, *ranks, dead, *products]:
+            want = []
+            for a in range(1 << p.n):
+                q = p.derivative_subset(a)
+                if trivial_log_concavity(q) is not None or checkers.failing_diamond(q) is not None:
+                    continue
+                live = not has_dead_variable(q)
+                assert live or a or p is dead, (p, a)
+                failure = dominance_failure(q) if live else None
+                if live:
+                    want.append((q, q.n if failure is None else failure + 1))
+                if (not live or failure is not None) and q.n <= checkers.COEFFICIENT_MAX_VARS:
+                    want.append((q, q.n))
+                seen["twice"] += live and failure is not None and q.n <= 3
+                seen["dead"] += not live
+                seen["stopped early"] += failure is not None and failure + 1 < q.n > 3
+                seen["certified"] += live and failure is None
             formed.clear()
-            check_slc(p, SampleConfig(points=8))
-            subsets = [p.derivative_subset(a) for a in range(1 << p.n)]
-            assert [q for q, _ in formed] == [
-                q for q in subsets
-                if trivial_log_concavity(q) is None and checkers.failing_diamond(q) is None
-            ], p
-            for q, rows in formed:
-                failure = dominance_failure(q)
-                if failure is None or q.n <= checkers.COEFFICIENT_MAX_VARS:
-                    assert len(rows) == q.n, q
-                else:
-                    assert len(rows) == failure + 1, q
-                seen["certified"] += failure is None
-                seen["coefficients"] += failure is not None and q.n <= 3
-                seen["row 0 only"] += failure == 0 and q.n > 3
+            with monkeypatch.context() as patch:
+                patch.setattr(calculus, "cleared_m_rows", counting_rows)
+                check_slc(p, SampleConfig(points=8))
+            assert [(q, len(rows)) for q, rows in formed] == want, p
         assert min(seen.values()) >= 3, seen
 
     def test_dominance_implies_psd_coefficient_matrices(self):

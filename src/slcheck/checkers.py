@@ -7,10 +7,11 @@ Three verdict shapes cover every check:
   * NoViolationFound(stats)   sampling ran out of points, nothing proved.
 
 Sampling can only ever falsify.  A Holds verdict always traces back to an
-exact argument: exhaustive enumeration for the lattice condition, a
-coefficient-wise diagonal dominance certificate, a coefficient-matrix
-certificate (at n <= 3), a split into affine factors on disjoint
-variables (`factor_blocks`), or membership in a class that is log-concave
+exact argument: the local diamonds of a positive p or the splits of its
+support pairs for the lattice condition (`check_nlc`), a coefficient-wise
+diagonal dominance certificate, a coefficient-matrix certificate (at
+n <= 3), a split into affine factors on disjoint variables
+(`factor_blocks`), or membership in a class that is log-concave
 for structural reasons (zero, constant, a single monomial, or an affine
 polynomial), which `trivial_log_concavity` alone decides, from the nonzero
 coefficients.  `check_slc` takes every class and both certificates, but
@@ -22,8 +23,8 @@ diamond pre-check (`failing_diamond`), then dominance, then coefficient
 matrices at n <= 3, then sampling; a failing diamond at the origin rules
 both certificates out, so such a subset goes straight to sampling.
 
-The lattice scan, the diamond pre-check, the dominance certificate
-(`calculus.m_row_gaps`), the coefficient-matrix certificate
+The lattice routes and scan, the diamond pre-check, the dominance
+certificate (`calculus.m_row_gaps`), the coefficient-matrix certificate
 (`calculus.m_coefficient_matrices`) and the factor split decide on the
 integer coefficients of `SubsetPoly.cleared`, the one form a polynomial
 stores (a derivative subset's is a slice of p's), and triviality on their
@@ -69,8 +70,24 @@ from .poly import SubsetPoly, format_fraction, format_subset
 
 
 @dataclass(frozen=True)
-class ExhaustiveEnumeration:
-    """All 4**n ordered pairs of subsets were decided exactly (see check_nlc)."""
+class LocalDiamonds:
+    """Every weight is positive and every diamond p(S+i) p(S+j) >= p(S) p(S+i+j) holds.
+
+    For positive p the diamonds decide the lattice condition (Topkis 1978);
+    pairs_checked is the number of diamonds compared, C(n, 2) * 2**(n-2).
+    """
+
+    pairs_checked: int
+
+
+@dataclass(frozen=True)
+class SupportSplits:
+    """No split of a support pair violates the lattice condition.
+
+    A violating pair (S, T) has p(S | T) > 0 and p(S & T) > 0, so it splits
+    V = S | T over U = S & T, both in the support, with |V - U| >= 2;
+    every such split held.  pairs_checked is the number of splits compared.
+    """
 
     pairs_checked: int
 
@@ -95,7 +112,7 @@ class SubsetCertificates:
     one's certificate is in `SlcReport.subsets`."""
 
 
-Certificate = Union[ExhaustiveEnumeration, LogConcavityCertificate, SubsetCertificates]
+Certificate = Union[LocalDiamonds, SupportSplits, LogConcavityCertificate, SubsetCertificates]
 
 # ----- witnesses -------------------------------------------------------------
 
@@ -197,19 +214,72 @@ def exit_code(verdict: Verdict) -> int:
 
 
 def check_nlc(p: SubsetPoly) -> Verdict:
-    """Exact log-submodularity check by full enumeration.
+    """Exact log-submodularity check: p(S) p(T) >= p(S | T) p(S & T) for all S, T.
 
-    Decides p(S) p(T) >= p(S | T) p(S & T) for all 4**n ordered pairs of
-    subsets, comparing each incomparable pair once as S < T: the rest hold
-    by symmetry or with equality.  Returns the lexicographically first
-    violating pair by (S, T) bitmask (it has S < T, as its mirror violates
-    too), its products checked in rationals, or Holds with an enumeration
-    certificate.
+    Holds is proved by one of two exact routes: the local diamonds when
+    every weight is positive (`LocalDiamonds`), else the splits of support
+    pairs (`SupportSplits`).  A route that meets a violation leaves the
+    witness to the full scan, which compares each incomparable pair once as
+    S < T (the rest hold by symmetry or with equality), so Violated always
+    holds the lexicographically first violating pair by (S, T) bitmask (it
+    has S < T, as its mirror violates too), its products checked in
+    rationals.
     """
+    if len(p.nonzero_masks) == 1 << p.n:
+        certificate = _local_diamonds(p)
+    else:
+        certificate = _support_splits(p)
+    if certificate is not None:
+        return Holds(certificate)
     first = next(_nlc_violating_pairs(p), None)
     if first is None:
-        return Holds(ExhaustiveEnumeration(pairs_checked=4**p.n))
+        raise AssertionError("a route flagged a violation that the full scan did not find")
     return Violated(_nlc_witness(p, *first))
+
+
+def _local_diamonds(p: SubsetPoly) -> LocalDiamonds | None:
+    """LocalDiamonds, or None if some w(S+i) w(S+j) < w(S) w(S+i+j) on w = p.cleared[0].
+
+    Proves the lattice condition only for positive p: on the support
+    {}, {1,2,3} every diamond holds, yet S = {1}, T = {2,3} violates.
+    """
+    w = p.cleared[0]
+    bits = [1 << k for k in range(p.n)]
+    for s, ws in enumerate(w):
+        ups = [(s | b, w[s | b]) for b in bits if not s & b]
+        for (si, wi), (sj, wj) in itertools.combinations(ups, 2):
+            if wi * wj < ws * w[si | sj]:
+                return None
+    return LocalDiamonds(pairs_checked=math.comb(p.n, 2) * 2**p.n // 4)
+
+
+def _support_splits(p: SubsetPoly) -> SupportSplits | None:
+    """SupportSplits, or None if a split of a support pair violates, on w = p.cleared[0].
+
+    For each V and U < V in the support, compares w(U | X) w(U | Y) with
+    w(V) w(U) for each split of V - U into nonempty X and Y, counted once
+    by putting its lowest element in X; a one-element V - U has no split.
+    """
+    w = p.cleared[0]
+    checked = 0
+    for v in p.nonzero_masks:
+        wv = w[v]
+        u = v
+        while u:
+            u = (u - 1) & v
+            if not w[u]:
+                continue
+            rhs = wv * w[u]
+            d = v ^ u
+            low = d & -d
+            rest = d ^ low
+            r = rest
+            while r:
+                r = (r - 1) & rest
+                checked += 1
+                if w[u | low | r] * w[u | (rest ^ r)] < rhs:
+                    return None
+    return SupportSplits(pairs_checked=checked)
 
 
 def _nlc_violating_pairs(p: SubsetPoly) -> Iterator[tuple[int, int]]:

@@ -198,7 +198,10 @@ def _render_slc(slc: SlcReport) -> list[str]:
 
 def _jsonable_verdict(v: Verdict) -> dict:
     if isinstance(v, Holds):
-        return {"verdict": "holds", "certificate": _certificate_name(v.certificate)}
+        entry = {"verdict": "holds", "certificate": _certificate_name(v.certificate)}
+        if hasattr(v.certificate, "pairs_checked"):
+            entry["pairs_checked"] = v.certificate.pairs_checked
+        return entry
     if isinstance(v, Violated):
         w = v.witness
         if hasattr(w, "s_mask"):

@@ -26,10 +26,11 @@ from slcheck import (
 from slcheck import checkers
 from slcheck.calculus import log_hessian_many, m_form, m_matrix, m_row_gaps
 from slcheck.checkers import (
-    ExhaustiveEnumeration,
+    LocalDiamonds,
     LogConcavityCertificate,
     SamplePoints,
     SubsetCertificates,
+    SupportSplits,
     certify_log_concavity_dominance,
     certify_log_concavity_coefficients,
     certify_log_concavity_factors,
@@ -55,6 +56,20 @@ from conftest import (
 
 def one_plus_xy() -> SubsetPoly:
     return SubsetPoly.from_weights(2, {0: 1, 0b11: 1})
+
+
+def nlc_certificate(p: SubsetPoly) -> LocalDiamonds | SupportSplits:
+    """The certificate check_nlc proves a holding p with, counted on index sets.
+
+    A positive p: one diamond per S and pair {i, j} outside S.  Otherwise
+    one split {X, Y} of V - U into nonempty parts per support pair U < V.
+    """
+    n = p.n
+    support = [frozenset(i for i in range(n) if m >> i & 1) for m in p.nonzero_masks]
+    if len(support) == 1 << n:
+        return LocalDiamonds(pairs_checked=sum(math.comb(n - len(s), 2) for s in support))
+    splits = sum(2 ** (len(v - u) - 1) - 1 for v in support for u in support if u < v)
+    return SupportSplits(pairs_checked=splits)
 
 
 class TestLatticeCondition:
@@ -90,16 +105,20 @@ class TestLatticeCondition:
         p = product_measure([Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)])
         verdict = check_nlc(p)
         assert isinstance(verdict, Holds)
-        assert verdict.certificate == ExhaustiveEnumeration(pairs_checked=8 * 8)
+        # Three pairs {i, j}, each at S = {} and at S = {k}: six diamonds.
+        assert verdict.certificate == LocalDiamonds(pairs_checked=6)
         assert exit_code(verdict) == 0
 
     def test_point_mass_holds(self):
         p = SubsetPoly.from_weights(4, {0b1010: 1})
-        assert isinstance(check_nlc(p), Holds)
+        assert check_nlc(p) == Holds(SupportSplits(pairs_checked=0))
 
     def test_zero_and_constant_hold(self):
-        assert isinstance(check_nlc(SubsetPoly.from_weights(2, {})), Holds)
-        assert isinstance(check_nlc(SubsetPoly.from_weights(2, {0: 3})), Holds)
+        no_splits = Holds(SupportSplits(pairs_checked=0))
+        assert check_nlc(SubsetPoly.from_weights(2, {})) == no_splits
+        assert check_nlc(SubsetPoly.from_weights(2, {0: 3})) == no_splits
+        positive = SubsetPoly.from_weights(1, {0: 1, 1: 2})
+        assert check_nlc(positive) == Holds(LocalDiamonds(pairs_checked=0))
 
     def test_rejects_negative_weights(self):
         # A signed polynomial cannot be built, so no checker is handed one.
@@ -120,7 +139,7 @@ class TestLatticeCondition:
                 w = verdict.witness
                 assert (w.s_mask, w.t_mask, w.lhs, w.rhs) == expected[0]
             else:
-                assert verdict == Holds(ExhaustiveEnumeration(pairs_checked=4**p.n))
+                assert verdict == Holds(nlc_certificate(p))
             return expected
 
         rng = np.random.default_rng(41)
@@ -159,6 +178,103 @@ class TestLatticeCondition:
         monkeypatch.setattr(checkers, "_nlc_violating_pairs", lambda p: iter([(0b001, 0b011)]))
         with pytest.raises(AssertionError):
             check_nlc(counterexample)
+
+    def test_route_flag_needs_a_scan_witness(self, counterexample, monkeypatch):
+        # A route that fails where the full scan finds no pair is a bug, not a Holds.
+        monkeypatch.setattr(checkers, "_nlc_violating_pairs", lambda p: iter([]))
+        with pytest.raises(AssertionError, match="full scan"):
+            check_nlc(counterexample)
+
+    def test_diamonds_need_positive_weights(self):
+        # On the support {}, {1,2,3} every diamond holds (each has a zero
+        # product on both sides), yet S = {1}, T = {2,3} violates: the local
+        # route proves the condition only when every weight is positive.
+        p = SubsetPoly.from_weights(3, {0: 1, 0b111: 1})
+        assert checkers._local_diamonds(p) == LocalDiamonds(pairs_checked=6)
+        assert checkers._support_splits(p) is None
+        w = check_nlc(p).witness
+        assert (w.s_mask, w.t_mask, w.lhs, w.rhs) == (0b001, 0b110, 0, 1)
+
+    def test_routes_match_brute_force_oracle(self):
+        # Each route decides exactly what the oracle over all 4**n ordered
+        # pairs decides, on positive inputs and on inputs with zeros; the
+        # witness is the full scan's first pair and a certificate counts
+        # exactly the comparisons made.
+        rng = np.random.default_rng(44)
+
+        def prob() -> Fraction:
+            return Fraction(int(rng.integers(1, 10)), 10)
+
+        def product(n: int) -> dict:
+            return dict(enumerate(product_measure([prob() for _ in range(n)]).coeffs))
+
+        def truncated(n: int) -> dict:
+            k = int(rng.integers(1, n))
+            return {m: c for m, c in product(n).items() if m.bit_count() <= k}
+
+        def by_field(n: int, support) -> dict:
+            lam = [int(v) for v in rng.integers(1, 5, size=n)]
+            return {m: math.prod(lam[i] for i in range(n) if m >> i & 1) for m in support}
+
+        def random_weights(n: int, zero_prob: float) -> dict:
+            return dict(enumerate(random_subset_poly(rng, n, zero_prob=zero_prob).coeffs))
+
+        def tree_masks(n: int) -> list[int]:
+            # Spanning trees of a cycle on v vertices plus chords (i, i + 2).
+            v = max(3, (n + 3) // 2)
+            edges = [(i, (i + 1) % v) for i in range(v)]
+            edges += [(i, (i + 2) % v) for i in range(n - v)]
+            trees = []
+            for tree in itertools.combinations(range(n), v - 1):
+                component = list(range(v))
+                for e in tree:
+                    a, b = (component[x] for x in edges[e])
+                    if a == b:
+                        break
+                    component = [a if c == b else c for c in component]
+                else:
+                    trees.append(sum(1 << e for e in tree))
+            return trees
+
+        builders = {
+            "product": product,
+            "pairwise": lambda n: {m: c / 2 ** math.comb(m.bit_count(), 2)
+                                   for m, c in product(n).items()},
+            "positive": lambda n: random_weights(n, 0.0),
+            "perturbed": lambda n: {**product(n), int(rng.integers(1 << n)): prob()},
+            "truncated": truncated,
+            "rank": lambda n: by_field(n, [m for m in range(1 << n)
+                                           if m.bit_count() == n // 2]),
+            "matroid": lambda n: by_field(n, tree_masks(n)),
+            "point": lambda n: {int(rng.integers(1 << n)): prob()},
+            "zeros": lambda n: random_weights(n, rng.uniform(0.3, 0.6)),
+        }
+        seen = set()
+        for n in range(3, 8):
+            for name, build in builders.items():
+                for copy in range(2 if n < 7 else 1):
+                    p = SubsetPoly.from_weights(n, build(n))
+                    if copy == 0:
+                        p = p.scale(Fraction(1, 10**400))
+                    expected = brute_nlc_violations(p)
+                    if len(p.nonzero_masks) == 1 << n:
+                        assert (checkers._local_diamonds(p) is None) == bool(expected), (name, p)
+                    assert (checkers._support_splits(p) is None) == bool(expected), (name, p)
+                    verdict = check_nlc(p)
+                    if expected:
+                        w = verdict.witness
+                        assert (w.s_mask, w.t_mask, w.lhs, w.rhs) == expected[0], (name, p)
+                    else:
+                        assert verdict == Holds(nlc_certificate(p)), (name, p)
+                    seen.add((type(verdict.certificate).__name__
+                              if isinstance(verdict, Holds) else "Violated", name))
+        # Log-submodular by construction: positive ones by diamonds, the rest by splits.
+        def routes(*names: str) -> set:
+            return {route for route, name in seen if name in names}
+
+        assert routes("product", "pairwise") == {"LocalDiamonds"}
+        assert routes("truncated", "rank", "matroid", "point") == {"SupportSplits"}
+        assert ("Violated", "perturbed") in seen and ("Violated", "zeros") in seen
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)

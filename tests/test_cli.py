@@ -159,7 +159,30 @@ class TestCheckCommand:
         code = main(["check", str(path), "nlc"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "verdict: HOLDS (ExhaustiveEnumeration)" in out
+        assert out.splitlines()[-1] == "verdict: HOLDS (LocalDiamonds)"
+
+    def test_nlc_report_counts_pairs(self, counterexample_file, tmp_path, capsys):
+        # A holds entry names its certificate and the comparisons it made;
+        # a violated one has no count.
+        cases = {
+            # Positive: one diamond at S = {} for the one pair {1, 2}.
+            "prod": (product_measure([Fraction(1, 2), Fraction(1, 3)]), "LocalDiamonds", 1),
+            # Zeros: U = {} < V = {i,j} splits one way for each of the three pairs.
+            "sparse": (SubsetPoly.from_weights(3, dict.fromkeys(range(7), 1)), "SupportSplits", 3),
+        }
+        for name, (p, certificate, pairs) in cases.items():
+            path, report = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+            path.write_text(document(p))
+            assert main(["check", str(path), "nlc", "--report", str(report)]) == 0, name
+            assert capsys.readouterr().out.splitlines()[-1] == f"verdict: HOLDS ({certificate})"
+            assert json.loads(report.read_text()) == {
+                "property": "nlc", "n": p.n, "verdict": "holds",
+                "certificate": certificate, "pairs_checked": pairs,
+            }, name
+        report = tmp_path / "violated-report.json"
+        assert main(["check", counterexample_file, "nlc", "--report", str(report)]) == 1
+        capsys.readouterr()
+        assert sorted(json.loads(report.read_text())) == ["n", "property", "verdict", "witness"]
 
     def test_rationals_past_the_digit_limit(self, tmp_path, capsys):
         # The weight sum and the witness products have more digits than Python
@@ -169,14 +192,16 @@ class TestCheckCommand:
         path.write_text(json.dumps(
             {"n": 1, "coefficients": {"": f"1/{big + 1}", "1": f"1/{big + 3}"}}
         ))
-        verdicts = {"nlc": "verdict: HOLDS (ExhaustiveEnumeration)",
-                    "lc": "verdict: HOLDS (product of affine factors)",
-                    "slc": "aggregate: HOLDS (every derivative subset carries"}
+        verdicts = {
+            "nlc": "verdict: HOLDS (LocalDiamonds)",
+            "lc": "verdict: HOLDS (product of affine factors)",
+            "slc": "aggregate: HOLDS (every derivative subset carries an exact certificate)",
+        }
         for prop, verdict in verdicts.items():
             assert main(["check", str(path), prop, "--samples", "10"]) == 0, prop
             out = capsys.readouterr().out
             assert f"sum = {2 * big + 4}/<6001 digits>)" in out.splitlines()[0], prop
-            assert verdict in out, prop
+            assert out.splitlines()[-1] == verdict, prop
         # p({1}) p({2}) < p({1,2}) p({}): the lattice condition fails.
         big = 10**2500
         path = tmp_path / "n2.json"

@@ -185,16 +185,6 @@ def _log_coeffs(p: SubsetPoly) -> np.ndarray:
     return _float_coeffs(p, den.bit_length() - max(w).bit_length())
 
 
-def _blocks(plan: _Plan, count: int) -> list[slice]:
-    """Consecutive row ranges of a point array, plan.block rows each.
-
-    `log_hessian_many` passes each block's table straight to `_log_hessians`,
-    so that no more than one table is alive at a time.
-    """
-    step = plan.block
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 def _log_hessians(table: np.ndarray, plan: _Plan, out: np.ndarray) -> np.ndarray:
     """Write (g D2g - grad g grad g^T) / g^2 at the m points of a table into out.
 
@@ -402,7 +392,9 @@ def log_hessian_many(p: SubsetPoly, points: np.ndarray) -> np.ndarray:
     plan = _table_plan(p)
     out = np.empty((pts.shape[0], p.n, p.n), dtype=float)
     with np.errstate(all="ignore"):
-        for rows in _blocks(plan, pts.shape[0]):
+        # Each block's table goes straight to _log_hessians: one table is alive at a time.
+        for start in range(0, len(pts), plan.block):
+            rows = slice(start, start + plan.block)
             if not np.isfinite(
                 _log_hessians(_superset_sums(coeffs, pts[rows], plan), plan, out[rows])
             ).all():

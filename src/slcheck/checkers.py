@@ -46,8 +46,8 @@ Both witnesses are proofs: a lattice witness holds its products in
 rationals, a point witness a point and vector with v^T M(x) v < 0 in
 integers (`calculus.m_form`), and neither is returned unless that holds.
 The sample points belong to one call: `check_slc` builds one
-`SamplePoints` for all its derivative subsets, and each point is drawn only
-when a scan first reaches it.  Nothing is shared between calls.
+`SamplePoints` for all its derivative subsets, its random rows drawn at
+once when a scan first reads past the grid.  Nothing is shared by calls.
 """
 
 from __future__ import annotations
@@ -316,8 +316,8 @@ def _nlc_witness(p: SubsetPoly, s: int, t: int) -> NlcWitness:
 
 GRID_VALUES = (0.1, 0.5, 1.0, 2.0, 10.0)
 
-# The fixed grid has 5**n points; past this many variables it would dwarf
-# the random sample, so it is only included for small n.
+# The fixed grid has 5**n points, five-fold more with each variable (15,625
+# at n = 6, against 2,000 default draws), so it is only included for small n.
 GRID_MAX_VARS = 6
 
 # Points per batched log-Hessian and screen call in the sampler; bounds
@@ -391,14 +391,12 @@ class SamplePoints:
     """The sampler's points in scan order: the fixed grid, then seeded log-uniform draws.
 
     Holds one array of all grid + cfg.points rows, with the grid copied in
-    first; a draw is made only when a read first reaches its rows, so a scan
-    that stops early draws nothing past its last chunk, and the generator
-    is made at the first draw, so a scan that reads only the grid makes
-    none.  drawn is the number of rows filled so far.  Drawing the rows in
-    pieces gives the values one draw of all of them would: the generator's
-    stream is consumed in order.  Reads return read-only views; a read may
-    draw, so an instance belongs to one call.  Raises ValueError when the
-    array cannot be allocated.
+    first.  The first read that ends past the grid draws every random row,
+    in one draw from a generator made for it and dropped after, so a scan
+    that reads only the grid draws nothing.  drawn is the number of rows
+    filled so far: the grid size, then len(self).  Reads return read-only
+    views; a read may draw, so an instance belongs to one call.  Raises
+    ValueError when the array cannot be allocated.
     """
 
     def __init__(self, n: int, cfg: SampleConfig) -> None:
@@ -410,7 +408,6 @@ class SamplePoints:
         self._pts[: grid.shape[0]] = grid
         self.drawn = grid.shape[0]
         self._seed = cfg.seed
-        self._rng: np.random.Generator | None = None
         self._log_box = tuple(np.log(b) for b in cfg.box)
 
     def __len__(self) -> int:
@@ -419,11 +416,10 @@ class SamplePoints:
     def __getitem__(self, rows: slice) -> np.ndarray:
         _, stop, _ = rows.indices(len(self))
         if stop > self.drawn:
-            if self._rng is None:
-                self._rng = np.random.default_rng(self._seed)
-            draws = self._pts[self.drawn : stop]
-            np.exp(self._rng.uniform(*self._log_box, size=draws.shape), out=draws)
-            self.drawn = stop
+            draws = self._pts[self.drawn :]
+            rng = np.random.default_rng(self._seed)
+            np.exp(rng.uniform(*self._log_box, size=draws.shape), out=draws)
+            self.drawn = len(self)
         view = self._pts[rows]
         view.flags.writeable = False
         return view
@@ -580,6 +576,8 @@ def certify_log_concavity_dominance(p: SubsetPoly) -> LogConcavityCertificate | 
 # The coefficient test is sound at every n, but is tried only up to here: at
 # n = 4 it certifies the product input whose NoViolationFound verdict
 # perfbench's test_checker_flags_flipped_verdicts needs (ROADMAP item 4).
+# Its cost outgrows sampling too: forming M grows with n**2 times the squared
+# support, and uncapped the n = 9 product took 5.6 -> 8.5 s (ROADMAP item 17).
 COEFFICIENT_MAX_VARS = 3
 
 
@@ -706,12 +704,11 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     (`calculus.cleared_m_rows`), and only as far as it reads it; dominance
     forms none where a variable is dead, as the variables of A are dead
     in d^A g for every A != {}.  So M is formed twice only for g itself at
-    n <= 3, when dominance fails there.  One SamplePoints
-    serves every subset's scan, built when the first subset reaches the
-    sampler and drawn only as far as some scan reads it.
+    n <= 3, when dominance fails there.  One SamplePoints, built before the
+    first subset, serves every subset's scan.
     """
     results: dict[int, Verdict] = {}
-    pts = None
+    pts = SamplePoints(p.n, cfg)
     for a in range(1 << p.n):
         q = p.derivative_subset(a)
         trivial = trivial_log_concavity(q)
@@ -723,7 +720,6 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
             if cert is not None:
                 results[a] = Holds(cert)
                 continue
-        pts = SamplePoints(p.n, cfg) if pts is None else pts
         results[a] = check_log_concavity_sampled(q, cfg, subset_mask=a, points=pts)
     return SlcReport(subsets=results, aggregate=_aggregate(results, cfg))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Union
@@ -132,12 +132,14 @@ class SubsetPoly:
     mask} x_{k+1}, w Python ints and L > 0.  Construction refuses anything
     else, or a negative w, and divides out gcd(L, *w): L is then the lcm of
     the denominators, equal polynomials are equal values, and products of k
-    coefficients, scaled by L**k, compare alike on w.  Instances are
-    immutable; every operation returns a new polynomial.
+    coefficients, scaled by L**k, compare alike on w.  nonzero_masks, the
+    masks with w > 0 in order, is set too, outside equality, hash and repr.
+    Instances are immutable; every operation returns a new polynomial.
     """
 
     n: int
     cleared: tuple[tuple[int, ...], int]
+    nonzero_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_vars(self.n)
@@ -155,6 +157,7 @@ class SubsetPoly:
         if g > 1:
             w, den = tuple(c // g for c in w), den // g
         object.__setattr__(self, "cleared", (w, den))
+        object.__setattr__(self, "nonzero_masks", tuple(itertools.compress(range(len(w)), w)))
 
     # ----- constructors -------------------------------------------------
 
@@ -180,10 +183,6 @@ class SubsetPoly:
         """The coefficients as Fractions, w[mask] / L."""
         w, den = self.cleared
         return tuple(Fraction(c, den) for c in w)
-
-    @cached_property
-    def nonzero_masks(self) -> tuple[int, ...]:
-        return tuple(itertools.compress(range(1 << self.n), self.cleared[0]))
 
     def coeff_sum(self) -> Fraction:
         w, den = self.cleared

@@ -504,7 +504,7 @@ class TestNoSharedState:
             sampled = [v for v in report.subsets.values() if isinstance(v, NoViolationFound)]
             assert len(sampled) > 1 and len(built_points) == calls
         assert isinstance(check_slc(counterexample, cfg).aggregate, Holds)  # all certified
-        assert len(built_points) == 2
+        assert len(built_points) == 3 and built_points[-1].drawn == 125  # nothing read
 
 
 class TestTrivialClasses:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -436,10 +437,12 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out.startswith("usage: slcheck") and err == ""
 
-    def test_unallocatable_sample_count(self, xy_file, capsys, monkeypatch):
+    def test_unallocatable_sample_count(self, xy_file, counterexample_file, capsys, monkeypatch):
         # A --samples value whose point array cannot be allocated is refused
-        # like a bad value, not reported as a violation.  numpy's failure to
-        # allocate is simulated, so nothing large is ever asked for.
+        # like a bad value, not reported as a violation; slc builds its points
+        # before the first subset, so an input whose subsets are all certified
+        # is refused too.  numpy's failure to allocate is simulated, so
+        # nothing large is ever asked for.
         empty = np.empty
 
         def refuse_large(shape, *args, **kwargs):
@@ -448,10 +451,10 @@ class TestErrorPaths:
             return empty(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "empty", refuse_large)
-        for prop in ("lc", "slc"):
-            code = main(["check", xy_file, prop, "--samples", str(10**12)])
+        for path, prop in itertools.product((xy_file, counterexample_file), ("lc", "slc")):
+            code = main(["check", path, prop, "--samples", str(10**12)])
             out, err = capsys.readouterr()
-            assert code == 2, prop
+            assert code == 2, (path, prop)
             assert out == "" and err.startswith(f"error: cannot hold {10**12} sample points")
             assert err.count("\n") == 1
         assert main(["check", xy_file, "lc", "--samples", "10"]) == 1  # violated, as unpatched

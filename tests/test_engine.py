@@ -888,9 +888,10 @@ class TestChunkedScan:
         assert (7, 0, "NoViolationFound") in outcomes
 
     def test_draws_only_what_the_scan_reads(self):
-        # Each chunk the scan reads, with or without the one-point head, holds
-        # the rows of one draw of every point, drawn no further than that
-        # chunk, read-only.
+        # Nothing is drawn while the chunks stay in the grid, and every random
+        # row at the first chunk past it, with no generator kept after; each
+        # chunk, with or without the one-point head, holds the rows of one
+        # draw of every point, read-only.
         for n in range(2, 9):
             grid = grid_points(n).shape[0]
             seeds = (0, 9, (0, 3, 4))
@@ -901,9 +902,10 @@ class TestChunkedScan:
                 assert len(pts) == want.shape[0] and pts.drawn == grid
                 for rows in checkers._scan_chunks(len(pts), head):
                     chunk = pts[rows]
-                    assert pts.drawn == max(grid, min(rows.stop, len(pts)))
+                    assert pts.drawn == (grid if rows.stop <= grid else len(pts))
                     assert not chunk.flags.writeable
                     assert chunk.tobytes() == want[rows].tobytes(), (n, seed, count, rows)
+                assert not any(isinstance(v, np.random.Generator) for v in vars(pts).values())
 
     def test_violation_in_the_probe_draws_nothing(self, built_points):
         # 1 + x1 x2 fails at the first grid point; a violated sweep cell too.

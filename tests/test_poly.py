@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -12,8 +13,16 @@ import pytest
 from slcheck import SubsetPoly
 from slcheck.calculus import eval_many, log_hessian
 from slcheck.checkers import trivial_log_concavity
+from slcheck.distfile import loads_distribution
 from slcheck.family import make_family
-from slcheck.poly import SparsePoly, add_products, as_fraction, format_fraction, sparse_from_subset
+from slcheck.poly import (
+    SparsePoly,
+    add_products,
+    as_fraction,
+    format_fraction,
+    format_subset,
+    sparse_from_subset,
+)
 from conftest import (
     eval_exact,
     exact_point,
@@ -189,8 +198,11 @@ class TestDerivatives:
         # Every constructor gives the one canonical form: Python ints w over
         # L > 0 with gcd(L, *w) = 1, which are the Fraction coefficients over
         # their lcm, and the value from_weights builds from the Fractions it
-        # derives (a slice of p's for a derivative, also of a derivative).
+        # derives (a slice of p's for a derivative, also of a derivative),
+        # equal and of equal hash.  Its support is set at construction,
+        # before anything reads it.
         def check(d, fractions):
+            assert "nonzero_masks" in vars(d), d
             w, den = d.cleared
             assert {type(den), *map(type, w)} == {int} and math.gcd(den, *w) == 1, d
             lcm = math.lcm(*(c.denominator for c in d.coeffs))
@@ -198,7 +210,12 @@ class TestDerivatives:
                 tuple(c.numerator * (lcm // c.denominator) for c in d.coeffs), lcm
             ), d
             assert d.nonzero_masks == tuple(m for m, c in enumerate(d.coeffs) if c != 0)
-            assert d == SubsetPoly.from_weights(d.n, dict(enumerate(fractions)))
+            built = SubsetPoly.from_weights(d.n, dict(enumerate(fractions)))
+            assert d == built and hash(d) == hash(built) and repr(d) == repr(built)
+
+        def document(n, fractions):
+            items = {format_subset(m)[1:-1]: str(c) for m, c in enumerate(fractions) if c}
+            return json.dumps({"n": n, "coefficients": items})
 
         rng = np.random.default_rng(16)
         primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -214,7 +231,11 @@ class TestDerivatives:
                 den = primes[mask % len(primes)] if k % 4 == 2 else int(rng.integers(1, 9))
                 weights[mask] = Fraction(int(rng.integers(1, 10)), den)
             p = SubsetPoly.from_weights(n, weights)
-            check(p, [weights.get(m, 0) for m in range(1 << n)])
+            fractions = [weights.get(m, 0) for m in range(1 << n)]
+            check(p, fractions)
+            check(loads_distribution(document(n, fractions)), fractions)
+            w, den = p.cleared  # a common factor of 6, divided out
+            check(SubsetPoly(n, (tuple(6 * c for c in w), 6 * den)), fractions)
             if k % 4 == 1:
                 fractions = [c * tiny for c in p.coeffs]
                 p = p.scale(tiny)
@@ -225,9 +246,10 @@ class TestDerivatives:
                 check(p, fractions)
             masks = range(1 << n) if n <= 5 else rng.integers(0, 1 << n, 24)
             for a in map(int, masks):
-                q = p.derivative_subset(a)
                 b = int(rng.integers(0, 1 << n)) & ~a
-                for d, m in ((q, a), (q.derivative_subset(b), a | b)):
+                d = p
+                for step, m in ((a, a), (b, a | b)):  # at a, then that derivative's at b
+                    d = d.derivative_subset(step)
                     check(d, [0 if s & m else p.coeffs[s | m] for s in range(1 << n)])
                     kinds["zero"] += not d.nonzero_masks
                     kinds["reduced"] += d.cleared[1] < p.cleared[1]
@@ -238,7 +260,8 @@ class TestDerivatives:
 
         for n in (1, 4, 8):
             zero = SubsetPoly.from_weights(n, {})
-            for d in (zero, zero.scale(tiny), zero.scale(7), zero.derivative_subset(1)):
+            loaded = loads_distribution(document(n, [0] * (1 << n)))
+            for d in (zero, zero.scale(tiny), zero.scale(7), zero.derivative_subset(1), loaded):
                 check(d, [0] * (1 << n))
                 assert d.cleared == ((0,) * (1 << n), 1)
         for b, c in [(0, 0), (Fraction(3, 20), 4), ("7/3", "5/6"), (2, 1), (tiny, 0)]:

@@ -11,27 +11,34 @@ exact argument: the local diamonds of a positive p or the splits of its
 support pairs for the lattice condition (`check_nlc`), a coefficient-wise
 diagonal dominance certificate, a coefficient-matrix certificate (at
 n <= 3), a split into affine factors on disjoint variables
-(`factor_blocks`), or membership in a class that is log-concave
-for structural reasons (zero, constant, a single monomial, or an affine
-polynomial), which `trivial_log_concavity` alone decides, from the nonzero
-coefficients.  `check_slc` takes every class and both certificates, but
-not the factor split; `check_log_concavity`, which `check FILE lc` runs,
-takes all but the affine class, then the factor split, and samples the
-rest; `check_log_concavity_sampled` takes all but the affine class, and
-nothing else.  Per derivative subset `check_slc` runs triviality, then the
-diamond pre-check (`failing_diamond`), then dominance, then coefficient
-matrices at n <= 3, then sampling; a failing diamond at the origin rules
-both certificates out, so such a subset goes straight to sampling.
+(`factor_blocks`), a Lorentzian certificate for a homogeneous g
+(`certify_log_concavity_lorentzian`), or membership in a class that is
+log-concave for structural reasons (zero, constant, a single monomial, or
+an affine polynomial), which `trivial_log_concavity` alone decides, from
+the nonzero coefficients.  `check_slc` takes every class, both matrix
+certificates and the Lorentzian one, but not the factor split;
+`check_log_concavity`, which `check FILE lc` runs, takes all but the
+affine class, then the factor split, then the Lorentzian certificate, and
+samples the rest; `check_log_concavity_sampled` takes all but the affine
+class, and nothing else.  `check_slc` tries the Lorentzian certificate
+once, on g, before its first subset: when it holds, every subset that is
+not trivial takes it, since d^A g is Lorentzian too.  Otherwise it runs,
+per derivative subset, triviality, then the diamond pre-check
+(`failing_diamond`), then dominance, then coefficient matrices at n <= 3,
+then sampling; a failing diamond at the origin rules both matrix
+certificates out, so such a subset goes straight to sampling.
 
 The lattice routes and scan, the diamond pre-check, the dominance
 certificate (`calculus.m_row_gaps`), the coefficient-matrix certificate
-(`calculus.m_coefficient_matrices`) and the factor split decide on the
-integer coefficients of `SubsetPoly.cleared`, the one form a polynomial
-stores (a derivative subset's is a slice of p's), and triviality on their
-nonzero masks.  Each certificate forms the M it reads
-(`calculus.cleared_m_rows`); dominance forms none when a variable is in no
-nonzero mask, as the variables of A are for every derivative subset
-A != {}.  All four log-concavity routes return one
+(`calculus.m_coefficient_matrices`), the factor split and the Lorentzian
+quadratics decide on the integer coefficients of `SubsetPoly.cleared`,
+the one form a polynomial stores (a derivative subset's is a slice of
+p's), and triviality and the Lorentzian exchange test (by counts of the
+support masks inside each set) on their nonzero masks.  Each matrix
+certificate forms the M it reads (`calculus.cleared_m_rows`); dominance
+forms none when a variable is in no nonzero mask, as the variables of A
+are for every derivative subset A != {}, and the Lorentzian certificate
+forms none at all.  All five log-concavity routes return one
 `LogConcavityCertificate`, whose kind
 names the route that decided; it holds nothing else, not the polynomial.
 Sampling reads every log-Hessian from the derivative table of `calculus`
@@ -100,7 +107,9 @@ class LogConcavityCertificate:
     from `trivial_log_concavity`, 'dominance' from
     `certify_log_concavity_dominance`, 'coefficient' from
     `certify_log_concavity_coefficients`, 'factor' from
-    `certify_log_concavity_factors`; each gives its reason.
+    `certify_log_concavity_factors`, 'lorentzian' from
+    `certify_log_concavity_lorentzian`; each gives its reason.  A
+    'lorentzian' certificate of g also proves every derivative d^A g.
     """
 
     kind: str
@@ -663,14 +672,102 @@ def check_log_concavity(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> Ve
 
     The zero, constant and single-monomial classes hold at once, then a
     split into affine factors (`certify_log_concavity_factors`) holds
-    exactly, an affine g with p(empty) > 0 included; every other input goes
-    to `check_log_concavity_sampled`.
+    exactly, an affine g with p(empty) > 0 included, then a homogeneous
+    Lorentzian g (`certify_log_concavity_lorentzian`); every other input
+    goes to `check_log_concavity_sampled`.
     """
     if len(p.nonzero_masks) > 1:
-        cert = certify_log_concavity_factors(p)
+        cert = certify_log_concavity_factors(p) or certify_log_concavity_lorentzian(p)
         if cert is not None:
             return Holds(cert)
     return check_log_concavity_sampled(p, cfg)
+
+
+# ----- Lorentzian certificate for homogeneous g ------------------------------------
+
+
+def certify_log_concavity_lorentzian(p: SubsetPoly) -> LogConcavityCertificate | None:
+    """Try to prove that a homogeneous g is Lorentzian, exactly.
+
+    A g whose nonzero masks all have one size d >= 2 is Lorentzian when its
+    support is M-convex, the bases of a matroid (`_bases_exchange`), and
+    every quadratic d^A g with |A| = d - 2 has at most one positive
+    eigenvalue (`_rank_one_bounded`); A is a set, as g is multiaffine, and
+    only an A inside some basis has d^A g != 0.  For such g strong
+    log-concavity is exactly this property (Branden-Huh, arXiv:1902.03719,
+    section 2; Anari-Liu-Oveis Gharan-Vinzant, arXiv:1811.01816).
+    Lorentzian polynomials are closed under d_i and log-concave on the
+    orthant, so the certificate holds for g and for every d^A g.  Returns
+    None otherwise (which proves nothing).
+    """
+    masks = p.nonzero_masks
+    d = masks[0].bit_count() if masks else 0
+    if d < 2 or any(m.bit_count() != d for m in masks) or not _bases_exchange(p.n, masks):
+        return None
+    w = p.cleared[0]
+    bits = [1 << k for k in range(p.n)]
+    inside = np.zeros(1 << p.n, dtype=bool)  # inside[t]: t lies inside some basis
+    inside[list(masks)] = True
+    for k in range(p.n):
+        view = inside.reshape(-1, 2, 1 << k)
+        view[:, 0] |= view[:, 1]
+    for a in np.flatnonzero(inside).tolist():
+        if a.bit_count() != d - 2:
+            continue
+        free = [i for i in bits if not a & i]
+        # The diagonal w[a | i] is 0, as |a | i| = d - 1.
+        if not _rank_one_bounded([[w[a | i | j] for j in free] for i in free]):
+            return None
+    return LogConcavityCertificate("lorentzian")
+
+
+def _bases_exchange(n: int, masks: tuple[int, ...]) -> bool:
+    """Whether the equal-size masks satisfy the basis exchange axiom.
+
+    The axiom: for bases b, c and i in b - c, some j in c - b has b - i + j
+    a basis.  For a basis b and i in b let J be the set of j outside b with
+    b - i + j a basis.  The axiom fails at (b, i) exactly when some basis c
+    lacks i and misses J, that is, lies inside the complement of J + i.
+    below[t] counts the bases inside t, by one zeta (subset-sum) transform
+    over the 2**n masks, so each (b, i) costs one lookup past the n - d
+    that form J.
+    """
+    full = (1 << n) - 1
+    below = np.zeros(1 << n, dtype=np.int64)
+    below[list(masks)] = 1
+    support = below.astype(bool)
+    for k in range(n):
+        view = below.reshape(-1, 2, 1 << k)
+        view[:, 1] += view[:, 0]
+    bases = np.array(masks, dtype=np.int64)
+    for i in range(n):
+        with_i = bases[bases >> i & 1 == 1]
+        reach = np.zeros_like(with_i)
+        for j in range(n):
+            outside = with_i >> j & 1 == 0
+            reach |= (outside & support[with_i ^ (1 << i | 1 << j)]).astype(np.int64) << j
+        if (below[full & ~(reach | 1 << i)] > 0).any():
+            return False
+    return True
+
+
+def _rank_one_bounded(q: list[list[int]]) -> bool:
+    """Whether a symmetric nonnegative integer matrix has at most one positive eigenvalue.
+
+    Its zero rows (with their columns) add zero eigenvalues only, so the
+    rest is tested: with r = Q 1 and s = 1^T r > 0, Q has at most one
+    positive eigenvalue iff P = r r^T - s Q is PSD.  On the hyperplane
+    r^T x = 0, x^T P x = -s x^T Q x: a second positive direction of Q would
+    meet that hyperplane, while one positive eigenvalue leaves Q NSD on the
+    Q-orthogonal complement of 1, and P 1 = 0 covers the rest.  Conversely
+    Q = (r r^T - P) / s, a rank-one term minus a PSD matrix, has at most one
+    positive eigenvalue (Weyl).  As P 1 = 0, P is PSD iff P without its
+    last row and column is, which `calculus.is_psd` decides.
+    """
+    r = [sum(row) for row in q]
+    s = sum(r)
+    live = [k for k, rk in enumerate(r) if rk][:-1]
+    return is_psd([[r[i] * r[j] - s * q[i][j] for j in live] for i in live])
 
 
 # ----- full strong log-concavity check -------------------------------------------
@@ -694,13 +791,17 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     """Check log-concavity of every iterated derivative of g_p.
 
     Only square-free derivative sets matter: differentiating a multi-affine
-    polynomial twice in the same variable yields zero.  Per subset the
-    strategy is triviality, then the diamond pre-check, then the exact
-    dominance certificate, then (at n <= 3) the exact coefficient-matrix
-    certificate, then sampling.  A subset with a failing diamond at the
-    origin (`failing_diamond`) goes straight to sampling, since neither
-    certificate can hold for it; the verdict is the one the certificates'
-    failures would have led to.  Each certificate forms the M it reads
+    polynomial twice in the same variable yields zero.  The Lorentzian
+    certificate (`certify_log_concavity_lorentzian`) is tried once, on g,
+    before the first subset: a Lorentzian g has Lorentzian derivatives, so
+    when it holds every subset that is not trivial takes it, and no M is
+    formed.  Otherwise, per subset, the strategy is triviality, then the
+    diamond pre-check, then the exact dominance certificate, then (at
+    n <= 3) the exact coefficient-matrix certificate, then sampling.  A
+    subset with a failing diamond at the origin (`failing_diamond`) goes
+    straight to sampling, since neither matrix certificate can hold for it;
+    the verdict is the one their failures would have led to.  Each
+    certificate forms the M it reads
     (`calculus.cleared_m_rows`), and only as far as it reads it; dominance
     forms none where a variable is dead, as the variables of A are dead
     in d^A g for every A != {}.  So M is formed twice only for g itself at
@@ -709,11 +810,12 @@ def check_slc(p: SubsetPoly, cfg: SampleConfig = SampleConfig()) -> SlcReport:
     """
     results: dict[int, Verdict] = {}
     pts = SamplePoints(p.n, cfg)
+    lorentzian = certify_log_concavity_lorentzian(p)
     for a in range(1 << p.n):
         q = p.derivative_subset(a)
         trivial = trivial_log_concavity(q)
-        if trivial is not None:
-            results[a] = Holds(trivial)
+        if trivial is not None or lorentzian is not None:
+            results[a] = Holds(trivial or lorentzian)
             continue
         if failing_diamond(q) is None:
             cert = certify_log_concavity_dominance(q) or certify_log_concavity_coefficients(q)

@@ -157,15 +157,21 @@ def _render_verdict(v: Verdict) -> list[str]:
 
 
 _CERTIFICATE_NAMES = {
+    "zero": "trivially log-concave: zero",
+    "constant": "trivially log-concave: constant",
+    "monomial": "trivially log-concave: monomial",
+    "affine": "trivially log-concave: affine",
     "dominance": "diagonal dominance certificate",
     "coefficient": "coefficient matrix certificate",
     "factor": "product of affine factors",
+    "lorentzian": "Lorentzian certificate",
 }
 
 
 def _certificate_name(cert) -> str:
+    """The printed name of a certificate; a LogConcavityCertificate kind must be named."""
     if isinstance(cert, LogConcavityCertificate):
-        return _CERTIFICATE_NAMES.get(cert.kind, f"trivially log-concave: {cert.kind}")
+        return _CERTIFICATE_NAMES[cert.kind]
     return type(cert).__name__
 
 

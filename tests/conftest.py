@@ -356,6 +356,43 @@ def brute_nlc_violations(p: SubsetPoly) -> list[tuple[int, int, Fraction, Fracti
     return out
 
 
+# ----- brute force Lorentzian conditions -----------------------------------------
+
+
+def brute_bases_exchange(masks) -> bool:
+    """The basis exchange axiom, pair by pair on index sets.
+
+    For every two members B and C of the family and every i in B - C, some
+    j in C - B must make B - i + j a member.
+    """
+    family = {frozenset(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in masks}
+    return all(
+        any(b - {i} | {j} in family for j in c - b)
+        for b in family for c in family for i in b - c
+    )
+
+
+def positive_eigenvalue_count(a) -> int:
+    """The positive eigenvalues of a symmetric integer matrix, with multiplicity.
+
+    The characteristic polynomial det(x I - A) comes from the Faddeev-LeVerrier
+    recursion, whose matrices and coefficients are integers for integer A.
+    It has real roots only, so Descartes' rule of signs counts its positive
+    roots exactly: the sign changes of its coefficients, zeros skipped.
+    """
+    n = len(a)
+    coeffs = [1]  # of x^n, x^(n-1), ...
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][t] * m[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        c, rest = divmod(-sum(a[i][t] * m[t][i] for i in range(n) for t in range(n)), k)
+        assert rest == 0
+        coeffs.append(c)
+    signs = [c > 0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
 @pytest.fixture
 def counterexample():
     from slcheck.counterexample import counterexample_distribution

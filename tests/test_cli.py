@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import math
@@ -264,6 +265,43 @@ class TestCheckCommand:
         path.write_text('{"n": 2, "coefficients": {"1,2": "3"}}')  # g = 3xy
         assert main(["check", str(path), "slc"]) == 0
         assert "A = {}: holds (trivially log-concave: monomial)" in capsys.readouterr().out
+
+    def test_lorentzian_certificate(self, tmp_path, capsys):
+        # Every pair under the external field (1, 2, 3, 4): the bases of U(2, 4).
+        path = tmp_path / "rank2.json"
+        path.write_text('{"n": 4, "coefficients": {"1,2": "2", "1,3": "3", "1,4": "4",'
+                        ' "2,3": "6", "2,4": "8", "3,4": "12"}}')
+        report_path = tmp_path / "rank2-report.json"
+        assert main(["check", str(path), "lc", "--report", str(report_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict: HOLDS (Lorentzian certificate)"
+        assert json.loads(report_path.read_text()) == {
+            "property": "lc", "n": 4, "verdict": "holds", "certificate": "Lorentzian certificate",
+        }
+        assert main(["check", str(path), "slc", "--report", str(report_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "A = {}: holds (Lorentzian certificate)" in out
+        assert out[-1] == "aggregate: HOLDS (every derivative subset carries an exact certificate)"
+        subsets = json.loads(report_path.read_text())["subsets"]
+        assert subsets["{}"]["certificate"] == "Lorentzian certificate"
+        assert subsets["{1}"]["certificate"] == "trivially log-concave: affine"
+        # x1 x2 + x3 x4: its support is no matroid, and lc finds a violation.
+        path.write_text('{"n": 4, "coefficients": {"1,2": "1", "3,4": "1"}}')
+        assert main(["check", str(path), "lc"]) == 1
+        assert "verdict: VIOLATED" in capsys.readouterr().out.splitlines()
+
+    def test_every_certificate_kind_has_a_name(self):
+        # The kinds are the string literals that construct a LogConcavityCertificate
+        # in the checkers; a kind without a printed name raises.
+        tree = ast.parse(Path(checkers.__file__).read_text())
+        kinds = {
+            node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LogConcavityCertificate"
+        }
+        assert kinds == set(cli._CERTIFICATE_NAMES), kinds
+        for kind in kinds:
+            assert cli._certificate_name(checkers.LogConcavityCertificate(kind))
+        with pytest.raises(KeyError):
+            cli._certificate_name(checkers.LogConcavityCertificate("unnamed"))
 
     def test_slc_violated(self, xy_file, capsys):
         code = main(["check", xy_file, "slc", "--samples", "50"])

@@ -482,7 +482,8 @@ class TestMRows:
         # variable is dead, as the variables of every A != {} are, and else
         # stops after its first failing row; up to COEFFICIENT_MAX_VARS a
         # failed dominance test goes on to the coefficient test, which forms
-        # every row again.  Only subsets past the diamond pre-check form any.
+        # every row again.  Only subsets past the diamond pre-check form any,
+        # and none of a g that the Lorentzian certificate proves first.
         formed = []
         original = calculus.cleared_m_rows
 
@@ -498,12 +499,19 @@ class TestMRows:
         ranks = [SubsetPoly.from_weights(n, {m: m % 5 + 1 for m in range(1 << n)
                                              if bin(m).count("1") == k})
                  for n, k in ((4, 2), (4, 3), (5, 2))]
+        # A weight on the full set makes each rank input inhomogeneous, so
+        # its g reaches the dominance test, which stops early there.
+        topped = [SubsetPoly.from_weights(p.n, {**dict(enumerate(p.coeffs)), (1 << p.n) - 1: 1})
+                  for p in ranks]
         dead = SubsetPoly.from_weights(4, {m: m + 1 for m in range(16) if not m & 0b100})
         products = [product_measure([Fraction(1, k) for k in range(2, n)]) for n in (4, 5, 6)]
         seen = {"twice": 0, "dead": 0, "stopped early": 0, "certified": 0}
-        for p in [*cells, dense, *ranks, dead, *products]:
+        lorentzian = 0
+        for p in [*cells, dense, *ranks, *topped, dead, *products]:
             want = []
-            for a in range(1 << p.n):
+            proved_first = checkers.certify_log_concavity_lorentzian(p) is not None
+            lorentzian += proved_first
+            for a in [] if proved_first else range(1 << p.n):
                 q = p.derivative_subset(a)
                 if trivial_log_concavity(q) is not None or checkers.failing_diamond(q) is not None:
                     continue
@@ -524,6 +532,7 @@ class TestMRows:
                 check_slc(p, SampleConfig(points=8))
             assert [(q, len(rows)) for q, rows in formed] == want, p
         assert min(seen.values()) >= 3, seen
+        assert lorentzian == len(ranks)
 
     def test_dominance_implies_psd_coefficient_matrices(self):
         # A nonnegative gap makes each M_a weakly diagonally dominant with a

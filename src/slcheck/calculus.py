@@ -17,13 +17,15 @@ Both the float and the exact side work on the coefficient vector directly.
   * Float: the derivative table (`_superset_sums`) holds each iterated
     derivative d^B g(x) = sum_{S >= B} p(S) x^(S \\ B) that can be nonzero
     at a block of points, built by n superset-sum (Yates) stages: its rows
-    are the down-closure of the support (`_Plan`), all 2^n subsets when
-    the full set has a weight.  g, its gradient and its Hessian are rows 0,
-    {i} and {i, j} of that one table, a zero row where the derivative
-    vanishes.  It is the only float evaluator.  `log_hessian_many` reads
-    it block by block, on coefficients rescaled by a power of two (see
-    `_log_coeffs`), and `log_hessian` is `log_hessian_many` at one point;
-    `eval_many`, which no check calls, reads row 0 of one table.
+    are the down-closure of the support (`_Plan`, from `down_closure`,
+    which the lattice route and the Lorentzian certificate read too), all
+    2^n subsets when the full set has a weight.  g, its gradient and its
+    Hessian are rows 0, {i} and {i, j} of that one table, a zero row where
+    the derivative vanishes.  It is the only float evaluator.
+    `log_hessian_many` reads it block by block, on coefficients rescaled
+    by a power of two (see `_log_coeffs`), and `log_hessian` is
+    `log_hessian_many` at one point; `eval_many`, which no check calls,
+    reads row 0 of one table.
   * Exact: `cleared_m_rows` forms M once, times L^2, from products of the
     integer coefficients of `SubsetPoly.cleared` (`poly.add_products`,
     under its monomial key).  `m_row_gaps` reads it and yields the
@@ -103,6 +105,16 @@ class _Plan:
         return max(MIN_BLOCK_POINTS, TABLE_CELLS // self.rows)
 
 
+def down_closure(n: int, masks: Iterable[int]) -> np.ndarray:
+    """inside[t] over the 2**n subsets t: whether t lies inside some mask."""
+    inside = np.zeros(1 << n, dtype=bool)
+    inside[list(masks)] = True
+    for k in range(n):  # t is inside some mask when t | bit k is
+        halves = inside.reshape(-1, 2, 1 << k)
+        halves[:, 0] |= halves[:, 1]
+    return inside
+
+
 @lru_cache(maxsize=PLAN_CACHE)
 def _plan(n: int, masks: tuple[int, ...]) -> _Plan:
     """The table plan of the nonzero masks (in increasing order) of an n-variable polynomial."""
@@ -110,12 +122,7 @@ def _plan(n: int, masks: tuple[int, ...]) -> _Plan:
     pairs = bits[:, None] | bits[None, :]
     if masks and masks[-1] == (1 << n) - 1:
         return _Plan(None, (), bits, pairs, 1 << n)
-    closed = np.zeros(1 << n, dtype=bool)
-    closed[list(masks)] = True
-    for k in range(n):  # B is in the down-closure when B | bit k is
-        halves = closed.reshape(-1, 2, 1 << k)
-        halves[:, 0] |= halves[:, 1]
-    kept = np.flatnonzero(closed)
+    kept = np.flatnonzero(down_closure(n, masks))
     row = np.full(1 << n, len(kept))
     row[kept] = np.arange(len(kept))
     stages = []

@@ -7,8 +7,8 @@ Three verdict shapes cover every check:
   * NoViolationFound(stats)   sampling ran out of points, nothing proved.
 
 Sampling can only ever falsify.  A Holds verdict always traces back to an
-exact argument: the local diamonds of a positive p or the splits of its
-support pairs for the lattice condition (`check_nlc`), a coefficient-wise
+exact argument: a convex support and its local diamonds for the lattice
+condition (`check_nlc`), a coefficient-wise
 diagonal dominance certificate, a coefficient-matrix certificate (at
 n <= 3), a split into affine factors on disjoint variables
 (`factor_blocks`), a Lorentzian certificate for a homogeneous g
@@ -28,7 +28,7 @@ per derivative subset, triviality, then the diamond pre-check
 then sampling; a failing diamond at the origin rules both matrix
 certificates out, so such a subset goes straight to sampling.
 
-The lattice routes and scan, the diamond pre-check, the dominance
+The lattice route and scan, the diamond pre-check, the dominance
 certificate (`calculus.m_row_gaps`), the coefficient-matrix certificate
 (`calculus.m_coefficient_matrices`), the factor split and the Lorentzian
 quadratics decide on the integer coefficients of `SubsetPoly.cleared`,
@@ -69,7 +69,14 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .calculus import is_psd, log_hessian_many, m_coefficient_matrices, m_form, m_row_gaps
+from .calculus import (
+    down_closure,
+    is_psd,
+    log_hessian_many,
+    m_coefficient_matrices,
+    m_form,
+    m_row_gaps,
+)
 from .linalg import nsd_screen
 from .poly import SubsetPoly, format_fraction, format_subset
 
@@ -78,22 +85,13 @@ from .poly import SubsetPoly, format_fraction, format_subset
 
 @dataclass(frozen=True)
 class LocalDiamonds:
-    """Every weight is positive and every diamond p(S+i) p(S+j) >= p(S) p(S+i+j) holds.
+    """The support is convex and every diamond p(S+i) p(S+j) >= p(S) p(S+i+j) holds.
 
-    For positive p the diamonds decide the lattice condition (Topkis 1978);
-    pairs_checked is the number of diamonds compared, C(n, 2) * 2**(n-2).
-    """
-
-    pairs_checked: int
-
-
-@dataclass(frozen=True)
-class SupportSplits:
-    """No split of a support pair violates the lattice condition.
-
-    A violating pair (S, T) has p(S | T) > 0 and p(S & T) > 0, so it splits
-    V = S | T over U = S & T, both in the support, with |V - U| >= 2;
-    every such split held.  pairs_checked is the number of splits compared.
+    Together these decide the lattice condition: a pair with
+    p(S | T) p(S & T) > 0 has the interval [S & T, S | T] inside the convex
+    support, where p is positive and the diamonds decide (Topkis 1978).
+    pairs_checked is the number of diamonds compared, one per support mask S
+    and pair of nonzero up-steps S+i, S+j: C(n, 2) * 2**(n-2) for positive p.
     """
 
     pairs_checked: int
@@ -121,7 +119,7 @@ class SubsetCertificates:
     one's certificate is in `SlcReport.subsets`."""
 
 
-Certificate = Union[LocalDiamonds, SupportSplits, LogConcavityCertificate, SubsetCertificates]
+Certificate = Union[LocalDiamonds, LogConcavityCertificate, SubsetCertificates]
 
 # ----- witnesses -------------------------------------------------------------
 
@@ -225,19 +223,15 @@ def exit_code(verdict: Verdict) -> int:
 def check_nlc(p: SubsetPoly) -> Verdict:
     """Exact log-submodularity check: p(S) p(T) >= p(S | T) p(S & T) for all S, T.
 
-    Holds is proved by one of two exact routes: the local diamonds when
-    every weight is positive (`LocalDiamonds`), else the splits of support
-    pairs (`SupportSplits`).  A route that meets a violation leaves the
-    witness to the full scan, which compares each incomparable pair once as
-    S < T (the rest hold by symmetry or with equality), so Violated always
-    holds the lexicographically first violating pair by (S, T) bitmask (it
-    has S < T, as its mirror violates too), its products checked in
-    rationals.
+    Holds is proved by one exact route for every input: a convex support
+    and its local diamonds (`LocalDiamonds`).  When the route meets a
+    violation it leaves the witness to the full scan, which compares each
+    incomparable pair once as S < T (the rest hold by symmetry or with
+    equality), so Violated always holds the lexicographically first
+    violating pair by (S, T) bitmask (it has S < T, as its mirror violates
+    too), its products checked in rationals.
     """
-    if len(p.nonzero_masks) == 1 << p.n:
-        certificate = _local_diamonds(p)
-    else:
-        certificate = _support_splits(p)
+    certificate = _local_diamonds(p)
     if certificate is not None:
         return Holds(certificate)
     first = next(_nlc_violating_pairs(p), None)
@@ -247,48 +241,36 @@ def check_nlc(p: SubsetPoly) -> Verdict:
 
 
 def _local_diamonds(p: SubsetPoly) -> LocalDiamonds | None:
-    """LocalDiamonds, or None if some w(S+i) w(S+j) < w(S) w(S+i+j) on w = p.cleared[0].
+    """LocalDiamonds, or None if the support is not convex or a diamond fails.
 
-    Proves the lattice condition only for positive p: on the support
-    {}, {1,2,3} every diamond holds, yet S = {1}, T = {2,3} violates.
+    Walks each support mask S once over its up-steps S+i, on the integers
+    w = p.cleared[0].  A zero-weight step inside the down-closure of the
+    support (`calculus.down_closure`, formed at the first zero step) breaks
+    convexity, and each break shows as one: on a chain up from one support
+    set to another, the first set outside the support is such a step.  The
+    nonzero steps are compared pairwise as diamonds; a zero step outside
+    the closure leaves only diamonds that hold with 0 on the right.
     """
     w = p.cleared[0]
-    bits = [1 << k for k in range(p.n)]
-    for s, ws in enumerate(w):
-        ups = [(s | b, w[s | b]) for b in bits if not s & b]
+    n = p.n
+    bits = [1 << k for k in range(n)]
+    inside = None
+    checked = 0
+    for s in p.nonzero_masks:
+        ws = w[s]
+        ups = [(t, w[t]) for b in bits if not s & b and w[t := s | b]]
+        k = len(ups)
+        if k + s.bit_count() < n:  # some up-step has no weight
+            if inside is None:
+                inside = down_closure(n, p.nonzero_masks).tolist()
+            for b in bits:  # s | b = s, of nonzero weight, when b is in s
+                if inside[s | b] and not w[s | b]:
+                    return None
+        checked += k * (k - 1) // 2
         for (si, wi), (sj, wj) in itertools.combinations(ups, 2):
             if wi * wj < ws * w[si | sj]:
                 return None
-    return LocalDiamonds(pairs_checked=math.comb(p.n, 2) * 2**p.n // 4)
-
-
-def _support_splits(p: SubsetPoly) -> SupportSplits | None:
-    """SupportSplits, or None if a split of a support pair violates, on w = p.cleared[0].
-
-    For each V and U < V in the support, compares w(U | X) w(U | Y) with
-    w(V) w(U) for each split of V - U into nonempty X and Y, counted once
-    by putting its lowest element in X; a one-element V - U has no split.
-    """
-    w = p.cleared[0]
-    checked = 0
-    for v in p.nonzero_masks:
-        wv = w[v]
-        u = v
-        while u:
-            u = (u - 1) & v
-            if not w[u]:
-                continue
-            rhs = wv * w[u]
-            d = v ^ u
-            low = d & -d
-            rest = d ^ low
-            r = rest
-            while r:
-                r = (r - 1) & rest
-                checked += 1
-                if w[u | low | r] * w[u | (rest ^ r)] < rhs:
-                    return None
-    return SupportSplits(pairs_checked=checked)
+    return LocalDiamonds(pairs_checked=checked)
 
 
 def _nlc_violating_pairs(p: SubsetPoly) -> Iterator[tuple[int, int]]:
@@ -706,12 +688,7 @@ def certify_log_concavity_lorentzian(p: SubsetPoly) -> LogConcavityCertificate |
         return None
     w = p.cleared[0]
     bits = [1 << k for k in range(p.n)]
-    inside = np.zeros(1 << p.n, dtype=bool)  # inside[t]: t lies inside some basis
-    inside[list(masks)] = True
-    for k in range(p.n):
-        view = inside.reshape(-1, 2, 1 << k)
-        view[:, 0] |= view[:, 1]
-    for a in np.flatnonzero(inside).tolist():
+    for a in np.flatnonzero(down_closure(p.n, masks)).tolist():
         if a.bit_count() != d - 2:
             continue
         free = [i for i in bits if not a & i]

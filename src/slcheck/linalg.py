@@ -8,9 +8,11 @@ takes its top eigenvector from eigh.  `eigen_sym` hands one matrix to
 eigvalsh as it is and returns the eigenvalues as a tuple of floats; no code
 in the package calls it.  No decision rests on these floats alone.  Exact
 definiteness is decided on integer coefficients, by the dominance
-certificate (`calculus.m_row_gaps`) or, at n <= 3, the coefficient-matrix
-certificate (`calculus.is_psd`), and a point witness is proved by the exact
-sign of v^T M(x) v (`calculus.m_form`).
+certificate (`calculus.m_row_gaps`), at n <= 3 the coefficient-matrix
+certificate (`calculus.is_psd`), or, for a homogeneous g, the Lorentzian
+certificate (`checkers.certify_log_concavity_lorentzian`), whose quadratics
+`calculus.is_psd` bounds to one positive eigenvalue; a point witness is
+proved by the exact sign of v^T M(x) v (`calculus.m_form`).
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ independent checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -354,6 +355,23 @@ def brute_nlc_violations(p: SubsetPoly) -> list[tuple[int, int, Fraction, Fracti
             if lhs < rhs:
                 out.append((s, t, lhs, rhs))
     return out
+
+
+def brute_convex(n: int, masks) -> bool:
+    """Whether every W with U <= W <= V, for members U and V of the family, is one.
+
+    Tests each such U and V and each W between them, on index sets.
+    """
+    family = {frozenset(i for i in range(n) if m >> i & 1) for m in masks}
+    for u in family:
+        for v in family:
+            if u <= v:
+                rest = sorted(v - u)
+                for r in range(len(rest) + 1):
+                    for extra in itertools.combinations(rest, r):
+                        if u | set(extra) not in family:
+                            return False
+    return True
 
 
 # ----- brute force Lorentzian conditions -----------------------------------------

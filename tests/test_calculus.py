@@ -13,6 +13,7 @@ from slcheck.calculus import (
     _float_coeffs,
     _superset_sums,
     _table_plan,
+    down_closure,
     eval_many,
     log_hessian,
     log_hessian_many,
@@ -188,6 +189,20 @@ class TestMMatrix:
         m = m_matrix(counterexample)
         assert sparse_eval_exact(m[0][0], (1, 1, 1)) == Fraction(81, 484)
         assert sparse_eval_exact(m[0][1], (1, 1, 1)) == Fraction(15, 484)
+
+
+class TestDownClosure:
+    def test_matches_a_superset_test(self):
+        # t is in the down-closure exactly when some mask holds every element of t.
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            n = int(rng.integers(0, 7))
+            masks = np.flatnonzero(rng.random(1 << n) < rng.uniform(0.0, 0.5)).tolist()
+            sets = [{i for i in range(n) if m >> i & 1} for m in masks]
+            want = [any({i for i in range(n) if t >> i & 1} <= s for s in sets)
+                    for t in range(1 << n)]
+            got = down_closure(n, masks)
+            assert got.dtype == bool and got.tolist() == want, (n, masks)
 
 
 class TestBatchEvaluation:

@@ -24,13 +24,12 @@ from slcheck import (
     check_slc,
 )
 from slcheck import checkers
-from slcheck.calculus import log_hessian_many, m_form, m_matrix, m_row_gaps
+from slcheck.calculus import down_closure, log_hessian_many, m_form, m_matrix, m_row_gaps
 from slcheck.checkers import (
     LocalDiamonds,
     LogConcavityCertificate,
     SamplePoints,
     SubsetCertificates,
-    SupportSplits,
     certify_log_concavity_dominance,
     certify_log_concavity_coefficients,
     certify_log_concavity_factors,
@@ -43,6 +42,7 @@ from slcheck.checkers import (
 )
 from slcheck.poly import SparsePoly
 from conftest import (
+    brute_convex,
     brute_nlc_violations,
     permute,
     product_measure,
@@ -58,18 +58,32 @@ def one_plus_xy() -> SubsetPoly:
     return SubsetPoly.from_weights(2, {0: 1, 0b11: 1})
 
 
-def nlc_certificate(p: SubsetPoly) -> LocalDiamonds | SupportSplits:
+def nlc_certificate(p: SubsetPoly) -> LocalDiamonds:
     """The certificate check_nlc proves a holding p with, counted on index sets.
 
-    A positive p: one diamond per S and pair {i, j} outside S.  Otherwise
-    one split {X, Y} of V - U into nonempty parts per support pair U < V.
+    One diamond per support set S and pair {i, j} outside S whose sets
+    S + i and S + j both have weight.
     """
     n = p.n
-    support = [frozenset(i for i in range(n) if m >> i & 1) for m in p.nonzero_masks]
-    if len(support) == 1 << n:
-        return LocalDiamonds(pairs_checked=sum(math.comb(n - len(s), 2) for s in support))
-    splits = sum(2 ** (len(v - u) - 1) - 1 for v in support for u in support if u < v)
-    return SupportSplits(pairs_checked=splits)
+    diamonds = 0
+    for m in p.nonzero_masks:
+        s = {i for i in range(n) if m >> i & 1}
+        ups = [i for i in range(n) if i not in s and p.coeffs[sum(1 << k for k in s | {i})] > 0]
+        diamonds += math.comb(len(ups), 2)
+    return LocalDiamonds(pairs_checked=diamonds)
+
+
+def interval_with_holes(rng: np.random.Generator, n: int) -> tuple[list[int], set[int]]:
+    """The masks of a random interval [U, V] with |V - U| >= 2, and one or two
+    masks strictly inside it to leave out: a support that is not convex."""
+    order = [int(i) for i in rng.permutation(n)]
+    d = int(rng.integers(2, n + 1))
+    free = sum(1 << i for i in order[:d])
+    u = sum(1 << i for i in order[d:] if rng.random() < 0.5)
+    interval = [m for m in range(1 << n) if m & u == u and not m & ~(u | free)]
+    inner = [m for m in interval if m not in (u, u | free)]
+    count = min(len(inner), int(rng.integers(1, 3)))
+    return interval, {int(m) for m in rng.choice(inner, size=count, replace=False)}
 
 
 class TestLatticeCondition:
@@ -110,13 +124,14 @@ class TestLatticeCondition:
         assert exit_code(verdict) == 0
 
     def test_point_mass_holds(self):
+        # No up-step from the one support set has weight: no diamond to compare.
         p = SubsetPoly.from_weights(4, {0b1010: 1})
-        assert check_nlc(p) == Holds(SupportSplits(pairs_checked=0))
+        assert check_nlc(p) == Holds(LocalDiamonds(pairs_checked=0))
 
     def test_zero_and_constant_hold(self):
-        no_splits = Holds(SupportSplits(pairs_checked=0))
-        assert check_nlc(SubsetPoly.from_weights(2, {})) == no_splits
-        assert check_nlc(SubsetPoly.from_weights(2, {0: 3})) == no_splits
+        no_diamonds = Holds(LocalDiamonds(pairs_checked=0))
+        assert check_nlc(SubsetPoly.from_weights(2, {})) == no_diamonds
+        assert check_nlc(SubsetPoly.from_weights(2, {0: 3})) == no_diamonds
         positive = SubsetPoly.from_weights(1, {0: 1, 1: 2})
         assert check_nlc(positive) == Holds(LocalDiamonds(pairs_checked=0))
 
@@ -185,21 +200,21 @@ class TestLatticeCondition:
         with pytest.raises(AssertionError, match="full scan"):
             check_nlc(counterexample)
 
-    def test_diamonds_need_positive_weights(self):
+    def test_diamonds_need_a_convex_support(self):
         # On the support {}, {1,2,3} every diamond holds (each has a zero
-        # product on both sides), yet S = {1}, T = {2,3} violates: the local
-        # route proves the condition only when every weight is positive.
+        # product on both sides), yet S = {1}, T = {2,3} violates: {1} lies
+        # between two support sets without weight, and the route refutes at
+        # that zero up-step from {}, inside the down-closure of the support.
         p = SubsetPoly.from_weights(3, {0: 1, 0b111: 1})
-        assert checkers._local_diamonds(p) == LocalDiamonds(pairs_checked=6)
-        assert checkers._support_splits(p) is None
+        assert checkers._local_diamonds(p) is None
         w = check_nlc(p).witness
         assert (w.s_mask, w.t_mask, w.lhs, w.rhs) == (0b001, 0b110, 0, 1)
 
     def test_routes_match_brute_force_oracle(self):
-        # Each route decides exactly what the oracle over all 4**n ordered
-        # pairs decides, on positive inputs and on inputs with zeros; the
-        # witness is the full scan's first pair and a certificate counts
-        # exactly the comparisons made.
+        # The route decides exactly what the oracle over all 4**n ordered
+        # pairs decides, on positive inputs and on inputs with zeros, convex
+        # supports or not; the witness is the full scan's first pair and a
+        # certificate counts exactly the comparisons made.
         rng = np.random.default_rng(44)
 
         def prob() -> Fraction:
@@ -236,6 +251,11 @@ class TestLatticeCondition:
                     trees.append(sum(1 << e for e in tree))
             return trees
 
+        def holes(n: int) -> dict:
+            interval, left_out = interval_with_holes(rng, n)
+            weights = product(n)
+            return {m: weights[m] for m in interval if m not in left_out}
+
         builders = {
             "product": product,
             "pairwise": lambda n: {m: c / 2 ** math.comb(m.bit_count(), 2)
@@ -248,6 +268,7 @@ class TestLatticeCondition:
             "matroid": lambda n: by_field(n, tree_masks(n)),
             "point": lambda n: {int(rng.integers(1 << n)): prob()},
             "zeros": lambda n: random_weights(n, rng.uniform(0.3, 0.6)),
+            "holes": holes,
         }
         seen = set()
         for n in range(3, 8):
@@ -257,9 +278,7 @@ class TestLatticeCondition:
                     if copy == 0:
                         p = p.scale(Fraction(1, 10**400))
                     expected = brute_nlc_violations(p)
-                    if len(p.nonzero_masks) == 1 << n:
-                        assert (checkers._local_diamonds(p) is None) == bool(expected), (name, p)
-                    assert (checkers._support_splits(p) is None) == bool(expected), (name, p)
+                    assert (checkers._local_diamonds(p) is None) == bool(expected), (name, p)
                     verdict = check_nlc(p)
                     if expected:
                         w = verdict.witness
@@ -268,13 +287,36 @@ class TestLatticeCondition:
                         assert verdict == Holds(nlc_certificate(p)), (name, p)
                     seen.add((type(verdict.certificate).__name__
                               if isinstance(verdict, Holds) else "Violated", name))
-        # Log-submodular by construction: positive ones by diamonds, the rest by splits.
+        # Log-submodular by construction, with or without zeros: the one route
+        # proves each.  A hole in an interval breaks convexity, so it violates.
         def routes(*names: str) -> set:
             return {route for route, name in seen if name in names}
 
-        assert routes("product", "pairwise") == {"LocalDiamonds"}
-        assert routes("truncated", "rank", "matroid", "point") == {"SupportSplits"}
+        holding = ("product", "pairwise", "truncated", "rank", "matroid", "point")
+        assert routes(*holding) == {"LocalDiamonds"}
+        assert routes("holes") == {"Violated"}
         assert ("Violated", "perturbed") in seen and ("Violated", "zeros") in seen
+
+    def test_local_convexity_lemma(self):
+        # A family is convex (every set between two members is one) exactly when
+        # no up-step out of it from a member lies in its down-closure: on a chain
+        # from U up to W, the first set outside the family is such a step.
+        rng = np.random.default_rng(45)
+        outcomes = []
+        for trial in range(2400):
+            n = int(rng.integers(1, 7))
+            if trial % 3 == 0 and n >= 2:
+                interval, left_out = interval_with_holes(rng, n)
+                masks = [m for m in interval if m not in left_out]
+            else:
+                masks = np.flatnonzero(rng.random(1 << n) < rng.uniform(0.05, 0.9)).tolist()
+            family = set(masks)
+            inside = down_closure(n, masks)
+            local = not any(inside[m | 1 << i] for m in masks for i in range(n)
+                            if m | 1 << i not in family)
+            assert local == brute_convex(n, masks), (n, masks)
+            outcomes.append(local)
+        assert 500 <= sum(outcomes) <= len(outcomes) - 500, sum(outcomes)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)

@@ -169,8 +169,8 @@ class TestCheckCommand:
         cases = {
             # Positive: one diamond at S = {} for the one pair {1, 2}.
             "prod": (product_measure([Fraction(1, 2), Fraction(1, 3)]), "LocalDiamonds", 1),
-            # Zeros: U = {} < V = {i,j} splits one way for each of the three pairs.
-            "sparse": (SubsetPoly.from_weights(3, dict.fromkeys(range(7), 1)), "SupportSplits", 3),
+            # Zeros: every set but {1,2,3}, so 3 diamonds at S = {} and 1 at each singleton.
+            "sparse": (SubsetPoly.from_weights(3, dict.fromkeys(range(7), 1)), "LocalDiamonds", 6),
         }
         for name, (p, certificate, pairs) in cases.items():
             path, report = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
